@@ -94,11 +94,6 @@ class ChipAccelerator:
         self.pending_rove_count = 0
         return walks
 
-    def take_completed(self) -> int:
-        n = self.pending_completed
-        self.pending_completed = 0
-        return n
-
     @property
     def roving_capacity_walks(self) -> int:
         return max(1, self.cfg.roving_buffer_bytes // self.walk_bytes)

@@ -120,6 +120,8 @@ class FlashWalker:
         telemetry: MetricsConfig | None = None,
     ):
         self.cfg = (config or FlashWalkerConfig()).validate()
+        # Hashed once: every checkpoint and report carries it.
+        self.config_fingerprint = config_fingerprint(self.cfg)
         self.graph = graph
         self._seed = int(seed)
         self._trace_cfg = trace.validate() if trace is not None else None
@@ -365,6 +367,10 @@ class FlashWalker:
         # restore leaves the packed dict in _restored_extra.
         self._checkpoint_extra = None
         self._restored_extra = None
+        # Per-chip checkpoint entries of the last capture, keyed by the
+        # chip's change counters (see repro.faults.checkpoint).  Cleared
+        # here, so every restore starts from an empty memo.
+        self._ckpt_chip_memo: dict[int, tuple] = {}
         # Which recurring durability events the restored snapshot had
         # armed (None = legacy snapshot / no restore: arm everything).
         self._restored_dur_armed: set[str] | None = None
@@ -561,7 +567,7 @@ class FlashWalker:
             result.counters["finals_recorded"] = float(len(finals))
             result.finals = finals
         result.seed = self._seed
-        result.config_fingerprint = config_fingerprint(self.cfg)
+        result.config_fingerprint = self.config_fingerprint
         dftl = self.ssd.dftl
         if dftl is not None:
             result.ftl = dftl.stats(self.ssd.ftl)

@@ -18,7 +18,13 @@ routes pages exactly as the captured one did.  This matters once the
 durability layer's parity-group quarantine retires blocks mid-run —
 post-recovery page routing must match the crashed timeline's.
 Pre-durability snapshots (no log recorded) restore as before, skipping
-the FTL entirely.
+the FTL entirely.  DFTL-enabled runs are the exception: background GC
+makes the FTL's state time-dependent, so their snapshots carry the full
+FTL and CMT state instead.
+
+Captures cost what the epoch changed, not the device size: per-chip
+entries are shared with the previous capture while the chip is
+untouched (see :func:`_chip_entries`).
 
 Core modules are imported lazily inside the capture/restore functions:
 ``repro.core.flashwalker`` imports this package, so module-level imports
@@ -27,7 +33,6 @@ the other way would be circular.
 
 from __future__ import annotations
 
-import copy
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -167,6 +172,61 @@ def _chip_hw_state(chip) -> dict:
     }
 
 
+def _chip_state(c) -> dict:
+    return {
+        "loaded": list(c.loaded),
+        "failed": c.failed,
+        "pending_completed": c.pending_completed,
+        "batches": c.batches,
+        "hops": c.hops,
+        "loads": c.loads,
+        "reload_hits": c.reload_hits,
+    }
+
+
+def _chip_entries(fw) -> tuple[list, list, dict]:
+    """Per-chip snapshot entries, shared with the previous capture for
+    every chip whose change key has not moved.
+
+    Returns the ``chip_hw`` and ``chips`` lists and the reused states of
+    the chips' sampling streams (``chip<i>``, drawn only by that chip's
+    batches).  The key holds counters that every mutation of the
+    captured chip state bumps: a read or erase acquires a dispatcher
+    slot (``_op_slots.requests``) and counts itself, a program counts
+    ``programs`` (and a striped one moves ``_prog_cursor``), a subgraph
+    load counts a load or a reload hit, a batch counts ``batches`` after
+    drawing from the chip's stream, a completed-walk flush follows a
+    batch, and a chip failure sets ``failed``.  An equal key thus means
+    equal state, and the entries — never mutated once captured; restore
+    copies out of them — are reused as they are.  The memo lives on the
+    engine and is cleared by ``_reset_run_state``, which every restore
+    runs: a restore moves the counters backwards.
+    """
+    memo = fw._ckpt_chip_memo
+    streams = fw.rngs._streams
+    hw_out, chip_out, rng = [], [], {}
+    # Flat chip order, as ssd.chip_flat(i): channel-major.
+    hw_chips = [hw for ch in fw.ssd.channels for hw in ch.chips]
+    for i, (c, hw) in enumerate(zip(fw.chips, hw_chips)):
+        key = (
+            hw._op_slots.requests, hw.reads, hw.programs, hw.erases,
+            hw._prog_cursor, c.loads, c.reload_hits, c.batches, c.hops,
+            c.pending_completed, c.failed,
+        )
+        entry = memo.get(i)
+        if entry is None or entry[0] != key:
+            name = f"chip{i}"
+            gen = streams.get(name)
+            stream = None if gen is None else (name, gen.bit_generator.state)
+            entry = memo[i] = (key, _chip_hw_state(hw), _chip_state(c), stream)
+        if entry[3] is not None:
+            name, state = entry[3]
+            rng[name] = state
+        hw_out.append(entry[1])
+        chip_out.append(entry[2])
+    return hw_out, chip_out, rng
+
+
 def _set_chip_hw(chip, s: dict) -> None:
     _set_fcfs(chip._op_slots, s["ops"])
     chip.reads = s["reads"]
@@ -219,12 +279,11 @@ def _set_metrics(metrics, state: dict) -> None:
 
 def capture_checkpoint(fw, t: float) -> Checkpoint:
     """Snapshot a quiescent :class:`~repro.core.flashwalker.FlashWalker`."""
-    from ..obs.report import config_fingerprint
-
     fm = fw.fault_model
+    chip_hw, chips, chip_rng = _chip_entries(fw)
     data = {
         # provenance: restore refuses a snapshot from a different config
-        "config_fingerprint": config_fingerprint(fw.cfg),
+        "config_fingerprint": fw.config_fingerprint,
         # walk accounting
         "spec": fw.spec,
         "total_walks": fw.total_walks,
@@ -241,9 +300,9 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
             if fw._finals is None
             else [_pack_walks(w) for w in fw._finals]
         ),
-        # stochastic state
+        # stochastic state (``state`` builds a fresh dict on every read)
         "rng": {
-            name: copy.deepcopy(gen.bit_generator.state)
+            name: chip_rng[name] if name in chip_rng else gen.bit_generator.state
             for name, gen in fw.rngs._streams.items()
         },
         # metrics
@@ -284,26 +343,12 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
             fw.dense_table.hash_probes,
         ),
         # accelerators
-        "chips": [
-            {
-                "loaded": list(c.loaded),
-                "failed": c.failed,
-                "pending_completed": c.pending_completed,
-                "batches": c.batches,
-                "hops": c.hops,
-                "loads": c.loads,
-                "reload_hits": c.reload_hits,
-            }
-            for c in fw.chips
-        ],
+        "chips": chips,
         "channel_accels": [
             (ch.batches, ch.hops, ch.range_queries) for ch in fw.channels
         ],
         # hardware occupancy + byte counters
-        "chip_hw": [
-            _chip_hw_state(fw.ssd.chip_flat(i))
-            for i in range(fw.cfg.ssd.total_chips)
-        ],
+        "chip_hw": chip_hw,
         "channel_buses": [_link_state(ch.bus) for ch in fw.ssd.channels],
         "dram_bus": _link_state(fw.ssd.dram.bus),
         "board_pipe": _fcfs_state(fw._board_pipe),
@@ -376,7 +421,8 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
             "fl": sc.fl.copy(),
             "inserts": sc._inserts_since_update.copy(),
             "block_chip": sc.block_chip.copy(),
-            "top": {c: list(v) for c, v in sc._top.items()},
+            # topN lists are replaced on refresh, never mutated: shared
+            "top": dict(sc._top),
             "dirty": set(sc._dirty),
             "refreshes": sc.topn_refreshes,
             "deferred": sc.topn_updates_deferred,
@@ -408,7 +454,6 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
     from ..core.buffers import BlockEntry, PartitionWalkBuffer
     from ..core.mapping import RangeTable, SubgraphMappingTable
     from ..core.scheduler import SubgraphScheduler
-    from ..obs.report import config_fingerprint
     from ..walks.sampling import make_sampler
 
     d = ckpt.data
@@ -418,7 +463,7 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
     # (no field recorded) restore as before.
     recorded = d.get("config_fingerprint")
     if recorded is not None:
-        own = config_fingerprint(fw.cfg)
+        own = fw.config_fingerprint
         if recorded != own:
             from ..common.errors import ConfigError
 
@@ -433,7 +478,7 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
     # into the resumed run.
     fw.rngs._streams = {}
     for name, state in d["rng"].items():
-        fw.rngs.stream(name).bit_generator.state = copy.deepcopy(state)
+        fw.rngs.stream(name).bit_generator.state = state
     if fw.fault_model is not None:
         fw.fault_model.rng = fw.rngs.stream("faults")
         fs = d["faults"]
@@ -506,7 +551,7 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
         sc.fl[:] = sd["fl"]
         sc._inserts_since_update[:] = sd["inserts"]
         sc.block_chip[:] = sd["block_chip"]
-        sc._top = {c: list(v) for c, v in sd["top"].items()}
+        sc._top = dict(sd["top"])
         sc._dirty = set(sd["dirty"])
         sc.topn_refreshes = sd["refreshes"]
         sc.topn_updates_deferred = sd["deferred"]

@@ -67,6 +67,34 @@ class FlashAddress:
         return (unit * cfg.blocks_per_plane + self.block) * cfg.pages_per_block + self.page
 
 
+class _FreeLists:
+    """Per-plane free-block lists, each built on its first access.
+
+    A pristine plane's list is ``[1, ..., blocks_per_plane - 1]`` (block
+    0 is its first active block).  Building every plane's list up front
+    costs about 2M ints on the paper geometry, for planes most runs
+    never write.  Indexable and assignable like the list of lists it
+    replaces; a plane's list, once built, is the same object thereafter.
+    """
+
+    __slots__ = ("_n", "_blocks", "_lists")
+
+    def __init__(self, n_planes: int, blocks_per_plane: int):
+        self._n = n_planes
+        self._blocks = blocks_per_plane
+        self._lists: dict[int, list[int]] = {}
+
+    def __getitem__(self, flat: int) -> list[int]:
+        free = self._lists.get(flat)
+        if free is None:
+            flat = range(self._n)[flat]  # bounds check, int key
+            free = self._lists.setdefault(flat, list(range(1, self._blocks)))
+        return free
+
+    def __setitem__(self, flat: int, free: list[int]) -> None:
+        self._lists[range(self._n)[flat]] = free
+
+
 class FTL:
     """Page-level FTL over the geometry of an :class:`SSDConfig`.
 
@@ -116,9 +144,7 @@ class FTL:
         n_planes = cfg.total_planes
         self._active_block = np.zeros(n_planes, dtype=np.int64)
         self._active_page = np.zeros(n_planes, dtype=np.int64)
-        self._free_list: list[list[int]] = [
-            list(range(1, cfg.blocks_per_plane)) for _ in range(n_planes)
-        ]
+        self._free_list = _FreeLists(n_planes, cfg.blocks_per_plane)
         # invalid page counts per (flat plane, block)
         self._invalid = np.zeros((n_planes, cfg.blocks_per_plane), dtype=np.int64)
         self._erase_counts = np.zeros((n_planes, cfg.blocks_per_plane), dtype=np.int64)

@@ -1,6 +1,7 @@
 """Cluster layer: sharded serving, vertex placement, fault-injected
 migration link, replica failover, and cluster-wide conservation."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.common import (
     DurabilityConfig,
     FaultConfig,
     FlashWalkerConfig,
+    FTLConfig,
     InvariantViolation,
     RetryPolicy,
     RngRegistry,
@@ -460,6 +462,25 @@ class TestClusterService:
         assert [r.status for r in out.responses] == ["ok"] * 4
         assert out.report["cluster"]["audit"]["violations"] == 0
         assert out.report["cluster"]["placement"] == "range"
+
+    def test_dftl_shards_survive_a_kill_deterministically(self, graph):
+        base = shard_cfg()
+        cfg = base.replace(
+            ssd=dataclasses.replace(base.ssd, ftl=FTLConfig(enabled=True))
+        )
+        ccfg = cluster_cfg(n_shards=2, kill_schedule=((40e-6, 1),))
+
+        def run():
+            return ClusterService(graph, cfg, ccfg, seed=7).run(requests())
+
+        out, again = run(), run()
+        c = out.report["cluster"]
+        assert c["audit"]["violations"] == 0
+        assert c["rto"]["count"] == 1 and c["kills_unfired"] == []
+        assert [r.status for r in out.responses] == ["ok"] * 4
+        # The shards really ran the translation layer.
+        assert all("ftl" in sh for sh in out.report["shards"])
+        assert canonical(out.report) == canonical(again.report)
 
 
 # ------------------------------------------------------ elastic placement

@@ -181,3 +181,32 @@ class TestPlacement:
             ftl.place_striped(-1, 1)
         with pytest.raises(FlashError):
             ftl.place_striped(1, 0)
+
+
+class TestLazyFreeLists:
+    def test_pristine_device_builds_no_lists(self):
+        ftl = FTL(SSDConfig())  # paper geometry: 1024 planes x 2048 blocks
+        assert not ftl._free_list._lists
+
+    def test_first_access_yields_the_pristine_list(self):
+        cfg = tiny_cfg()
+        ftl = FTL(cfg)
+        free = ftl._free_list[3]
+        assert free == list(range(1, cfg.blocks_per_plane))
+        assert ftl._free_list[3] is free
+        assert ftl._free_list[-1] is ftl._free_list[cfg.total_planes - 1]
+        ftl._free_list[0] = [2]
+        assert ftl._free_list[0] == [2]
+        with pytest.raises(IndexError):
+            ftl._free_list[cfg.total_planes]
+
+    def test_allocation_order_and_touched_planes(self):
+        cfg = tiny_cfg()
+        ftl = FTL(cfg)
+        blocks = [
+            ftl.write(lpn, plane_hint=0).block
+            for lpn in range(cfg.pages_per_block * 3)
+        ]
+        # Block 0 first, then the free list in order.
+        assert blocks == [b for b in range(3) for _ in range(cfg.pages_per_block)]
+        assert set(ftl._free_list._lists) == {0}
