@@ -112,12 +112,19 @@ class ClusterAuditor:
         self._last_t = max(self._last_t, now)
 
         # Walk conservation: every created walk in exactly one state.
+        # Both copies of a hedged lease resolve at the barrier they were
+        # issued in, so no walk may still carry a hedge shard here.
         counts = dict.fromkeys(_STATES, 0)
         for w in cl.walks.values():
             if w.state not in counts:
                 violations.append(f"walk {w.wid} in unknown state {w.state!r}")
             else:
                 counts[w.state] += 1
+            if w.hedge_shard is not None:
+                violations.append(
+                    f"walk {w.wid} ({w.state}) still hedged to shard "
+                    f"{w.hedge_shard} at the barrier"
+                )
         if len(cl.walks) != cl.walks_created:
             violations.append(
                 f"walk table holds {len(cl.walks)} walks but router created "
@@ -172,39 +179,31 @@ class ClusterAuditor:
                     f"router collected {cl.segments_collected[sid]}"
                 )
 
-        # Hedged leases: both copies resolve at the barrier they were
-        # issued in, so no walk may still carry a hedge shard here; the
-        # collected-segment ledger must split exactly into one commit
-        # per lease plus the discarded hedge losers (exactly-one-commit
-        # duplicate suppression); and every issued hedge produced
-        # exactly one winner.
-        if cl.ccfg.hedging_enabled:
-            for w in cl.walks.values():
-                if w.hedge_shard is not None:
-                    violations.append(
-                        f"walk {w.wid} ({w.state}) still hedged to shard "
-                        f"{w.hedge_shard} at the barrier"
-                    )
-            collected = sum(cl.segments_collected)
-            if collected != cl.segments_committed + cl.hedge_wasted_segments:
-                violations.append(
-                    f"segment ledger: collected {collected} != committed "
-                    f"{cl.segments_committed} + hedge-wasted "
-                    f"{cl.hedge_wasted_segments}"
-                )
-            wins = cl.hedge_wins_primary + cl.hedge_wins_hedge
-            if wins != cl.hedges_issued:
-                violations.append(
-                    f"hedge resolution: {cl.hedges_issued} issued but "
-                    f"{wins} resolved (primary {cl.hedge_wins_primary} + "
-                    f"hedge {cl.hedge_wins_hedge})"
-                )
-            if cl.hedge_wasted_segments != cl.hedges_issued:
-                violations.append(
-                    f"hedge waste: {cl.hedges_issued} hedges must discard "
-                    f"exactly one loser each, counted "
-                    f"{cl.hedge_wasted_segments}"
-                )
+        # Segment ledger, on every run (an unhedged run is the
+        # zero-duplicate case): collected segments split exactly into
+        # one commit per lease plus the discarded hedge losers
+        # (exactly-one-commit duplicate suppression), and every issued
+        # hedge produced exactly one winner and one loser.
+        collected = sum(cl.segments_collected)
+        if collected != cl.segments_committed + cl.hedge_wasted_segments:
+            violations.append(
+                f"segment ledger: collected {collected} != committed "
+                f"{cl.segments_committed} + hedge-wasted "
+                f"{cl.hedge_wasted_segments}"
+            )
+        wins = cl.hedge_wins_primary + cl.hedge_wins_hedge
+        if wins != cl.hedges_issued:
+            violations.append(
+                f"hedge resolution: {cl.hedges_issued} issued but "
+                f"{wins} resolved (primary {cl.hedge_wins_primary} + "
+                f"hedge {cl.hedge_wins_hedge})"
+            )
+        if cl.hedge_wasted_segments != cl.hedges_issued:
+            violations.append(
+                f"hedge waste: {cl.hedges_issued} hedges must discard "
+                f"exactly one loser each, counted "
+                f"{cl.hedge_wasted_segments}"
+            )
 
         # Attribution: finished walks credit exactly one query each.
         credited = sum(st.walks_done for st in cl.states.values())

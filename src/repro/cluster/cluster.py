@@ -39,7 +39,7 @@ from ..common.rng import derive_seed
 from ..obs.alerts import default_cluster_rules
 from ..obs.metrics import MetricsRegistry
 from ..service.queue import AdmissionQueue
-from ..service.request import QueryRequest, QueryResult
+from ..service.request import QueryRequest, QueryResult, latency_summary
 from ..walks.spec import start_vertices
 from .audit import ClusterAuditor
 from .config import ClusterConfig
@@ -92,6 +92,8 @@ class _QueryState:
     t_arrival: float
     deadline_abs: float
     walks_done: int = 0
+    #: Latest commit time credited so far: the query's answer time.
+    t_last_credit: float = 0.0
     admitted: bool = False
     injected: bool = False
     responded: bool = False
@@ -400,15 +402,9 @@ class ClusterService:
                 continue
             # 8. Step the loaded shards (concurrently when pooled).
             results = hosts.step(cmds)
-            t_next = T
             for sid in sorted(results):
                 r = results[sid]
                 self.prev_duration[sid] = r.t_end - r.t_start
-                if not ccfg.hedging_enabled:
-                    # Hedged mode barriers on the winning commit times
-                    # instead (below): a hedge loser still draining on
-                    # a straggler must not hold the cluster clock back.
-                    t_next = max(t_next, r.t_end)
                 self.epochs_stepped[sid] += 1
                 if ccfg.straggler_detection:
                     # Busy time between completions, not wall span or
@@ -455,10 +451,7 @@ class ClusterService:
                                 shard=str(sid),
                             ).observe(float(rto), T)
             # 9. Barrier: collect completions, migrate, credit, sweep.
-            if ccfg.hedging_enabled:
-                t_next = self._collect_hedged(results, t_next)
-            else:
-                self._collect(results, t_next)
+            t_next = self._collect(results, T)
             if ccfg.straggler_detection:
                 suspects = self.health.refresh_suspects(
                     epoch=self.epoch, now=t_next
@@ -574,6 +567,18 @@ class ClusterService:
 
     # -------------------------------------------------------------- leasing
 
+    def _ring_of(self, sid: int) -> VertexPlacement | None:
+        """Placement whose ring holds ``sid``.
+
+        Ring order follows the placement's slot table; a departing
+        shard (still executing mid-transfer but absent from the routing
+        target) falls back to the committed placement's ring.
+        """
+        for placement in (self.resizer.routing_placement(), self.placement):
+            if sid in placement.shard_ids:
+                return placement
+        return None
+
     def _route(self, owner: int, open_now: list[bool]) -> int | None:
         """Executing shard for a lease owned by ``owner``.
 
@@ -585,13 +590,8 @@ class ClusterService:
             return owner
         if not self.ccfg.reroute_to_replica:
             return None
-        # Ring order follows the placement's slot table; a departing
-        # shard (still executing mid-transfer but absent from the
-        # routing target) falls back to the committed placement's ring.
-        placement = self.resizer.routing_placement()
-        if owner not in placement.shard_ids:
-            placement = self.placement
-        if owner not in placement.shard_ids:
+        placement = self._ring_of(owner)
+        if placement is None:
             return None
         for candidate in placement.ring_successors(owner):
             if not open_now[candidate]:
@@ -609,10 +609,8 @@ class ClusterService:
         suspect shard's duplicated load spreads across the healthy
         ring instead of turning its immediate successor into the next
         straggler."""
-        placement = self.resizer.routing_placement()
-        if host not in placement.shard_ids:
-            placement = self.placement
-        if host not in placement.shard_ids:
+        placement = self._ring_of(host)
+        if placement is None:
             return None
         eligible = [
             candidate
@@ -645,10 +643,7 @@ class ClusterService:
                 # The deadline already passed (or the query was shed):
                 # stepping this walk can no longer change any answer, so
                 # sacrifice it instead of burning shard time on it.
-                w.state = "done"
-                self.walks_done += 1
-                self.walks_sacrificed += 1
-                self._credit(w, T, sacrificed=True)
+                self._retire_walk(w, T, sacrificed=True)
                 continue
             host = self._route(w.shard, open_now)
             if host is None or budget[host] <= 0:
@@ -748,15 +743,29 @@ class ClusterService:
 
     # -------------------------------------------------------------- barrier
 
-    def _collect(self, results: dict, t_next: float) -> None:
-        """Process completed segments and launch migrations, all in
-        deterministic (shard, event) order at the barrier."""
-        migrating: dict[tuple[int, int], list[_Walk]] = {}
+    def _collect(self, results: dict, T: float) -> float:
+        """The barrier commit loop: commit one completion per walk,
+        then retire, requeue or migrate it.  Returns the barrier time.
+
+        An unhedged lease has one completion and a hedged one two; the
+        earliest ``(t_done, shard)`` wins and the loser is billed as
+        hedge-wasted work.  Both copies land in the same barrier
+        (engines drain fully each epoch, audited), so the win is a
+        deterministic min, not a race.  Unhedged walks commit when the
+        last stepped shard drains; hedged walks commit at their winning
+        completion, so a hedge loser still draining on a straggler
+        never holds the clock back.
+        """
         # Mid-resize the routing (target) placement decides migration
         # destinations, so collected walks flow to their future owners
         # instead of bouncing through the outgoing map.
         placement = self.resizer.routing_placement()
+        hedged = self.ccfg.hedging_enabled
         dead_prop = self.ccfg.deadline_propagation
+        t_drain = max([T, *(r.t_end for r in results.values())])
+        # Pass 1: each walk's candidates (t_done, shard, vertex, owner),
+        # walks in first-seen order.
+        pending: dict[int, list[tuple[float, int, int, int]]] = {}
         for sid in sorted(results):
             for t_done, ids, verts in results[sid].completions:
                 owners = placement.shard_of(verts)
@@ -765,123 +774,57 @@ class ClusterService:
                     ids.tolist(), verts.tolist(), owners.tolist()
                 ):
                     w = self.walks[wid]
-                    if w.state != "leased" or w.shard != sid:
-                        raise SimulationError(
-                            f"walk {wid} completed on shard {sid} but is "
-                            f"{w.state} on shard {w.shard}"
-                        )
-                    w.remaining -= w.leased_hops
-                    w.leased_hops = 0
-                    w.vertex = int(v)
-                    self.segments_committed += 1
-                    if w.remaining <= 0:
-                        w.state = "done"
-                        self.walks_done += 1
-                        self._credit(w, t_next)
-                    elif dead_prop and self.states[w.query_id].responded:
-                        # Deadline propagation: the query is already
-                        # answered, so don't requeue (or worse, migrate)
-                        # a walk whose result nobody will read.
-                        w.state = "done"
-                        self.walks_done += 1
-                        self.walks_sacrificed += 1
-                        self._credit(w, t_next, sacrificed=True)
-                    elif int(owner) == sid:
-                        w.state = "queued"
-                        w.eligible_at = t_next
-                    else:
-                        w.state = "migrating"
-                        w.migrations += 1
-                        migrating.setdefault((sid, int(owner)), []).append(w)
-        self._transmit_migrations(migrating, t_next)
-        self._note_barrier_telemetry(t_next)
-
-    def _collect_hedged(self, results: dict, t_next: float) -> float:
-        """Hedging-mode barrier: gather every lease's completions,
-        commit exactly one per walk (earliest ``(t_done, shard)``),
-        discard the loser as hedge-wasted work, and answer queries at
-        the winning completion's time instead of the barrier's.
-
-        Both copies of a hedged lease always land in the same barrier —
-        engines drain fully each epoch (audited) — so first-completion-
-        wins is a deterministic min over fully-known candidates, not a
-        race.  Returns the barrier time the cluster clock advances to:
-        the latest *winning* commit, not the latest engine drain, so a
-        hedge loser still grinding on a straggler never stalls the
-        admission/lease cadence (its discarded work keeps accruing in
-        that shard's local timeline and is billed as hedge waste).
-        """
-        placement = self.resizer.routing_placement()
-        dead_prop = self.ccfg.deadline_propagation
-        # Pass 1: candidates per walk, in deterministic (shard, event)
-        # order.  Each entry is (t_done, executing shard, end vertex).
-        pending: dict[int, list[tuple[float, int, int]]] = {}
-        for sid in sorted(results):
-            for t_done, ids, verts in results[sid].completions:
-                self.segments_collected[sid] += len(ids)
-                for wid, v in zip(ids.tolist(), verts.tolist()):
-                    w = self.walks[wid]
-                    if w.state != "leased" or (
-                        sid != w.shard and sid != w.hedge_shard
-                    ):
+                    if w.state != "leased" or sid not in (w.shard, w.hedge_shard):
                         raise SimulationError(
                             f"walk {wid} completed on shard {sid} but is "
                             f"{w.state} on shard {w.shard} "
                             f"(hedge {w.hedge_shard})"
                         )
                     pending.setdefault(wid, []).append(
-                        (float(t_done), sid, int(v))
+                        (float(t_done), sid, v, owner)
                     )
-        # Winner per walk, and the commit barrier they imply.
-        winners: dict[int, tuple[float, int, int]] = {}
+        # Pass 2: commit each walk's winner.
+        migrating: dict[tuple[int, int], list[_Walk]] = {}
+        t_barrier = T
         for wid, cands in pending.items():
             w = self.walks[wid]
-            expected = 2 if w.hedge_shard is not None else 1
+            expected = 1 if w.hedge_shard is None else 2
             if len(cands) != expected:
                 raise SimulationError(
                     f"walk {wid}: {len(cands)} completions for "
                     f"{expected} outstanding leases"
                 )
-            winners[wid] = min(cands)
-            t_next = max(t_next, winners[wid][0])
-        # Pass 2: state transitions in wid order.
-        migrating: dict[tuple[int, int], list[_Walk]] = {}
-        for wid in sorted(pending):
-            w = self.walks[wid]
-            cands = pending[wid]
-            t_win, sid_win, v_win = winners[wid]
+            t_win, sid, v, owner = min(cands)
             if w.hedge_shard is not None:
-                self.hedge_wasted_segments += len(cands) - 1
-                if sid_win == w.shard:
+                self.hedge_wasted_segments += 1
+                if sid == w.shard:
                     self.hedge_wins_primary += 1
                 else:
                     self.hedge_wins_hedge += 1
                 w.hedge_shard = None
+            t = t_win if hedged else t_drain
+            t_barrier = max(t_barrier, t)
             w.remaining -= w.leased_hops
             w.leased_hops = 0
-            w.vertex = v_win
-            w.shard = sid_win
+            w.vertex = v
+            w.shard = sid
             self.segments_committed += 1
-            owner = int(placement.shard_of(np.int64(v_win)))
             if w.remaining <= 0:
-                w.state = "done"
-                self.walks_done += 1
-                self._credit(w, t_win)
+                self._retire_walk(w, t, sacrificed=False)
             elif dead_prop and self.states[w.query_id].responded:
-                w.state = "done"
-                self.walks_done += 1
-                self.walks_sacrificed += 1
-                self._credit(w, t_win, sacrificed=True)
-            elif owner == sid_win:
+                # The query is already answered, so don't requeue (or
+                # worse, migrate) a walk whose result nobody will read.
+                self._retire_walk(w, t, sacrificed=True)
+            elif owner == sid:
                 w.state = "queued"
-                w.eligible_at = t_win
+                w.eligible_at = t
             else:
                 w.state = "migrating"
                 w.migrations += 1
-                migrating.setdefault((sid_win, owner), []).append(w)
-        self._transmit_migrations(migrating, t_next)
-        self._note_barrier_telemetry(t_next)
-        return t_next
+                migrating.setdefault((sid, owner), []).append(w)
+        self._transmit_migrations(migrating, t_barrier)
+        self._note_barrier_telemetry(t_barrier)
+        return t_barrier
 
     def _transmit_migrations(
         self, migrating: dict[tuple[int, int], list[_Walk]], t_next: float
@@ -940,14 +883,29 @@ class ClusterService:
                 float(self.walks_created - self.walks_done), t_next
             )
 
+    def _retire_walk(self, w: _Walk, t: float, *, sacrificed: bool) -> None:
+        """Mark ``w`` done at ``t`` and credit it to its query."""
+        w.state = "done"
+        self.walks_done += 1
+        if sacrificed:
+            self.walks_sacrificed += 1
+        self._credit(w, t, sacrificed=sacrificed)
+
     def _credit(self, w: _Walk, t: float, *, sacrificed: bool = False) -> None:
         st = self.states[w.query_id]
         st.walks_done += 1
+        # Hedged commits land at their winning completion times, which
+        # are not monotone in processing order (nor across barriers), so
+        # a query is finished at its *latest* credit, not its last one.
+        st.t_last_credit = max(st.t_last_credit, t)
         if st.responded:
             if not sacrificed:
                 self.zombie_walks += 1
-        elif st.walks_done >= st.req.num_walks and t <= st.deadline_abs:
-            self._respond(st, "ok", t)
+        elif (
+            st.walks_done >= st.req.num_walks
+            and st.t_last_credit <= st.deadline_abs
+        ):
+            self._respond(st, "ok", st.t_last_credit)
 
     def _sweep_deadlines(self, t: float) -> None:
         for qid in sorted(self.states):
@@ -1034,27 +992,6 @@ class ClusterService:
     # --------------------------------------------------------------- report
 
     def _service_section(self) -> dict:
-        ok_lat = np.asarray(
-            [r.latency for r in self.responses if r.status == "ok"],
-            dtype=float,
-        )
-        if ok_lat.size:
-            p50, p95, p99 = (
-                float(np.percentile(ok_lat, q)) for q in (50.0, 95.0, 99.0)
-            )
-            lat = {
-                "n": int(ok_lat.size),
-                "mean": float(ok_lat.mean()),
-                "max": float(ok_lat.max()),
-                "p50": p50,
-                "p95": p95,
-                "p99": p99,
-            }
-        else:
-            lat = {
-                "n": 0, "mean": 0.0, "max": 0.0,
-                "p50": 0.0, "p95": 0.0, "p99": 0.0,
-            }
         arrivals = max(self.arrivals, 1)
         return {
             "requests": {
@@ -1068,7 +1005,7 @@ class ClusterService:
                 "done": self.walks_done,
                 "zombie": self.zombie_walks,
             },
-            "latency": lat,
+            "latency": latency_summary(self.responses),
             "shed_rate": self.shed_count / arrivals,
             "deadline_miss_rate": self.timed_out_count / arrivals,
             "queue": self.queue.stats(),

@@ -138,9 +138,10 @@ class ClusterConfig:
     #: ``hedge_delay`` after the primary copy; the first completion wins
     #: (deterministic ``(t_done, shard)`` tie-break) and the loser is
     #: counted as hedge-wasted work.  Requires ``straggler_detection``.
-    #: Hedged mode also answers queries at segment completion time
-    #: instead of the epoch barrier — the point of hedging is that the
-    #: fast copy's finish time is not dragged to the slow shard's.
+    #: Hedged mode also commits walks at their winning completion time
+    #: instead of the epoch barrier, and answers a query at its last
+    #: walk's winning commit — the point of hedging is that the fast
+    #: copy's finish time is not dragged to the slow shard's.
     hedging_enabled: bool = False
     hedge_delay: float = 20e-6
     #: End-to-end deadline propagation: walks of already-responded

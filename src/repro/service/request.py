@@ -15,7 +15,7 @@ import numpy as np
 
 from ..common.errors import ConfigError
 
-__all__ = ["QueryRequest", "QueryResult", "open_loop_requests"]
+__all__ = ["QueryRequest", "QueryResult", "latency_summary", "open_loop_requests"]
 
 
 # eq=False: the optional numpy ``starts`` field would break the
@@ -89,6 +89,25 @@ class QueryResult:
     @property
     def timed_out(self) -> bool:
         return self.status == "timed_out"
+
+
+def latency_summary(responses) -> dict:
+    """Latency distribution of the ``ok`` answers among ``responses``:
+    count, mean, max and p50/p95/p99 (all zero when none is ok)."""
+    ok_lat = np.asarray(
+        [r.latency for r in responses if r.status == "ok"], dtype=float
+    )
+    if not ok_lat.size:
+        return {"n": 0, "mean": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
+    p50, p95, p99 = (float(np.percentile(ok_lat, q)) for q in (50.0, 95.0, 99.0))
+    return {
+        "n": int(ok_lat.size),
+        "mean": float(ok_lat.mean()),
+        "max": float(ok_lat.max()),
+        "p50": p50,
+        "p95": p95,
+        "p99": p99,
+    }
 
 
 def open_loop_requests(

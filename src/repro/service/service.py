@@ -41,7 +41,7 @@ from .audit import ServiceAuditor
 from .breaker import CircuitBreaker
 from .config import ServiceConfig
 from .queue import AdmissionQueue
-from .request import QueryRequest, QueryResult
+from .request import QueryRequest, QueryResult, latency_summary
 
 __all__ = ["ServiceOutcome", "WalkQueryService"]
 
@@ -644,23 +644,6 @@ class WalkQueryService:
     # --------------------------------------------------------------- report
 
     def _service_section(self) -> dict:
-        ok_lat = np.asarray(
-            [r.latency for r in self.responses if r.status == "ok"], dtype=float
-        )
-        if ok_lat.size:
-            p50, p95, p99 = (
-                float(np.percentile(ok_lat, q)) for q in (50.0, 95.0, 99.0)
-            )
-            lat = {
-                "n": int(ok_lat.size),
-                "mean": float(ok_lat.mean()),
-                "max": float(ok_lat.max()),
-                "p50": p50,
-                "p95": p95,
-                "p99": p99,
-            }
-        else:
-            lat = {"n": 0, "mean": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
         arrivals = max(self.arrivals, 1)
         requests = {
             "arrivals": self.arrivals,
@@ -679,7 +662,7 @@ class WalkQueryService:
                 "injected": self.walks_injected,
                 "zombie": self.zombie_walks,
             },
-            "latency": lat,
+            "latency": latency_summary(self.responses),
             "shed_rate": self.shed_count / arrivals,
             "deadline_miss_rate": self.timed_out_count / arrivals,
             "queue": self.queue.stats(),

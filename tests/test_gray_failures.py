@@ -9,6 +9,7 @@ to the pre-gray build.
 """
 
 import json
+from collections import defaultdict
 
 import pytest
 
@@ -311,6 +312,26 @@ class TestHedgedCluster:
             pooled.report, drop=("jobs",)
         )
 
+    def test_queries_answered_after_their_last_commit(self, graph, monkeypatch):
+        # Hedged walks commit at their winning completion times, which
+        # are not monotone in commit order: a query is finished at the
+        # latest of its walks' commits, not at its last-processed one.
+        credits = defaultdict(list)
+        orig = ClusterService._credit
+
+        def spy(self, w, t, *, sacrificed=False):
+            credits[w.query_id].append(t)
+            return orig(self, w, t, sacrificed=sacrificed)
+
+        monkeypatch.setattr(ClusterService, "_credit", spy)
+        svc, out = run_hedged(graph)
+        assert svc.hedges_issued > 0
+        ok = [r for r in out.responses if r.status == "ok"]
+        assert ok
+        for r in ok:
+            assert len(credits[r.query_id]) == r.walks_requested
+            assert r.finish_time >= max(credits[r.query_id])
+
     def test_all_gray_knobs_off_keeps_report_shape(self, graph):
         svc = ClusterService(
             graph, slow_shard_cfgs(), cluster_cfg(n_shards=4), seed=7
@@ -348,6 +369,18 @@ class TestAuditorHedgeMutations:
         svc.hedge_wasted_segments -= 1
         with pytest.raises(InvariantViolation):
             svc.auditor.audit()
+
+    def test_unhedged_duplicate_commit_is_flagged(self, graph):
+        # The segment ledger is audited on every run: an unhedged run
+        # is the zero-duplicate case, so collected == committed.
+        svc = ClusterService(
+            graph, slow_shard_cfgs(), cluster_cfg(n_shards=4), seed=7
+        )
+        svc.run(requests(8, num_walks=32))
+        svc.segments_committed += 1
+        with pytest.raises(InvariantViolation) as exc_info:
+            svc.auditor.audit()
+        assert any("segment ledger" in v for v in exc_info.value.violations)
 
     def test_unresolved_hedge_at_barrier_is_flagged(self, graph):
         svc, _ = run_hedged(graph)
