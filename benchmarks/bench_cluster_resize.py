@@ -18,8 +18,7 @@ gates on:
 Marked ``soak`` so tier-1 (`pytest -q`) skips it; run explicitly with
 ``pytest -m soak benchmarks/bench_cluster_resize.py``.  The
 session-end ``BENCH_cluster_resize.json`` artifact carries the resize
-records, handoff counters, and RPO/RTO stats for CI to archive; the
-perf gate tracks the runtime trajectory of the hash-mode soak.
+records, handoff counters, and RPO/RTO stats for CI to archive.
 """
 
 import json

@@ -73,8 +73,7 @@ def test_ftl_housekeeping_churn(benchmark):
     this test drives the housekeeping machinery directly: a circular log
     much larger than the CMT budget is rewritten several times over,
     forcing translation-page reads, dirty writebacks, log-wrap
-    invalidations, and hardware-charged GC reclaims — the FTL hot paths
-    whose wall-clock cost the trajectory gate tracks.
+    invalidations, and hardware-charged GC reclaims — the FTL hot paths.
     """
     cfg = SSDConfig(
         channels=2,

@@ -19,8 +19,7 @@ propagation on}.  Each soak gates on:
 Marked ``soak`` so tier-1 (`pytest -q`) skips it; run explicitly with
 ``pytest -m soak benchmarks/bench_gray_failures.py``.  The session-end
 ``BENCH_gray_failures.json`` artifact carries per-run latency rows and
-hedge wasted-work counters for CI to archive, and the run's wall time
-feeds the committed perf trajectory (TRAJECTORY.json).
+hedge wasted-work counters for CI to archive.
 """
 
 import json

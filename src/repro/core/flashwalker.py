@@ -43,7 +43,6 @@ from ..graph.csr import CSRGraph
 from ..graph.partition import GraphPartitioning, partition_graph
 from ..obs.alerts import default_engine_rules
 from ..obs.metrics import MetricsConfig, MetricsRegistry
-from ..obs.profile import EventLoopProfiler
 from ..obs.report import config_fingerprint
 from ..obs.tracer import (
     PID_BOARD,
@@ -260,10 +259,6 @@ class FlashWalker:
         if tcfg is not None:
             self.tracer = Tracer(tcfg)
             self.tracer.bind_clock(lambda: self.sim.now)
-            if tcfg.profile_event_loop:
-                prof = EventLoopProfiler()
-                self.sim.profiler = prof
-                self.tracer.profile = prof
         else:
             self.tracer = None
         # Metrics mirror the tracer's lifecycle: a fresh registry per

@@ -71,7 +71,7 @@ class SubgraphScheduler:
         self._inserts_since_update = np.zeros(self.n_blocks, dtype=np.int64)
         # scores()/walk_counts() are recomputed only after a scoreboard
         # mutation; next_subgraph() and _refresh_top() otherwise share
-        # the cached arrays (event-loop hotspot per the obs profiler).
+        # the cached arrays (an event-loop hotspot).
         self._scores_cache: np.ndarray | None = None
         self._counts_cache: np.ndarray | None = None
         #: Times scores()/walk_counts() served the cached array.

@@ -1,4 +1,4 @@
-"""Observability layer: span tracing, run reports, event-loop profiling.
+"""Observability layer: span tracing, run reports, telemetry and alerts.
 
 This package turns a simulation run from a bag of whole-run counters
 into an inspectable artifact, in three pieces:
@@ -14,18 +14,12 @@ into an inspectable artifact, in three pieces:
   :func:`diff_reports` for comparing two runs and
   :func:`config_fingerprint` for identifying the configuration that
   produced them.
-* :mod:`repro.obs.profile` — **wall-clock profiling** of the event
-  loop (:class:`EventLoopProfiler`): per-callback-category timing and
-  events/sec, for finding host-side hotspots.
 * :mod:`repro.obs.metrics` — an opt-in, deterministic **metrics
   registry** (:class:`MetricsConfig` + :class:`MetricsRegistry`):
   counters, gauges, and fixed-bucket histograms sampled on a simulated-
   time grid, exported as OpenMetrics text or the report's ``telemetry``
   section, with :mod:`repro.obs.alerts` rules (:class:`AlertRule` +
   :class:`AlertEngine`) evaluated over the same grid.
-* :mod:`repro.obs.perfgate` — the **perf-trajectory gate**: diffs fresh
-  benchmark artifacts against the committed trajectory and fails CI on
-  regressions beyond the tolerance band.
 
 Tracing and metrics are strictly opt-in: with neither attached every
 hot path sees a single ``is None`` check, and an observed run's
@@ -49,7 +43,6 @@ from .metrics import (
     MetricsConfig,
     MetricsRegistry,
 )
-from .profile import EventLoopProfiler
 from .report import (
     REPORT_SCHEMA,
     REPORT_SCHEMA_VERSION,
@@ -95,7 +88,6 @@ __all__ = [
     "PID_RUN",
     "AlertEngine",
     "AlertRule",
-    "EventLoopProfiler",
     "METRICS_SCHEMA",
     "MetricsConfig",
     "MetricsRegistry",

@@ -42,7 +42,7 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
                         "levels appear in the trace even on small graphs")
 
 
-def _traced_run(args, categories: frozenset[str] | None, profile: bool):
+def _traced_run(args, categories: frozenset[str] | None):
     """Run one FlashWalker campaign with tracing on; returns the result."""
     # Imported lazily: the CLI must stay usable (diff/validate) even in
     # stripped environments, and repro.core pulls in numpy-heavy modules.
@@ -58,7 +58,7 @@ def _traced_run(args, categories: frozenset[str] | None, profile: bool):
             partition_subgraphs=4, board_hot_subgraphs=1, channel_hot_subgraphs=1
         )
     cfg = ctx.flashwalker_config(args.dataset, **overrides)
-    trace = TraceConfig(categories=categories, profile_event_loop=profile)
+    trace = TraceConfig(categories=categories)
     fw = FlashWalker(graph, cfg, seed=args.seed, trace=trace)
     n_walks = args.walks or ctx.default_walks(args.dataset)
     spec = WalkSpec(length=args.length if args.length else WALK_LENGTH)
@@ -67,7 +67,7 @@ def _traced_run(args, categories: frozenset[str] | None, profile: bool):
 
 def _cmd_export_trace(args) -> int:
     categories = frozenset(args.categories) if args.categories else None
-    result = _traced_run(args, categories, profile=False)
+    result = _traced_run(args, categories)
     n = result.trace.export_chrome(args.out)
     counts = ", ".join(
         f"{cat}={n}" for cat, n in sorted(result.trace.span_counts().items())
@@ -81,7 +81,7 @@ def _cmd_export_trace(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    result = _traced_run(args, None, profile=args.profile)
+    result = _traced_run(args, None)
     report = result.to_report()
     text = json.dumps(report, indent=2, sort_keys=False)
     if args.out:
@@ -236,8 +236,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("report", help="run a campaign and dump its structured report")
     _add_run_args(p)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--profile", action="store_true",
-                   help="include event-loop wall-clock profile in the report")
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("metrics", help="run a campaign with telemetry and "

@@ -134,7 +134,7 @@ def build_report(result, *, extra: dict | None = None) -> dict:
     """Build the versioned report dict for a ``RunResult``.
 
     Works on any result carrying the core fields; trace-derived sections
-    (latency percentiles, utilization timelines' peaks, profile) appear
+    (latency percentiles, utilization timelines' peaks) appear
     only when the run was traced.  The output round-trips through
     ``json.dumps``/``loads`` unchanged.
     """
@@ -184,8 +184,6 @@ def build_report(result, *, extra: dict | None = None) -> dict:
             "dropped": trace.dropped,
             "span_counts": trace.span_counts(),
         }
-        if trace.profile is not None:
-            report["event_loop_profile"] = _jsonable(trace.profile.summary())
     if extra:
         report["extra"] = _jsonable(extra)
     return _jsonable(report)
@@ -248,14 +246,13 @@ def diff_reports(a: dict, b: dict, rel_tol: float = 0.0) -> dict:
     return changes
 
 
-#: Top-level keys never swept as sections: scalars handled above, and
-#: wall-clock-derived content that legitimately differs between
-#: otherwise-identical runs.
+#: Top-level keys never swept as sections: scalars and the two
+#: sections handled above.
 _NON_SECTION_KEYS = frozenset(
     _DIFF_SCALARS
 ) | {
     "schema", "schema_version", "kind", "seed", "config_fingerprint",
-    "counters", "traffic", "event_loop_profile",
+    "counters", "traffic",
 }
 
 
@@ -305,7 +302,7 @@ def validate_report(obj) -> list[str]:
             f"schema is {obj.get('schema')!r}, expected {REPORT_SCHEMA!r}"
         )
     version = obj.get("schema_version")
-    if not isinstance(version, int) or not 1 <= version <= REPORT_SCHEMA_VERSION:
+    if not _is_int(version) or not 1 <= version <= REPORT_SCHEMA_VERSION:
         problems.append(
             f"schema_version {version!r} not in 1..{REPORT_SCHEMA_VERSION}"
         )
@@ -322,15 +319,21 @@ def validate_report(obj) -> list[str]:
     return problems
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``bool`` subclasses ``int`` but ``true`` is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_telemetry(tel) -> list[str]:
     problems: list[str] = []
     if not isinstance(tel, dict):
         return ["telemetry must be an object"]
-    if not (isinstance(tel.get("sample_interval"), (int, float))
-            and tel.get("sample_interval", 0) > 0):
+    interval = tel.get("sample_interval")
+    if not (isinstance(interval, (int, float)) and not isinstance(interval, bool)
+            and interval > 0):
         problems.append("telemetry.sample_interval must be > 0")
     n = tel.get("samples")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         problems.append("telemetry.samples must be a positive integer")
         n = None
     series = tel.get("series")

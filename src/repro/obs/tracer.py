@@ -105,8 +105,6 @@ class TraceConfig:
     categories: frozenset[str] | None = None
     #: Hard cap on recorded trace events (dropped beyond, with a count).
     max_events: int = 1_000_000
-    #: Also wall-clock-profile the event loop (host-side hotspots).
-    profile_event_loop: bool = False
     #: Bucket width (simulated seconds) of the utilization timelines.
     utilization_bucket: float = 50e-6
 
@@ -138,7 +136,6 @@ class Tracer:
         "events",
         "dropped",
         "stats",
-        "profile",
         "_clock",
         "_hw",
     )
@@ -153,8 +150,6 @@ class Tracer:
         self.dropped = 0
         #: Utilization timelines + latency histograms (side channel).
         self.stats = StatsRegistry(bucket=self.cfg.utilization_bucket)
-        #: Filled by the engine when ``profile_event_loop`` is set.
-        self.profile = None
         self._clock: Callable[[], float] | None = None
         #: High-water marks: name -> max value seen.
         self._hw: dict[str, float] = {}

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from time import perf_counter
 from typing import Callable
 
 from ..common.errors import SimulationError
@@ -70,9 +69,6 @@ class Simulator:
         self._seq = itertools.count()
         self._events_executed = 0
         self._running = False
-        #: Optional :class:`~repro.obs.profile.EventLoopProfiler`; None
-        #: (the default) keeps the hot path to a single attribute check.
-        self.profiler = None
 
     # -- scheduling ---------------------------------------------------------
 
@@ -106,13 +102,7 @@ class Simulator:
                 )
             self.now = ev.time
             self._events_executed += 1
-            prof = self.profiler
-            if prof is None:
-                ev.fn()
-            else:
-                t0 = perf_counter()
-                ev.fn()
-                prof.record(ev.fn, perf_counter() - t0)
+            ev.fn()
             return True
         return False
 
@@ -120,13 +110,16 @@ class Simulator:
         """Drain the event queue.
 
         ``until`` stops the clock at that time (remaining events stay
-        queued); ``max_events`` bounds work as a runaway guard.
+        queued) and may not lie behind it; ``max_events`` bounds work as
+        a runaway guard.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until the past: until={until} < now={self.now}"
+            )
         self._running = True
-        if self.profiler is not None:
-            self.profiler.loop_started()
         try:
             executed = 0
             while self._queue:
@@ -146,8 +139,6 @@ class Simulator:
                 self.now = until
         finally:
             self._running = False
-            if self.profiler is not None:
-                self.profiler.loop_stopped()
 
     def _peek(self) -> Event | None:
         while self._queue and self._queue[0].cancelled:

@@ -1,4 +1,4 @@
-"""Tests for the observability layer: tracer, reports, profiler, CLI."""
+"""Tests for the observability layer: tracer, reports, CLI."""
 
 from __future__ import annotations
 
@@ -15,12 +15,12 @@ from repro.obs import (
     PID_CHANNEL_ACCEL,
     PID_CHIP_ACCEL,
     PID_FLASH,
+    MetricsConfig,
     TraceConfig,
     Tracer,
     validate_trace,
 )
 from repro.obs.cli import main as obs_main
-from repro.obs.profile import EventLoopProfiler
 from repro.obs.report import (
     REPORT_SCHEMA,
     REPORT_SCHEMA_VERSION,
@@ -202,35 +202,6 @@ class TestReport:
         assert "counters.hops" in diff_reports(a, b)
 
 
-# -- profiler ----------------------------------------------------------------
-
-
-class TestEventLoopProfiler:
-    def test_records_by_qualname_category(self):
-        prof = EventLoopProfiler()
-
-        class C:
-            def cb(self):
-                pass
-
-        prof.loop_started()
-        prof.record(C().cb, 0.25)
-        prof.record(C().cb, 0.25)
-        prof.loop_stopped()
-        s = prof.summary()
-        key = "TestEventLoopProfiler.test_records_by_qualname_category.<locals>.C.cb"
-        assert s["categories"][key] == {"calls": 2, "wall_seconds": 0.5}
-        assert s["events"] == 2
-        assert prof.wall_elapsed >= 0.0
-        assert "2 events" in prof.format()
-
-    def test_lambda_suffix_stripped(self):
-        prof = EventLoopProfiler()
-        prof.record(lambda: None, 0.1)
-        [cat] = prof.summary()["categories"]
-        assert not cat.endswith("<lambda>")
-
-
 # -- engine integration ------------------------------------------------------
 
 
@@ -255,14 +226,25 @@ class TestTracedRuns:
         assert res.seed == 3
         assert res.config_fingerprint == config_fingerprint(obs_config)
 
-    def test_tracing_does_not_change_simulated_results(self, obs_graph, obs_config):
+    @pytest.mark.parametrize("layers", [
+        pytest.param({"trace": TraceConfig()}, id="trace"),
+        pytest.param({"telemetry": MetricsConfig()}, id="telemetry"),
+        pytest.param({"trace": TraceConfig(), "telemetry": MetricsConfig()},
+                     id="trace+telemetry"),
+    ])
+    def test_tracing_does_not_change_simulated_results(
+        self, obs_graph, obs_config, layers
+    ):
         base = FlashWalker(obs_graph, obs_config, seed=3).run(num_walks=300)
-        traced = FlashWalker(
-            obs_graph, obs_config, seed=3, trace=TraceConfig()
+        observed = FlashWalker(
+            obs_graph, obs_config, seed=3, **layers
         ).run(num_walks=300)
-        assert traced.elapsed == base.elapsed
-        assert traced.hops == base.hops
-        assert {k: v for k, v in traced.counters.items()} == base.counters
+        assert observed.elapsed == base.elapsed
+        assert observed.hops == base.hops
+        for total in ("flash_read_bytes", "flash_write_bytes",
+                      "channel_bytes", "dram_bytes"):
+            assert getattr(observed, total) == getattr(base, total), total
+        assert observed.counters == base.counters
 
     def test_trace_covers_all_accelerator_levels(self, obs_graph, obs_config):
         res = FlashWalker(
@@ -308,19 +290,6 @@ class TestTracedRuns:
             trace=TraceConfig(categories=frozenset({"accel"})),
         ).run(num_walks=200)
         assert set(res.trace.span_counts()) == {"accel"}
-
-    def test_event_loop_profiler_hooked(self, obs_graph, obs_config):
-        res = FlashWalker(
-            obs_graph,
-            obs_config,
-            seed=3,
-            trace=TraceConfig(profile_event_loop=True),
-        ).run(num_walks=200)
-        prof = res.trace.profile
-        assert prof is not None and prof.events > 0
-        assert prof.wall_elapsed > 0
-        report = res.to_report()
-        assert report["event_loop_profile"]["events"] == prof.events
 
 
 # -- CLI ---------------------------------------------------------------------

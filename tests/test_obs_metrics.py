@@ -1,4 +1,4 @@
-"""Deterministic metrics registry, alert rules, and the perf gate."""
+"""Deterministic metrics registry and alert rules."""
 
 from __future__ import annotations
 
@@ -18,11 +18,6 @@ from repro.obs import (
     validate_report,
 )
 from repro.obs.cli import main as obs_main
-from repro.obs.perfgate import (
-    build_trajectory,
-    compare_to_trajectory,
-)
-from repro.obs.perfgate import main as perfgate_main
 
 
 # -- MetricsConfig -----------------------------------------------------------
@@ -277,90 +272,6 @@ class TestAlertRules:
         assert len(sec["alerts"]["firings"]) == 1
 
 
-# -- perf gate ---------------------------------------------------------------
-
-
-def _bench_artifact(tmp_path, stem, wall, name=None):
-    path = tmp_path / f"BENCH_{name or stem}.json"
-    path.write_text(json.dumps({
-        "schema": "repro.obs.bench-artifact",
-        "schema_version": 1,
-        "bench": stem,
-        "context": {},
-        "config_fingerprint": None,
-        "wall_seconds": wall,
-        "tests": {"t_one": {"wall_seconds": wall, "calls": 1}},
-    }))
-    return str(path)
-
-
-class TestPerfGate:
-    def test_round_trip_ok(self, tmp_path):
-        base = _bench_artifact(tmp_path, "bench_a", 10.0)
-        traj = build_trajectory([base])
-        rows, regressions = compare_to_trajectory(traj, [base])
-        assert regressions == []
-        assert [r["status"] for r in rows] == ["ok"]
-
-    def test_regression_beyond_tolerance_fails(self, tmp_path):
-        traj = build_trajectory([_bench_artifact(tmp_path, "bench_a", 10.0)])
-        fresh = _bench_artifact(tmp_path, "bench_a", 16.0, name="fresh")
-        rows, regressions = compare_to_trajectory(
-            traj, [fresh], tolerance=0.5
-        )
-        assert [r["bench"] for r in regressions] == ["bench_a"]
-        assert rows[0]["status"] == "regressed"
-
-    def test_improvement_and_noise_floor(self, tmp_path):
-        traj = build_trajectory([
-            _bench_artifact(tmp_path, "bench_a", 10.0),
-            _bench_artifact(tmp_path, "bench_b", 0.1, name="b"),
-        ])
-        fast = _bench_artifact(tmp_path, "bench_a", 4.0, name="fa")
-        tiny = _bench_artifact(tmp_path, "bench_b", 0.3, name="fb")
-        rows, regressions = compare_to_trajectory(
-            traj, [fast, tiny], tolerance=0.5, min_seconds=0.5
-        )
-        status = {r["bench"]: r["status"] for r in rows}
-        # 3x slower but under the noise floor: never gated.
-        assert status == {"bench_a": "improved", "bench_b": "skipped"}
-        assert regressions == []
-
-    def test_missing_and_untracked_warn_not_fail(self, tmp_path):
-        traj = build_trajectory([_bench_artifact(tmp_path, "bench_a", 10.0)])
-        new = _bench_artifact(tmp_path, "bench_new", 99.0, name="new")
-        rows, regressions = compare_to_trajectory(traj, [new])
-        status = {r["bench"]: r["status"] for r in rows}
-        assert status == {"bench_a": "missing", "bench_new": "untracked"}
-        assert regressions == []
-
-    def test_rejects_non_bench_json(self, tmp_path):
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text(json.dumps({"schema": "something-else"}))
-        with pytest.raises(ValueError, match="not a bench artifact"):
-            build_trajectory([str(bad)])
-
-    def test_cli_update_then_check(self, tmp_path, capsys):
-        art = _bench_artifact(tmp_path, "bench_a", 10.0)
-        out = tmp_path / "TRAJECTORY.json"
-        assert perfgate_main(["update", art, "--out", str(out)]) == 0
-        assert perfgate_main(["check", art, "--trajectory", str(out)]) == 0
-        slow = _bench_artifact(tmp_path, "bench_a", 25.0, name="slow")
-        assert perfgate_main(
-            ["check", slow, "--trajectory", str(out)]
-        ) == 1
-        capsys.readouterr()
-
-    def test_cli_check_without_artifacts_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "TRAJECTORY.json"
-        out.write_text(json.dumps(
-            {"schema": "repro.obs.perf-trajectory", "schema_version": 1,
-             "benches": {}}
-        ))
-        assert perfgate_main(["check", "--trajectory", str(out)]) == 2
-        capsys.readouterr()
-
-
 # -- engine integration ------------------------------------------------------
 
 
@@ -443,6 +354,15 @@ class TestEngineTelemetry:
         problems = validate_report(broken)
         assert any("sample_interval" in p for p in problems)
         assert any("values" in p for p in problems)
+        # bool subclasses int, but a JSON `true` is not a number.
+        for where, key in (("report", "schema_version"),
+                           ("telemetry", "samples"),
+                           ("telemetry", "sample_interval")):
+            report = json.loads(json.dumps(broken))
+            report["telemetry"].update(sample_interval=1e-5, samples=1)
+            assert validate_report(report) == []
+            (report if where == "report" else report["telemetry"])[key] = True
+            assert any(key in p for p in validate_report(report)), key
 
     def test_diff_names_telemetry_section(self, mx_graph, mx_config):
         base = FlashWalker(mx_graph, mx_config, seed=3).run(num_walks=200)

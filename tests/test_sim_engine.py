@@ -96,6 +96,20 @@ class TestRunControl:
         sim.run(until=7.0)
         assert sim.now == 7.0
 
+    def test_until_in_the_past_rejected(self):
+        sim = Simulator()
+        fired = []
+        sim.at(1.0, lambda: fired.append(1.0))
+        sim.run()
+        sim.at(5.0, lambda: fired.append(5.0))
+        with pytest.raises(SimulationError):
+            sim.run(until=0.5)
+        assert sim.now == 1.0
+        with pytest.raises(SimulationError):
+            sim.at(0.7, lambda: fired.append(0.7))
+        sim.run()
+        assert fired == [1.0, 5.0]
+
     def test_max_events_guard(self):
         sim = Simulator()
 
