@@ -101,14 +101,12 @@ def advance_batch(
     offsets = graph.offsets
     edges = graph.edges
 
-    src = walks.src.copy()
+    src = walks.src  # read-only here: outputs gather copies
     cur = walks.cur.copy()
     hop = walks.hop.copy()
-    pre = (
-        batch.pre_edge.copy()
-        if batch.pre_edge is not None
-        else np.full(n, -1, dtype=np.int64)
-    )
+    # Pre-walked dense hops are resolved on the first iteration only.
+    pre = batch.pre_edge
+    pre_walked = pre is not None and bool((pre >= 0).any())
 
     completed_parts: list[WalkSet] = []
     roving_parts: list[WalkSet] = []
@@ -120,16 +118,14 @@ def advance_batch(
     biased = ctx.spec.biased
     sampler = ctx.sampler
     active = np.arange(n, dtype=np.int64)
-    first_iteration = True
     while active.size:
         acur = cur[active]
-        # Pre-walked dense hops exist only on the first iteration; the
-        # common later iterations sample directly with no mask/temporary
-        # allocations (this loop dominates chip-batch host time).
-        if first_iteration and (pre[active] >= 0).any():
-            has_pre = pre[active] >= 0
-            nxt = np.empty(active.size, dtype=np.int64)
-            pa = active[has_pre]
+        if pre_walked:
+            # First iteration: ``active`` is every walk of the batch.
+            pre_walked = False
+            has_pre = pre >= 0
+            nxt = np.empty(n, dtype=np.int64)
+            pa = np.flatnonzero(has_pre)
             eidx = offsets[cur[pa]] + pre[pa]
             if (pre[pa] >= (offsets[cur[pa] + 1] - offsets[cur[pa]])).any():
                 raise ReproError("pre-walked edge index beyond vertex degree")
@@ -148,23 +144,27 @@ def advance_batch(
             if biased:
                 degs = offsets[acur + 1] - offsets[acur]
                 bias_steps += int(np.sum(its_search_steps(np.maximum(degs, 1))))
-        first_iteration = False
 
         dead = nxt < 0
-        moved = ~dead
-        hops += int(moved.sum())
+        n_moved = active.size - int(np.count_nonzero(dead))
+        hops += n_moved
         guide_ops += active.size * n_cmp
 
-        # Apply the move.
-        midx = active[moved]
-        cur[midx] = nxt[moved]
-        hop[midx] -= 1
-        pre[midx] = -1
-
-        done = dead.copy()
-        done[moved] = hop[midx] == 0
+        # Apply the move (``moved`` is None when no walk hit a dead end).
+        if n_moved == active.size:
+            moved = None
+            cur[active] = nxt
+            hop[active] -= 1
+            done = hop[active] == 0
+        else:
+            moved = ~dead
+            midx = active[moved]
+            cur[midx] = nxt[moved]
+            hop[midx] -= 1
+            done = dead
+            done[moved] = hop[midx] == 0
         if ctx.spec.stop_probability > 0:
-            still = moved & ~done
+            still = ~done if moved is None else moved & ~done
             if still.any():
                 stop = ctx.spec.apply_stop_probability(
                     hop[active[still]], rng
@@ -175,11 +175,13 @@ def advance_batch(
         done_idx = active[done]
         if done_idx.size:
             completed_parts.append(
-                WalkSet(src[done_idx], cur[done_idx], hop[done_idx])
+                WalkSet.wrap(src[done_idx], cur[done_idx], hop[done_idx])
             )
-        cont = active[~done]
-        if cont.size == 0:
-            break
+            cont = active[~done]
+            if cont.size == 0:
+                break
+        else:
+            cont = active
         # Guiding: stay if the new vertex's block is loaded here and the
         # vertex is not dense (dense landings need board pre-walking).
         v = cur[cont]
@@ -187,7 +189,9 @@ def advance_batch(
         stays = in_sorted(loaded, blocks) & ~ctx.is_dense_vertex[v]
         rove_idx = cont[~stays]
         if rove_idx.size:
-            roving_parts.append(WalkSet(src[rove_idx], cur[rove_idx], hop[rove_idx]))
+            roving_parts.append(
+                WalkSet.wrap(src[rove_idx], cur[rove_idx], hop[rove_idx])
+            )
         active = cont[stays]
 
     return AdvanceResult(

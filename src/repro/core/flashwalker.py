@@ -891,16 +891,20 @@ class FlashWalker:
         self.metrics.record_dram(t, nbytes)
         order = np.argsort(blocks, kind="stable")
         sblocks = blocks[order]
-        swalks = walks.select(order)
+        src, cur, hop = walks.src[order], walks.cur[order], walks.hop[order]
         spre = pre_edge[order] if pre_edge is not None else None
-        bounds = np.flatnonzero(np.diff(sblocks)) + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [n]])
-        for s, e in zip(starts, ends):
-            block = int(sblocks[s])
-            group = swalks.select(np.arange(s, e))
+        bounds = np.flatnonzero(sblocks[1:] != sblocks[:-1]) + 1
+        starts = np.concatenate(([0], bounds))
+        ends = np.concatenate((bounds, [n]))
+        # One scoreboard update for every block of the insert; spills
+        # then follow per block, in ascending block order.
+        group_blocks = sblocks[starts]
+        self.scheduler.add_buffered(group_blocks, ends - starts)
+        for block, s, e in zip(
+            group_blocks.tolist(), starts.tolist(), ends.tolist()
+        ):
+            group = WalkSet.wrap(src[s:e], cur[s:e], hop[s:e])
             gpre = spre[s:e] if spre is not None else None
-            self.scheduler.add_buffered(block, e - s)
             spilled = self.pwb.push(block, WalkBatch(group, gpre))
             if spilled:
                 self.scheduler.add_spilled(block, spilled)

@@ -14,8 +14,10 @@ stored) and so overflow later.
 To avoid sorting all subgraphs, a per-chip **topN list** caches the N
 highest-scoring subgraphs on that chip; it is refreshed from the dirty
 set only every M walk-insertions per subgraph (Section III-D's
-amortization).  With scheduling disabled (Fig. 9 baseline) the scheduler
-degrades to most-buffered-walks order, GraphWalker's policy.
+amortization).  A refresh scans only the chip's own blocks, kept in a
+per-chip index that is rebuilt whenever block ownership changes.  With
+scheduling disabled (Fig. 9 baseline) the scheduler degrades to
+most-buffered-walks order, GraphWalker's policy.
 """
 
 from __future__ import annotations
@@ -53,12 +55,18 @@ class SubgraphScheduler:
         self.first_block = first_block
         self.last_block = last_block
         self.n_blocks = last_block - first_block + 1
-        self.block_chip = np.asarray(
+        # A copy, never a view: the engine remaps its own ``block_chip``
+        # on chip failure and then reports the move through
+        # reassign_blocks(), which must still see the old owners.
+        self.block_chip = np.array(
             block_chip[first_block : last_block + 1], dtype=np.int64
         )
         self.is_dense = np.asarray(
             is_dense_block[first_block : last_block + 1], dtype=bool
         )
+        # Eq. 1's per-block factor: 1 for dense blocks, beta otherwise
+        # (x * 1 == x exactly, so scores() matches the two-branch form).
+        self._score_factor = np.where(self.is_dense, 1, beta)
         self.n_chips = n_chips
         self.alpha = alpha
         self.beta = beta
@@ -76,6 +84,9 @@ class SubgraphScheduler:
         self._counts_cache: np.ndarray | None = None
         #: Times scores()/walk_counts() served the cached array.
         self.score_cache_hits = 0
+        #: Per chip, its local block indices in ascending order.
+        self._chip_blocks: list[np.ndarray] = []
+        self.index_chips()
         # Per-chip topN caches: local block indices, lazily refreshed.
         self._top: dict[int, list[int]] = {c: [] for c in range(n_chips)}
         self._dirty: set[int] = set(range(n_chips))
@@ -96,6 +107,13 @@ class SubgraphScheduler:
             )
         return idx
 
+    def index_chips(self) -> None:
+        """Rebuild the per-chip block index from ``block_chip``; call it
+        after every write to ``block_chip``."""
+        order = np.argsort(self.block_chip, kind="stable")
+        ends = np.cumsum(np.bincount(self.block_chip, minlength=self.n_chips))
+        self._chip_blocks = np.split(order, ends[:-1])
+
     # -- scoreboard updates ---------------------------------------------------------
 
     def _touch(self) -> None:
@@ -103,20 +121,37 @@ class SubgraphScheduler:
         self._scores_cache = None
         self._counts_cache = None
 
-    def add_buffered(self, block_id: int, count: int = 1) -> None:
-        """Walks inserted into the partition walk buffer for ``block_id``."""
-        if count < 0:
-            raise SchedulingError(f"negative count {count}")
-        idx = self._local(block_id)
+    def add_buffered(self, block_ids, counts=1) -> None:
+        """Walks inserted into the partition walk buffer.
+
+        ``block_ids`` is one block ID or an ascending array of distinct
+        ones, with ``counts`` walks each (a scalar or a parallel array).
+        The same as one scalar call per block: the blocks are distinct,
+        so their updates do not interact.
+        """
+        idx = np.atleast_1d(np.asarray(block_ids, dtype=np.int64)) - self.first_block
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.ndim and counts.shape != idx.shape:
+            raise SchedulingError(f"{counts.size} counts for {idx.size} blocks")
+        if idx.size == 0:
+            return
+        if counts.min() < 0:
+            raise SchedulingError(f"negative count {int(counts.min())}")
+        if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
+            raise SchedulingError("add_buffered blocks must be ascending and distinct")
+        self._local(int(idx[0]) + self.first_block)
+        self._local(int(idx[-1]) + self.first_block)
         self._touch()
-        self.pwb[idx] += count
-        self._inserts_since_update[idx] += count
+        self.pwb[idx] += counts
+        inserts = self._inserts_since_update[idx] + counts
         # Amortized topN maintenance: only mark dirty every M insertions.
-        if self._inserts_since_update[idx] >= self.update_period_m:
-            self._inserts_since_update[idx] = 0
-            self._dirty.add(int(self.block_chip[idx]))
-        else:
-            self.topn_updates_deferred += 1
+        due = inserts >= self.update_period_m
+        inserts[due] = 0
+        self._inserts_since_update[idx] = inserts
+        n_due = int(np.count_nonzero(due))
+        if n_due:
+            self._dirty.update(self.block_chip[idx[due]].tolist())
+        self.topn_updates_deferred += idx.size - n_due
 
     def add_spilled(self, block_id: int, count: int = 1) -> None:
         """Walks spilled from the buffer entry to flash."""
@@ -152,8 +187,7 @@ class SubgraphScheduler:
         callers must treat it as read-only.
         """
         if self._scores_cache is None:
-            base = self.pwb * self.alpha + self.fl
-            self._scores_cache = np.where(self.is_dense, base, base * self.beta)
+            self._scores_cache = (self.pwb * self.alpha + self.fl) * self._score_factor
         else:
             self.score_cache_hits += 1
         return self._scores_cache
@@ -173,9 +207,9 @@ class SubgraphScheduler:
     # -- selection ----------------------------------------------------------------------
 
     def _refresh_top(self, chip: int) -> None:
-        mask = self.block_chip == chip
         counts = self.walk_counts()
-        candidates = np.flatnonzero(mask & (counts > 0))
+        mine = self._chip_blocks[chip]
+        candidates = mine[counts[mine] > 0]
         if candidates.size == 0:
             self._top[chip] = []
         else:
@@ -226,6 +260,7 @@ class SubgraphScheduler:
         survivors: both the old and new owners' topN caches are marked
         dirty so future :meth:`next_subgraph` calls rebuild them.
         """
+        moved = False
         for bid, chip in zip(block_ids, new_chips):
             if not 0 <= chip < self.n_chips:
                 raise SchedulingError(
@@ -236,6 +271,7 @@ class SubgraphScheduler:
             if old == chip:
                 continue
             self.block_chip[idx] = chip
+            moved = True
             self._dirty.add(old)
             self._dirty.add(int(chip))
             tr = self.tracer
@@ -244,11 +280,14 @@ class SubgraphScheduler:
                     "sched", _PID_BOARD, int(chip), "block_reassigned",
                     args={"block": int(bid), "from_chip": old},
                 )
+        if moved:
+            self.index_chips()
 
     def chips_with_work(self) -> np.ndarray:
         """Chip indices that currently own blocks with pending walks."""
         counts = self.walk_counts()
-        return np.unique(self.block_chip[counts > 0])
+        owners = np.bincount(self.block_chip[counts > 0], minlength=self.n_chips)
+        return np.flatnonzero(owners)
 
     def consistency_errors(self, pwb_buffer) -> list[str]:
         """Scoreboard-vs-buffer divergences, one message per bad block.

@@ -551,6 +551,7 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
         sc.fl[:] = sd["fl"]
         sc._inserts_since_update[:] = sd["inserts"]
         sc.block_chip[:] = sd["block_chip"]
+        sc.index_chips()
         sc._top = dict(sd["top"])
         sc._dirty = set(sd["dirty"])
         sc.topn_refreshes = sd["refreshes"]

@@ -124,21 +124,32 @@ class GraphPartitioning:
         table; the accelerator-side *timing* of that search is modeled in
         :mod:`repro.core.mapping`.
         """
-        scalar = np.isscalar(v)
+        scalar = type(v) is not np.ndarray and np.isscalar(v)
         varr = np.atleast_1d(np.asarray(v, dtype=np.int64))
         if varr.size and (varr.min() < 0 or varr.max() >= self.graph.num_vertices):
             raise PartitionError(
                 f"vertex out of range [0, {self.graph.num_vertices})"
             )
-        idx = np.searchsorted(self.block_lo, varr, side="right") - 1
+        table = self._vertex_block
+        if table is None:
+            table = self._vertex_block = self._build_vertex_block()
+        idx = table[varr]
+        if scalar:
+            return int(idx[0])
+        return idx
+
+    def _build_vertex_block(self) -> np.ndarray:
+        """Vertex -> block table (one gather per lookup afterwards),
+        built on first use by the same search it replaces."""
+        idx = np.searchsorted(
+            self.block_lo, np.arange(self.graph.num_vertices), side="right"
+        ) - 1
         # A vertex inside a dense vertex's block run maps to the run's
         # first block: back up over earlier slices of the same vertex.
         first = self._dense_first_block
         if first is not None:
             idx = first[idx]
-        if scalar:
-            return int(idx[0])
-        return idx
+        return idx.astype(np.int64, copy=False)
 
     def vertex_in_block(self, v: np.ndarray, block_id: int) -> np.ndarray:
         """Boolean mask: is each vertex within ``block_id``'s range?"""
@@ -250,6 +261,7 @@ class GraphPartitioning:
             )
 
     def __post_init__(self):
+        self._vertex_block: np.ndarray | None = None
         # Precompute dense-run first-block redirection for block_of_vertex.
         if self.is_dense_block.any():
             first = np.arange(self.num_blocks, dtype=np.int64)

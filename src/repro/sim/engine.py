@@ -1,10 +1,12 @@
 """Discrete-event simulation kernel.
 
 A tiny, fast event engine: callbacks scheduled at absolute or relative
-times, executed in (time, priority, sequence) order.  All simulator
-components (flash channels, accelerators, schedulers) share one
-:class:`Simulator` and advance its clock only through events, so causality
-is guaranteed by construction.
+times, executed in (time, priority, sequence) order.  The heap holds
+``(time, priority, seq, event)`` tuples, so ordering is a C-level tuple
+compare (``seq`` is unique, so the event itself is never compared).
+All simulator components (flash channels, accelerators, schedulers)
+share one :class:`Simulator` and advance its clock only through events,
+so causality is guaranteed by construction.
 
 The engine deliberately has no notion of processes or coroutines: the
 FlashWalker models are state machines whose transitions are event
@@ -39,13 +41,6 @@ class Event:
         """Mark the event dead; it will be skipped when popped."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.9f}, prio={self.priority}, {state})"
@@ -65,7 +60,8 @@ class Simulator:
 
     def __init__(self):
         self.now: float = 0.0
-        self._queue: list[Event] = []
+        #: Heap of (time, priority, seq, event) entries.
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._events_executed = 0
         self._running = False
@@ -78,8 +74,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event in the past: t={time} < now={self.now}"
             )
-        ev = Event(time, priority, next(self._seq), fn)
-        heapq.heappush(self._queue, ev)
+        seq = next(self._seq)
+        ev = Event(time, priority, seq, fn)
+        heapq.heappush(self._queue, (time, priority, seq, ev))
         return ev
 
     def after(self, delay: float, fn: Callable[[], None], priority: int = 0) -> Event:
@@ -93,7 +90,7 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if queue empty."""
         while self._queue:
-            ev = heapq.heappop(self._queue)
+            ev = heapq.heappop(self._queue)[3]
             if ev.cancelled:
                 continue
             if ev.time < self.now:  # pragma: no cover - defensive
@@ -141,15 +138,16 @@ class Simulator:
             self._running = False
 
     def _peek(self) -> Event | None:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
+        q = self._queue
+        while q and q[0][3].cancelled:
+            heapq.heappop(q)
+        return q[0][3] if q else None
 
     # -- introspection --------------------------------------------------------
 
     @property
     def pending_events(self) -> int:
-        return sum(1 for ev in self._queue if not ev.cancelled)
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     @property
     def events_executed(self) -> int:

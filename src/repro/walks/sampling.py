@@ -42,6 +42,11 @@ def uniform_next(
         raise WalkError("walk position out of vertex range")
     starts = graph.offsets[cur]
     degs = graph.offsets[cur + 1] - starts
+    if degs.min() > 0:
+        # No dead end: the same single draw, without the mask gathers.
+        rnd1 = (rng.random(cur.size) * degs).astype(np.int64)
+        np.minimum(rnd1, degs - 1, out=rnd1)
+        return graph.edges[starts + rnd1].astype(np.int64, copy=False)
     out = np.full(cur.shape, -1, dtype=np.int64)
     alive = degs > 0
     if alive.any():

@@ -5,6 +5,13 @@ vertex), ``cur`` (current vertex), ``hop`` (remaining hops).  Batches of
 walks are a :class:`WalkSet` of three parallel NumPy arrays, so the
 engines advance thousands of walks per vectorized operation instead of
 object-per-walk (hpc-parallel guide: SoA + vectorize the hot loop).
+
+The public constructor validates its arrays.  Paths whose outputs are
+valid by construction (:meth:`WalkSet.select`, :meth:`WalkSet.concat`,
+:meth:`WalkSet.split`, and the advancement kernel's outputs) go through
+:meth:`WalkSet.wrap`, which skips the checks: subsets and
+concatenations of aligned int64 arrays with no negative hop count are
+aligned int64 arrays with no negative hop count.
 """
 
 from __future__ import annotations
@@ -39,9 +46,20 @@ class WalkSet:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
+    def wrap(cls, src: np.ndarray, cur: np.ndarray, hop: np.ndarray) -> "WalkSet":
+        """Wrap arrays already known to be aligned 1-D int64 with no
+        negative hop count, without re-validating them (trusted paths
+        only; everything else uses the constructor)."""
+        ws = object.__new__(cls)
+        ws.src = src
+        ws.cur = cur
+        ws.hop = hop
+        return ws
+
+    @classmethod
     def empty(cls) -> "WalkSet":
         z = np.zeros(0, dtype=np.int64)
-        return cls(z, z.copy(), z.copy())
+        return cls.wrap(z, z.copy(), z.copy())
 
     @classmethod
     def start(cls, starts: np.ndarray, length: int) -> "WalkSet":
@@ -58,12 +76,12 @@ class WalkSet:
     @classmethod
     def concat(cls, sets: list["WalkSet"]) -> "WalkSet":
         """Concatenate walk sets (empty-safe)."""
-        sets = [s for s in sets if len(s)]
+        sets = [s for s in sets if s.src.size]
         if not sets:
             return cls.empty()
         if len(sets) == 1:
             return sets[0]
-        return cls(
+        return cls.wrap(
             np.concatenate([s.src for s in sets]),
             np.concatenate([s.cur for s in sets]),
             np.concatenate([s.hop for s in sets]),
@@ -72,11 +90,11 @@ class WalkSet:
     # -- basics ---------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return int(self.src.size)
+        return self.src.size
 
     def select(self, mask_or_idx: np.ndarray) -> "WalkSet":
         """Subset by boolean mask or index array (copies)."""
-        return WalkSet(
+        return WalkSet.wrap(
             self.src[mask_or_idx], self.cur[mask_or_idx], self.hop[mask_or_idx]
         )
 

@@ -242,3 +242,140 @@ class TestScoreCache:
         s.take_walks(0)
         assert s.scores()[0] == 0
         assert s.walk_counts()[0] == 0
+
+
+def assert_chip_index_matches_scan(s):
+    """The per-chip index equals a brute-force ``block_chip == chip``
+    scan for every chip."""
+    assert len(s._chip_blocks) >= s.n_chips
+    for chip in range(s.n_chips):
+        np.testing.assert_array_equal(
+            s._chip_blocks[chip], np.flatnonzero(s.block_chip == chip)
+        )
+
+
+class TestBatchedInsert:
+    """add_buffered over an array of distinct blocks equals one scalar
+    call per block."""
+
+    def state(self, s):
+        return (
+            s.pwb.tolist(),
+            s._inserts_since_update.tolist(),
+            set(s._dirty),
+            s.topn_updates_deferred,
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_array_call_equals_scalar_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        batched = make_scheduler(n_blocks=24, n_chips=4, m=5, dense={3, 9})
+        scalar = make_scheduler(n_blocks=24, n_chips=4, m=5, dense={3, 9})
+        for step in range(40):
+            k = int(rng.integers(1, 10))
+            blocks = np.sort(rng.choice(24, size=k, replace=False))
+            counts = rng.integers(0, 7, size=k)
+            batched.add_buffered(blocks, counts)
+            for b, c in zip(blocks.tolist(), counts.tolist()):
+                scalar.add_buffered(b, c)
+            assert self.state(batched) == self.state(scalar), step
+            if step % 3 == 0:
+                # Refreshes clear dirty chips, so later inserts re-dirty.
+                chip = int(rng.integers(0, 4))
+                assert batched.next_subgraph(chip) == scalar.next_subgraph(chip)
+            if step % 7 == 0:
+                b = int(rng.integers(0, 24))
+                assert batched.take_walks(b) == scalar.take_walks(b)
+        np.testing.assert_array_equal(batched.scores(), scalar.scores())
+
+    def test_scalar_count_broadcasts(self):
+        a = make_scheduler(m=2)
+        b = make_scheduler(m=2)
+        a.add_buffered(np.array([1, 4, 6]), 3)
+        for blk in (1, 4, 6):
+            b.add_buffered(blk, 3)
+        assert self.state(a) == self.state(b)
+
+    def test_empty_array_is_a_no_op(self):
+        s = make_scheduler()
+        s.scores()
+        s.add_buffered(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert s.total_pending == 0
+        assert s._scores_cache is not None  # nothing was touched
+
+    @pytest.mark.parametrize(
+        "blocks, counts",
+        [
+            ([2, 1], [1, 1]),  # not ascending
+            ([3, 3], [1, 1]),  # duplicate
+            ([0, 8], [1, 1]),  # past the partition
+            ([-1, 2], [1, 1]),  # before the partition
+            ([1, 2], [1, -1]),  # negative count
+            ([1, 2], [1, 1, 1]),  # counts not parallel to blocks
+        ],
+    )
+    def test_rejects_bad_batches(self, blocks, counts):
+        s = make_scheduler(n_blocks=8)
+        with pytest.raises(SchedulingError):
+            s.add_buffered(np.array(blocks), np.array(counts))
+        assert s.total_pending == 0
+
+
+class TestChipIndex:
+    def test_built_at_construction(self):
+        s = make_scheduler(n_blocks=11, n_chips=3)
+        assert_chip_index_matches_scan(s)
+
+    def test_follows_reassign_blocks(self):
+        rng = np.random.default_rng(5)
+        s = make_scheduler(n_blocks=32, n_chips=4)
+        for _ in range(10):
+            blocks = rng.choice(32, size=6, replace=False)
+            s.reassign_blocks(blocks, rng.integers(0, 4, size=6))
+            assert_chip_index_matches_scan(s)
+
+    def test_refresh_matches_full_scan(self):
+        """topN from the index equals topN from the brute-force scan."""
+        rng = np.random.default_rng(2)
+        s = make_scheduler(n_blocks=32, n_chips=4, top_n=5, m=1)
+        s.reassign_blocks(np.arange(0, 32, 3), np.zeros(11, dtype=np.int64))
+        s.add_buffered(np.arange(32), rng.integers(0, 9, size=32))
+        for chip in range(4):
+            s._refresh_top(chip)
+            counts = s.walk_counts()
+            cand = np.flatnonzero((s.block_chip == chip) & (counts > 0))
+            order = np.argsort(-s.scores()[cand], kind="stable")
+            assert s._top[chip] == cand[order][:5].tolist()
+
+    def test_chips_with_work_matches_unique(self):
+        rng = np.random.default_rng(9)
+        s = make_scheduler(n_blocks=32, n_chips=6)
+        s.add_buffered(np.flatnonzero(rng.random(32) < 0.3), 2)
+        got = s.chips_with_work()
+        want = np.unique(s.block_chip[s.walk_counts() > 0])
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+
+
+class TestPlacementCopy:
+    def test_scheduler_does_not_alias_callers_placement(self):
+        """A caller that remaps its own placement first must still see
+        the move through reassign_blocks (old owner dirty)."""
+        placement = np.arange(8, dtype=np.int64) % 2
+        s = SubgraphScheduler(
+            block_chip=placement,
+            is_dense_block=np.zeros(8, dtype=bool),
+            first_block=0,
+            last_block=7,
+            n_chips=2,
+            alpha=1.2,
+            beta=1.5,
+            top_n=4,
+            update_period_m=4,
+        )
+        assert not np.shares_memory(s.block_chip, placement)
+        s._dirty.clear()
+        placement[[0, 2]] = 1
+        s.reassign_blocks([0, 2], placement[[0, 2]])
+        assert s._dirty == {0, 1}
+        assert_chip_index_matches_scan(s)

@@ -19,6 +19,7 @@ from repro.flash.channel import FlashChannel
 from repro.flash.nand import FlashChip
 from repro.flash.ssd import SSD
 from repro.graph import rmat
+from repro.obs import TraceConfig
 from repro.walks import WalkSpec
 
 
@@ -478,6 +479,66 @@ class TestFailoverCacheInvalidation:
         arr.probe_batch(np.arange(12))
         assert arr.invalidate_blocks(np.array([0, 5, 11])) == 3
         assert arr.invalidate_blocks(np.array([0, 5])) == 0  # already gone
+
+
+class TestFailoverReassignment:
+    """A chip failure must reach the scheduler as a block move: the
+    scheduler keeps its own copy of the placement, so reassign_blocks()
+    sees the old owner, dirties both owners and traces every move."""
+
+    def test_failover_dirties_owners_and_traces_moves(self, graph):
+        cfg = FlashWalkerConfig().replace(faults=FaultConfig(enabled=True))
+        fw = FlashWalker(graph, cfg, seed=9, trace=TraceConfig())
+        fw.start_session(expected_walks=100)
+        sc = fw.scheduler
+        victim = int(sc.block_chip[0])
+        moved = np.flatnonzero(sc.block_chip == victim) + sc.first_block
+        sc._dirty.clear()
+        fw._fail_chip(victim)
+        new_owners = set(fw.block_chip[moved].tolist())
+        assert victim not in new_owners
+        np.testing.assert_array_equal(
+            sc.block_chip, fw.block_chip[sc.first_block : sc.last_block + 1]
+        )
+        assert victim in sc._dirty
+        assert new_owners <= sc._dirty
+        instants = [
+            ev[7] for ev in fw.tracer.events if ev[6] == "block_reassigned"
+        ]
+        assert sorted(a["block"] for a in instants) == moved.tolist()
+        assert {a["from_chip"] for a in instants} == {victim}
+
+    def test_chip_index_survives_checkpoint_restore(self, graph):
+        from repro.faults.checkpoint import capture_checkpoint, restore_checkpoint
+
+        cfg = FlashWalkerConfig().replace(faults=FaultConfig(enabled=True))
+        fw = FlashWalker(graph, cfg, seed=9)
+        fw.start_session(expected_walks=100)
+        fw._fail_chip(int(fw.scheduler.block_chip[0]))
+        ckpt = capture_checkpoint(fw, fw.sim.now)
+        failed = fw.scheduler.block_chip.copy()
+        fw.start_session(expected_walks=100)  # pristine placement again
+        assert not np.array_equal(fw.scheduler.block_chip, failed)
+        restore_checkpoint(fw, ckpt)
+        sc = fw.scheduler
+        np.testing.assert_array_equal(sc.block_chip, failed)
+        for chip in range(sc.n_chips):
+            np.testing.assert_array_equal(
+                sc._chip_blocks[chip], np.flatnonzero(sc.block_chip == chip)
+            )
+
+    def test_traced_failure_run_emits_reassignments(self, graph):
+        probe = FlashWalker(graph, seed=9)
+        victim = int(probe.block_chip[0])
+        cfg = FlashWalkerConfig().replace(
+            faults=FaultConfig(enabled=True, chip_failures=((50e-6, victim),))
+        )
+        res = FlashWalker(graph, cfg, seed=9, trace=TraceConfig()).run(
+            num_walks=800, spec=WalkSpec(length=5)
+        )
+        assert int(res.counters["walks_completed"]) == 800
+        names = [ev[6] for ev in res.trace.events]
+        assert "block_reassigned" in names
 
 
 class TestErrorContext:

@@ -24,6 +24,60 @@ def graphs_without_dead_ends(draw, max_vertices=40):
     return CSRGraph.from_edge_list(src, dst, num_vertices=n)
 
 
+@st.composite
+def walk_sets(draw, max_n=30):
+    n = draw(st.integers(0, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    return WalkSet(
+        rng.integers(0, 100, size=n),
+        rng.integers(0, 100, size=n),
+        rng.integers(0, 9, size=n),
+    )
+
+
+def assert_revalidates(ws):
+    """``ws`` passes the validating constructor unchanged: no error and
+    no conversion (int64 1-D arrays come back as the same objects)."""
+    again = WalkSet(ws.src, ws.cur, ws.hop)
+    assert again.src is ws.src and again.cur is ws.cur and again.hop is ws.hop
+
+
+class TestTrustedWalkSetPaths:
+    """select/concat/split skip validation; their outputs must be
+    exactly what the validating constructor would accept as is."""
+
+    @given(walk_sets(), st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_select_and_split(self, ws, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random(len(ws)) < 0.5
+        idx = rng.integers(0, max(1, len(ws)), size=rng.integers(0, 10))
+        if not len(ws):
+            idx = idx[:0]
+        for out in (ws.select(mask), ws.select(idx), *ws.split(mask)):
+            assert_revalidates(out)
+        assert_revalidates(WalkSet.empty())
+
+    @given(st.lists(walk_sets(max_n=8), max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_concat(self, sets):
+        out = WalkSet.concat(sets)
+        assert_revalidates(out)
+        assert len(out) == sum(len(s) for s in sets)
+
+    @given(graphs_without_dead_ends(max_vertices=60), st.integers(0, 2**20))
+    @settings(max_examples=30, deadline=None)
+    def test_advance_outputs(self, g, seed):
+        part = partition_graph(g, 512)
+        ctx = AdvanceContext.build(g, part, WalkSpec(length=4), make_sampler(g))
+        rng = np.random.default_rng(seed)
+        starts = rng.integers(0, g.num_vertices, size=25)
+        batch = WalkBatch(WalkSet.start(starts, 4))
+        res = advance_batch(ctx, batch, list(range(0, part.num_blocks, 2)), rng)
+        assert_revalidates(res.completed)
+        assert_revalidates(res.roving)
+
+
 class TestWalkSemantics:
     @given(graphs_without_dead_ends(), st.integers(1, 8), st.integers(1, 40))
     @settings(max_examples=40, deadline=None)

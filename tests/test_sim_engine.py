@@ -160,3 +160,76 @@ class TestCascades:
         sim.at(0.0, lambda: step(4))
         sim.run()
         assert times == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+class TestHeapEntries:
+    """The heap holds (time, priority, seq, event) tuples: ordering is a
+    tuple compare that never reaches the event itself."""
+
+    def test_equal_time_orders_by_priority_then_seq(self):
+        sim = Simulator()
+        order = []
+        prios = [2, 0, 1, 0, 2, 1, 0]
+        for i, p in enumerate(prios):
+            sim.at(1.0, lambda i=i: order.append(i), priority=p)
+        sim.at(0.5, lambda: order.append("early"), priority=9)
+        sim.run()
+        want = sorted(range(len(prios)), key=lambda i: (prios[i], i))
+        assert order == ["early", *want]
+
+    def test_entries_carry_the_event_keys(self):
+        sim = Simulator()
+        ev = sim.at(2.0, lambda: None, priority=3)
+        ((t, prio, seq, held),) = sim._queue
+        assert held is ev
+        assert (t, prio, seq) == (ev.time, ev.priority, ev.seq)
+
+    def test_events_are_never_compared(self, monkeypatch):
+        from repro.sim.engine import Event
+
+        def refuse(self, other):
+            raise AssertionError("Event compared")
+
+        monkeypatch.setattr(Event, "__lt__", refuse, raising=False)
+        sim = Simulator()
+        fired = []
+        for i in range(50):
+            sim.at(1.0 + (i % 3), lambda i=i: fired.append(i), priority=i % 2)
+        sim.run()
+        assert len(fired) == 50
+
+    def test_step_skips_cancelled(self):
+        sim = Simulator()
+        fired = []
+        a = sim.at(1.0, lambda: fired.append("a"))
+        sim.at(1.0, lambda: fired.append("b"))
+        sim.at(2.0, lambda: fired.append("c"))
+        a.cancel()
+        assert sim.step() is True
+        assert fired == ["b"] and sim.now == 1.0
+        assert sim.events_executed == 1
+
+    def test_peek_drops_cancelled_heads(self):
+        sim = Simulator()
+        first = sim.at(1.0, lambda: None)
+        second = sim.at(1.0, lambda: None)
+        live = sim.at(3.0, lambda: None)
+        first.cancel()
+        second.cancel()
+        assert sim._peek() is live
+        assert len(sim._queue) == 1
+        live.cancel()
+        assert sim._peek() is None
+        assert sim._queue == []
+
+    def test_pending_events_counts_live_entries(self):
+        sim = Simulator()
+        evs = [sim.at(float(i % 4), lambda: None, priority=i % 3) for i in range(12)]
+        for ev in evs[::3]:
+            ev.cancel()
+        assert sim.pending_events == 8
+        sim.run(until=1.5)
+        # t=0 and t=1 entries ran (or were skipped); t=2 and t=3 remain.
+        assert sim.pending_events == sum(
+            1 for ev in evs if not ev.cancelled and ev.time > 1.5
+        )
