@@ -16,7 +16,10 @@ catch-up cost is the engine's journal-replay RTO accounting) and
 replaying the identical injection schedule.  The replayed epoch is
 bit-identical to the uninterrupted one, which is why a killed cluster
 run's shard reports match the baseline's outside the failover
-timeline.
+timeline.  Only a promotion reads the checkpoint, so its engine state
+is captured only in epochs where a kill can fire; every other epoch
+keeps the checkpoint's bookkeeping with a data-less entry, and a
+promotion that meets one raises :class:`SimulationError`.
 
 Both the serial coordinator and the process-pool workers drive this
 same class, so execution mode cannot change results.
@@ -132,8 +135,14 @@ class ShardRuntime:
         fw = self.fw
         self._completions = []
         t_start = fw.sim.now
-        # Epoch-boundary snapshot: the replica's recovery point.
-        fw.checkpoint_now()
+        # Epoch-boundary checkpoint: the replica's recovery point.  Its
+        # state is captured only if a kill can fire this epoch: one is
+        # armed now, or an earlier one has not fired yet (an epoch that
+        # drains first re-arms it at the next injection).
+        fw.checkpoint_now(
+            cmd.kill_delay is not None
+            or fw._crashes_fired < len(fw.power_loss_times)
+        )
         if cmd.kill_delay is not None:
             fw.arm_power_loss(fw.sim.now + float(cmd.kill_delay))
         self._schedule_batches(cmd.batches)
@@ -171,6 +180,11 @@ class ShardRuntime:
         """
         fw = self.fw
         snap = fw.latest_checkpoint
+        if snap.data is None:
+            raise SimulationError(
+                f"shard {self.shard_id}: power loss in epoch {cmd.epoch}, "
+                "whose checkpoint holds no captured engine state"
+            )
         ctx = fw._crash_context(snap)
         pre_crash = len(self._completions)
         fw.restore_for_resume(snap)
@@ -180,7 +194,11 @@ class ShardRuntime:
         self._completions = []
         self._schedule_batches(cmd.batches)
         fw.sim.run()
-        assert float(err.at) == ctx["t_crash"]
+        if float(err.at) != ctx["t_crash"]:
+            raise SimulationError(
+                f"shard {self.shard_id}: power loss at t={err.at!r} in epoch "
+                f"{cmd.epoch}, but the crash record says t={ctx['t_crash']!r}"
+            )
         return {
             "shard": self.shard_id,
             "epoch": cmd.epoch,

@@ -34,7 +34,7 @@ from ..common.errors import (
 from ..common.rng import RngRegistry, derive_seed
 from ..durability.integrity import RNG_STREAM, IntegrityTracker
 from ..durability.journal import WalkJournal
-from ..faults.checkpoint import CheckpointManager
+from ..faults.checkpoint import Checkpoint, CheckpointManager
 from ..faults.model import FaultModel
 from ..faults.slow import SlowFaultModel
 from ..flash.channel import ONFI_COMMAND_BYTES
@@ -362,10 +362,6 @@ class FlashWalker:
         # restore leaves the packed dict in _restored_extra.
         self._checkpoint_extra = None
         self._restored_extra = None
-        # Per-chip checkpoint entries of the last capture, keyed by the
-        # chip's change counters (see repro.faults.checkpoint).  Cleared
-        # here, so every restore starts from an empty memo.
-        self._ckpt_chip_memo: dict[int, tuple] = {}
         # Which recurring durability events the restored snapshot had
         # armed (None = legacy snapshot / no restore: arm everything).
         self._restored_dur_armed: set[str] | None = None
@@ -1410,7 +1406,7 @@ class FlashWalker:
                 self._kick_chips(t)
         self._maybe_finish_partition(t)
 
-    def _take_checkpoint(self, t: float) -> None:
+    def _take_checkpoint(self, t: float, capture: bool = True) -> None:
         from ..faults.checkpoint import capture_checkpoint
 
         # Counter and next-deadline advance *before* capture so a resumed
@@ -1421,20 +1417,28 @@ class FlashWalker:
         self._next_checkpoint = t + self._ckpt_interval
         if self.journal is not None:
             self.journal.on_checkpoint(self.completed_walks)
-        self._checkpoints.save(capture_checkpoint(self, t))
+        self._checkpoints.save(
+            capture_checkpoint(self, t) if capture
+            else Checkpoint(time=t, data=None)
+        )
         tr = self.tracer
         if tr is not None:
             tr.instant("ckpt", PID_RUN, 0, "checkpoint", t,
                        args={"index": int(self.metrics.checkpoints.total)})
 
-    def checkpoint_now(self) -> None:
+    def checkpoint_now(self, capture: bool = True) -> None:
         """Take an explicit quiescent checkpoint at the current time.
 
         The cluster layer calls this at every epoch boundary — engine
         drained, no walk mid-flight — so a shard killed mid-epoch can
         be restored to the exact epoch start and replayed
-        bit-identically.  Raises if the engine is not quiescent (a
-        snapshot of in-flight state would not be restorable).
+        bit-identically.  With ``capture=False`` the checkpoint's
+        bookkeeping (counter, cadence, journal truncation, retention)
+        is identical but the engine state is not copied: the saved
+        entry holds no data, and restoring it raises.  The cluster
+        captures only in epochs where a kill can fire.  Raises if the
+        engine is not quiescent (a snapshot of in-flight state would
+        not be restorable).
         """
         if not self._quiescent():
             raise SimulationError(
@@ -1442,7 +1446,7 @@ class FlashWalker:
                 f"(in_transit={self.in_transit}, "
                 f"board_inflight={self._board_inflight})"
             )
-        self._take_checkpoint(self.sim.now)
+        self._take_checkpoint(self.sim.now, capture)
 
     def arm_power_loss(self, t: float) -> None:
         """Arm a single power-loss event at absolute time ``t``.
@@ -1794,6 +1798,11 @@ class FlashWalker:
         raises :class:`InvariantViolation` if any record was dropped or
         corrupted.
         """
+        if snap.data is None:
+            raise SimulationError(
+                f"checkpoint at t={snap.time:.9f} was not captured; "
+                "cannot account for a crash against it"
+            )
         info = self._last_power_loss or {}
         t_crash = float(info.get("at", self.sim.now))
         j = self.journal

@@ -22,10 +22,6 @@ the FTL entirely.  DFTL-enabled runs are the exception: background GC
 makes the FTL's state time-dependent, so their snapshots carry the full
 FTL and CMT state instead.
 
-Captures cost what the epoch changed, not the device size: per-chip
-entries are shared with the previous capture while the chip is
-untouched (see :func:`_chip_entries`).
-
 Core modules are imported lazily inside the capture/restore functions:
 ``repro.core.flashwalker`` imports this package, so module-level imports
 the other way would be circular.
@@ -37,7 +33,7 @@ import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-
+from ..common.errors import SimulationError
 from ..walks.state import WalkSet
 
 __all__ = [
@@ -50,16 +46,20 @@ __all__ = [
 
 @dataclass
 class Checkpoint:
-    """One quiescent snapshot of a running campaign."""
+    """One quiescent snapshot of a running campaign.
+
+    ``data`` is None for a bookkeeping-only entry: a checkpoint whose
+    cadence, counters and journal truncation were kept but whose engine
+    state was not captured (see ``FlashWalker.checkpoint_now``).
+    Restoring one raises :class:`SimulationError`.
+    """
 
     time: float
-    data: dict = field(repr=False)
+    data: dict | None = field(repr=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Checkpoint(t={self.time:.6f}, "
-            f"completed={self.data.get('completed_walks')})"
-        )
+        done = None if self.data is None else self.data.get("completed_walks")
+        return f"Checkpoint(t={self.time:.6f}, completed={done})"
 
 
 class CheckpointManager:
@@ -184,49 +184,6 @@ def _chip_state(c) -> dict:
     }
 
 
-def _chip_entries(fw) -> tuple[list, list, dict]:
-    """Per-chip snapshot entries, shared with the previous capture for
-    every chip whose change key has not moved.
-
-    Returns the ``chip_hw`` and ``chips`` lists and the reused states of
-    the chips' sampling streams (``chip<i>``, drawn only by that chip's
-    batches).  The key holds counters that every mutation of the
-    captured chip state bumps: a read or erase acquires a dispatcher
-    slot (``_op_slots.requests``) and counts itself, a program counts
-    ``programs`` (and a striped one moves ``_prog_cursor``), a subgraph
-    load counts a load or a reload hit, a batch counts ``batches`` after
-    drawing from the chip's stream, a completed-walk flush follows a
-    batch, and a chip failure sets ``failed``.  An equal key thus means
-    equal state, and the entries — never mutated once captured; restore
-    copies out of them — are reused as they are.  The memo lives on the
-    engine and is cleared by ``_reset_run_state``, which every restore
-    runs: a restore moves the counters backwards.
-    """
-    memo = fw._ckpt_chip_memo
-    streams = fw.rngs._streams
-    hw_out, chip_out, rng = [], [], {}
-    # Flat chip order, as ssd.chip_flat(i): channel-major.
-    hw_chips = [hw for ch in fw.ssd.channels for hw in ch.chips]
-    for i, (c, hw) in enumerate(zip(fw.chips, hw_chips)):
-        key = (
-            hw._op_slots.requests, hw.reads, hw.programs, hw.erases,
-            hw._prog_cursor, c.loads, c.reload_hits, c.batches, c.hops,
-            c.pending_completed, c.failed,
-        )
-        entry = memo.get(i)
-        if entry is None or entry[0] != key:
-            name = f"chip{i}"
-            gen = streams.get(name)
-            stream = None if gen is None else (name, gen.bit_generator.state)
-            entry = memo[i] = (key, _chip_hw_state(hw), _chip_state(c), stream)
-        if entry[3] is not None:
-            name, state = entry[3]
-            rng[name] = state
-        hw_out.append(entry[1])
-        chip_out.append(entry[2])
-    return hw_out, chip_out, rng
-
-
 def _set_chip_hw(chip, s: dict) -> None:
     _set_fcfs(chip._op_slots, s["ops"])
     chip.reads = s["reads"]
@@ -280,7 +237,6 @@ def _set_metrics(metrics, state: dict) -> None:
 def capture_checkpoint(fw, t: float) -> Checkpoint:
     """Snapshot a quiescent :class:`~repro.core.flashwalker.FlashWalker`."""
     fm = fw.fault_model
-    chip_hw, chips, chip_rng = _chip_entries(fw)
     data = {
         # provenance: restore refuses a snapshot from a different config
         "config_fingerprint": fw.config_fingerprint,
@@ -302,7 +258,7 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
         ),
         # stochastic state (``state`` builds a fresh dict on every read)
         "rng": {
-            name: chip_rng[name] if name in chip_rng else gen.bit_generator.state
+            name: gen.bit_generator.state
             for name, gen in fw.rngs._streams.items()
         },
         # metrics
@@ -343,12 +299,15 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
             fw.dense_table.hash_probes,
         ),
         # accelerators
-        "chips": chips,
+        "chips": [_chip_state(c) for c in fw.chips],
         "channel_accels": [
             (ch.batches, ch.hops, ch.range_queries) for ch in fw.channels
         ],
         # hardware occupancy + byte counters
-        "chip_hw": chip_hw,
+        "chip_hw": [
+            _chip_hw_state(fw.ssd.chip_flat(i))
+            for i in range(fw.cfg.ssd.total_chips)
+        ],
         "channel_buses": [_link_state(ch.bus) for ch in fw.ssd.channels],
         "dram_bus": _link_state(fw.ssd.dram.bus),
         "board_pipe": _fcfs_state(fw._board_pipe),
@@ -457,6 +416,11 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
     from ..walks.sampling import make_sampler
 
     d = ckpt.data
+    if d is None:
+        raise SimulationError(
+            f"checkpoint at t={ckpt.time:.9f} holds no captured engine "
+            "state (bookkeeping-only entry); nothing to restore"
+        )
     # A snapshot only replays correctly into the exact configuration
     # that produced it (capacities, timings, fault schedule are all
     # baked into the captured state).  Pre-fingerprint checkpoints
