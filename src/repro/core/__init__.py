@@ -3,7 +3,7 @@
 from .advance import AdvanceContext, AdvanceResult, advance_batch
 from .bloom import BloomFilter
 from .board_accel import BoardAccelerator
-from .buffers import BlockEntry, ForeignerStore, PartitionWalkBuffer, WalkBatch
+from .buffers import ForeignerStore, PartitionWalkBuffer, WalkBatch
 from .channel_accel import ChannelAccelerator
 from .chip_accel import ChipAccelerator
 from .dense import DenseVertexTable, PreWalkResult
@@ -20,7 +20,6 @@ __all__ = [
     "advance_batch",
     "BloomFilter",
     "BoardAccelerator",
-    "BlockEntry",
     "ForeignerStore",
     "PartitionWalkBuffer",
     "WalkBatch",

@@ -12,6 +12,21 @@ Semantically, walks are never lost: this module tracks exactly which
 walks wait where (DRAM vs flash) per block, while the engine charges the
 corresponding traffic and latencies.  Pre-walked dense walks carry their
 chosen edge index (``pre_edge``), resolved when the block loads.
+
+A partition's buffer is one columnar pool: rows ``src``, ``cur``,
+``hop`` and ``pre_edge`` (-1 where a push carried none), plus a
+push-start marker per slot.  Each entry owns one contiguous slab of the
+pool and appends its walks there in push order.  A slab that runs out
+of room moves to one at least twice its size at the end of the pool
+(the pool doubles when that runs out), and a drained slab is reused by
+its block.  A board insert is one scatter over all of its blocks'
+slabs; a chip load is one slice.
+
+Overflow spills an entry's oldest whole pushes, so its spilled walks
+are always the prefix ``slab[:spilled]`` and its buffered walks the
+rest, ``slab[spilled:fill]``.  The push-start markers are read only to
+find where a spill ends.  A drain returns the buffered walks, then the
+spilled ones, each in push order.
 """
 
 from __future__ import annotations
@@ -21,7 +36,10 @@ import numpy as np
 from ..common.errors import BufferOverflowError, ReproError
 from ..walks.state import WalkSet
 
-__all__ = ["WalkBatch", "BlockEntry", "PartitionWalkBuffer", "ForeignerStore"]
+__all__ = ["WalkBatch", "PartitionWalkBuffer", "ForeignerStore"]
+
+#: Slab size (walks) every entry starts with.
+_FIRST_SLAB = 8
 
 
 class WalkBatch:
@@ -40,78 +58,9 @@ class WalkBatch:
     def __len__(self) -> int:
         return len(self.walks)
 
-    @staticmethod
-    def merge(batches: list["WalkBatch"]) -> "WalkBatch":
-        """Concatenate; pre_edge becomes -1 where a batch had none."""
-        batches = [b for b in batches if len(b)]
-        if not batches:
-            return WalkBatch(WalkSet.empty(), np.zeros(0, dtype=np.int64))
-        walks = WalkSet.concat([b.walks for b in batches])
-        if all(b.pre_edge is None for b in batches):
-            return WalkBatch(walks, None)
-        parts = [
-            b.pre_edge
-            if b.pre_edge is not None
-            else np.full(len(b), -1, dtype=np.int64)
-            for b in batches
-        ]
-        return WalkBatch(walks, np.concatenate(parts))
-
-
-class BlockEntry:
-    """One partition-walk-buffer entry: buffered (DRAM) + spilled (flash)."""
-
-    __slots__ = ("buffered", "spilled", "buffered_count", "spilled_count")
-
-    def __init__(self):
-        self.buffered: list[WalkBatch] = []
-        self.spilled: list[WalkBatch] = []
-        self.buffered_count = 0
-        self.spilled_count = 0
-
-    @property
-    def total(self) -> int:
-        return self.buffered_count + self.spilled_count
-
-    def push(self, batch: WalkBatch) -> None:
-        self.buffered.append(batch)
-        self.buffered_count += len(batch)
-
-    def spill_overflow(self, capacity: int) -> int:
-        """Move buffered walks beyond ``capacity`` to the spilled side.
-
-        Returns the number of walks spilled.  Spills whole batches from
-        the oldest end (FIFO), matching "this entry is moved to the
-        walk-overflow buffer ... then flushed to the flash memory".
-        """
-        if capacity < 0:
-            raise BufferOverflowError(
-                f"negative entry capacity {capacity}",
-                capacity=capacity,
-                occupancy=self.buffered_count,
-            )
-        spilled = 0
-        while self.buffered_count > capacity and self.buffered:
-            batch = self.buffered.pop(0)
-            self.buffered_count -= len(batch)
-            self.spilled.append(batch)
-            self.spilled_count += len(batch)
-            spilled += len(batch)
-        return spilled
-
-    def drain(self) -> tuple[WalkBatch, int, int]:
-        """Take everything; returns (merged batch, n_buffered, n_spilled)."""
-        nb, ns = self.buffered_count, self.spilled_count
-        merged = WalkBatch.merge(self.buffered + self.spilled)
-        self.buffered = []
-        self.spilled = []
-        self.buffered_count = 0
-        self.spilled_count = 0
-        return merged, nb, ns
-
 
 class PartitionWalkBuffer:
-    """All walk-buffer entries of the current partition."""
+    """All walk-buffer entries of the current partition, in one pool."""
 
     def __init__(self, first_block: int, last_block: int, entry_capacity: int,
                  dense_entry_capacity: int, is_dense_block: np.ndarray):
@@ -125,83 +74,232 @@ class PartitionWalkBuffer:
         self.last_block = last_block
         self.entry_capacity = entry_capacity
         self.dense_entry_capacity = dense_entry_capacity
-        self._is_dense = is_dense_block
-        self._entries: dict[int, BlockEntry] = {}
+        n = last_block - first_block + 1
+        self.n_blocks = n
+        # Per-entry tables, by local block index (plain lists: most
+        # pushes and every drain touch one entry): capacity, slab start
+        # in the pool, slab size, walks held, how many of those spilled,
+        # and whether any push carried pre-walked edges.
+        self._limit = [
+            dense_entry_capacity if d else entry_capacity
+            for d in is_dense_block[first_block : last_block + 1].tolist()
+        ]
+        self._base = list(range(0, n * _FIRST_SLAB, _FIRST_SLAB))
+        self._size = [_FIRST_SLAB] * n
+        self._fill = [0] * n
+        self._spilled = [0] * n
+        self._pre_walked = [False] * n
+        #: First pool slot no slab owns.
+        self._top = n * _FIRST_SLAB
+        self._set_pool(
+            np.zeros((4, 2 * self._top), dtype=np.int64),
+            np.zeros(2 * self._top, dtype=bool),
+        )
         self.spill_events = 0
         self.walks_spilled = 0
 
-    def _entry(self, block_id: int) -> BlockEntry:
-        if not self.first_block <= block_id <= self.last_block:
+    def _set_pool(self, pool: np.ndarray, head: np.ndarray) -> None:
+        """Install the pool (rows src, cur, hop, pre_edge) and markers."""
+        self._pool = pool
+        self._head = head
+        self._src, self._cur, self._hop, self._pre = pool
+
+    def _local(self, block_id: int) -> int:
+        idx = block_id - self.first_block
+        if not 0 <= idx < self.n_blocks:
             raise BufferOverflowError(
                 f"block {block_id} outside partition "
                 f"[{self.first_block}, {self.last_block}]",
                 block=block_id,
             )
-        e = self._entries.get(block_id)
-        if e is None:
-            e = BlockEntry()
-            self._entries[block_id] = e
-        return e
+        return idx
 
     def capacity_of(self, block_id: int) -> int:
-        return (
-            self.dense_entry_capacity
-            if self._is_dense[block_id]
-            else self.entry_capacity
-        )
+        return self._limit[self._local(block_id)]
 
-    def push(self, block_id: int, batch: WalkBatch) -> int:
-        """Insert walks; returns how many spilled due to entry overflow."""
-        e = self._entry(block_id)
-        e.push(batch)
-        spilled = e.spill_overflow(self.capacity_of(block_id))
-        if spilled:
-            self.spill_events += 1
-            self.walks_spilled += spilled
-        return spilled
+    def _grow(self, idx: int, need: int) -> None:
+        """Move entry ``idx`` to a new slab holding at least ``need`` walks."""
+        size = max(2 * self._size[idx], need)
+        top = self._top
+        if top + size > self._head.size:
+            cap = max(2 * self._head.size, top + size)
+            pool = np.zeros((4, cap), dtype=np.int64)
+            head = np.zeros(cap, dtype=bool)
+            pool[:, :top] = self._pool[:, :top]
+            head[:top] = self._head[:top]
+            self._set_pool(pool, head)
+        b, f = self._base[idx], self._fill[idx]
+        self._pool[:, top : top + f] = self._pool[:, b : b + f]
+        self._head[top : top + f] = self._head[b : b + f]
+        self._base[idx] = top
+        self._size[idx] = size
+        self._top = top + size
+
+    def _spill(self, idx: int) -> int:
+        """Spill entry ``idx``'s oldest whole pushes until its buffered
+        walks fit its capacity; returns how many walks spilled."""
+        b, f, was = self._base[idx], self._fill[idx], self._spilled[idx]
+        lo = f - self._limit[idx]
+        # The first push starting at or after ``lo`` stays buffered; with
+        # none, every buffered push spills.
+        starts = np.flatnonzero(self._head[b + lo : b + f])
+        keep = lo + int(starts[0]) if starts.size else f
+        self._spilled[idx] = keep
+        self.spill_events += 1
+        self.walks_spilled += keep - was
+        return keep - was
+
+    def push(
+        self,
+        blocks: np.ndarray,
+        counts: np.ndarray,
+        walks: WalkSet,
+        pre_edge: np.ndarray | None = None,
+    ) -> list[tuple[int, int]]:
+        """Append ``counts[i]`` walks to the entry of ``blocks[i]``.
+
+        ``blocks`` is ascending and distinct; ``walks`` (and the optional
+        parallel ``pre_edge``) holds the groups back to back in that
+        order.  Each group is one push.  Entries pushed past capacity
+        spill their oldest whole pushes; returns ``(block, walks
+        spilled)`` for each of them, in ascending block order.
+        """
+        block_list, count_list = blocks.tolist(), counts.tolist()
+        n = walks.src.size
+        if sum(count_list) != n:
+            raise ReproError(f"group counts sum to {sum(count_list)}, not {n}")
+        # Blocks ascend, so checking the last one first leaves the buffer
+        # untouched when any block lies past the partition.
+        self._local(block_list[-1])
+        first, n_blocks = self.first_block, self.n_blocks
+        fill, spilled, limit = self._fill, self._spilled, self._limit
+        pos = []
+        over = []
+        prev = -1
+        for block, k in zip(block_list, count_list):
+            idx = block - first
+            if not prev < idx < n_blocks or k < 1:
+                self._local(block)
+                raise BufferOverflowError(
+                    "pushed blocks must be ascending and distinct, "
+                    "each with at least one walk"
+                )
+            prev = idx
+            f = fill[idx]
+            if f + k > self._size[idx]:
+                self._grow(idx, f + k)
+            pos.append(self._base[idx] + f)
+            fill[idx] = f + k
+            if f + k - spilled[idx] > limit[idx]:
+                over.append((block, idx))
+            if pre_edge is not None:
+                self._pre_walked[idx] = True
+        pre = -1 if pre_edge is None else pre_edge
+        head = self._head
+        if len(pos) == 1:
+            p = pos[0]
+            q = p + n
+            self._src[p:q] = walks.src
+            self._cur[p:q] = walks.cur
+            self._hop[p:q] = walks.hop
+            self._pre[p:q] = pre
+            head[p:q] = False
+            head[p] = True
+        else:
+            # Walk j of group i lands at pos[i] + j - (group i's first walk).
+            pos = np.array(pos)
+            ends = counts.cumsum()
+            dest = np.repeat(pos - ends + counts, counts) + np.arange(n)
+            self._src[dest] = walks.src
+            self._cur[dest] = walks.cur
+            self._hop[dest] = walks.hop
+            self._pre[dest] = pre
+            head[dest] = False
+            head[pos] = True
+        return [(block, self._spill(idx)) for block, idx in over]
 
     def drain(self, block_id: int) -> tuple[WalkBatch, int, int]:
-        """Take all walks waiting for ``block_id``."""
-        e = self._entries.pop(block_id, None)
-        if e is None:
+        """Take all walks waiting for ``block_id``: (batch, n_buffered,
+        n_spilled), buffered walks first, each side in push order.  The
+        batch's ``pre_edge`` is None unless a push to the entry carried
+        pre-walked edges."""
+        idx = self._local(block_id)
+        f = self._fill[idx]
+        if not f:
             return WalkBatch(WalkSet.empty()), 0, 0
-        return e.drain()
+        b, ns = self._base[idx], self._spilled[idx]
+        pool = self._pool
+        if ns:
+            cols = np.concatenate(
+                (pool[:, b + ns : b + f], pool[:, b : b + ns]), axis=1
+            )
+            self._spilled[idx] = 0
+        else:
+            cols = pool[:, b : b + f].copy()
+        self._fill[idx] = 0
+        pre = None
+        if self._pre_walked[idx]:
+            self._pre_walked[idx] = False
+            pre = cols[3]
+        return WalkBatch(WalkSet.wrap(cols[0], cols[1], cols[2]), pre), f - ns, ns
 
     def counts(self, block_id: int) -> tuple[int, int]:
-        e = self._entries.get(block_id)
-        if e is None:
-            return 0, 0
-        return e.buffered_count, e.spilled_count
+        """(buffered, spilled) walks waiting for ``block_id``."""
+        idx = self._local(block_id)
+        return self._fill[idx] - self._spilled[idx], self._spilled[idx]
 
     @property
     def total_walks(self) -> int:
-        return sum(e.total for e in self._entries.values())
+        return sum(self._fill)
 
     def blocks_with_walks(self) -> list[int]:
-        return [b for b, e in self._entries.items() if e.total > 0]
+        return [i + self.first_block for i, f in enumerate(self._fill) if f]
 
     def occupancy_errors(self) -> list[str]:
         """Declared-capacity violations, one message per bad entry.
 
-        ``push`` spills past-capacity batches immediately, so any entry
+        ``push`` spills past-capacity pushes immediately, so any entry
         whose buffered side exceeds its capacity (or with a negative
         count) indicates corrupted accounting.  Used by the service
         layer's online invariant auditor.
         """
         errors = []
-        for block, e in self._entries.items():
-            cap = self.capacity_of(block)
-            if e.buffered_count > cap:
+        for idx, (f, ns, cap) in enumerate(
+            zip(self._fill, self._spilled, self._limit)
+        ):
+            block = idx + self.first_block
+            if f - ns > cap:
                 errors.append(
-                    f"pwb entry {block}: buffered {e.buffered_count} "
-                    f"exceeds capacity {cap}"
+                    f"pwb entry {block}: buffered {f - ns} exceeds capacity {cap}"
                 )
-            if e.buffered_count < 0 or e.spilled_count < 0:
-                errors.append(
-                    f"pwb entry {block}: negative counts "
-                    f"({e.buffered_count}, {e.spilled_count})"
-                )
+            if f - ns < 0 or ns < 0:
+                errors.append(f"pwb entry {block}: negative counts ({f - ns}, {ns})")
         return errors
+
+    def snapshot(self) -> dict:
+        """Copies of the pool up to its last owned slot and of the
+        per-entry tables (checkpoint capture)."""
+        return {
+            "pool": self._pool[:, : self._top].copy(),
+            "head": self._head[: self._top].copy(),
+            "base": list(self._base),
+            "size": list(self._size),
+            "fill": list(self._fill),
+            "spilled": list(self._spilled),
+            "pre_walked": list(self._pre_walked),
+            "spills": (self.spill_events, self.walks_spilled),
+        }
+
+    def restore(self, state: dict) -> None:
+        """Take on the contents ``snapshot`` captured (the same partition)."""
+        self._set_pool(state["pool"].copy(), state["head"].copy())
+        self._top = state["pool"].shape[1]
+        self._base = list(state["base"])
+        self._size = list(state["size"])
+        self._fill = list(state["fill"])
+        self._spilled = list(state["spilled"])
+        self._pre_walked = list(state["pre_walked"])
+        self.spill_events, self.walks_spilled = state["spills"]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

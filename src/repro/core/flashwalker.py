@@ -885,28 +885,29 @@ class FlashWalker:
         nbytes = n * self.cfg.walk_bytes
         self.ssd.dram.write(t, nbytes)
         self.metrics.record_dram(t, nbytes)
-        order = np.argsort(blocks, kind="stable")
-        sblocks = blocks[order]
-        src, cur, hop = walks.src[order], walks.cur[order], walks.hop[order]
-        spre = pre_edge[order] if pre_edge is not None else None
-        bounds = np.flatnonzero(sblocks[1:] != sblocks[:-1]) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [n]))
-        # One scoreboard update for every block of the insert; spills
-        # then follow per block, in ascending block order.
-        group_blocks = sblocks[starts]
-        self.scheduler.add_buffered(group_blocks, ends - starts)
-        for block, s, e in zip(
-            group_blocks.tolist(), starts.tolist(), ends.tolist()
-        ):
-            group = WalkSet.wrap(src[s:e], cur[s:e], hop[s:e])
-            gpre = spre[s:e] if spre is not None else None
-            spilled = self.pwb.push(block, WalkBatch(group, gpre))
-            if spilled:
-                self.scheduler.add_spilled(block, spilled)
-                self.metrics.spilled_walks.add(spilled)
-                # Overflowed entry flushes through the block's chip.
-                self._spill_write(t, block, spilled)
+        if (blocks == blocks[0]).all():
+            # One block (most small inserts): nothing to sort.
+            group_blocks, counts = blocks[:1], np.array([n])
+        else:
+            order = np.argsort(blocks, kind="stable")
+            sblocks = blocks[order]
+            walks = WalkSet.wrap(
+                walks.src[order], walks.cur[order], walks.hop[order]
+            )
+            if pre_edge is not None:
+                pre_edge = pre_edge[order]
+            bounds = np.flatnonzero(sblocks[1:] != sblocks[:-1]) + 1
+            starts = np.concatenate(([0], bounds))
+            counts = np.concatenate((bounds, [n])) - starts
+            group_blocks = sblocks[starts]
+        # One scoreboard update and one buffer push for every block of
+        # the insert; spills follow per block, in ascending block order.
+        self.scheduler.add_buffered(group_blocks, counts)
+        for block, spilled in self.pwb.push(group_blocks, counts, walks, pre_edge):
+            self.scheduler.add_spilled(block, spilled)
+            self.metrics.spilled_walks.add(spilled)
+            # Overflowed entry flushes through the block's chip.
+            self._spill_write(t, block, spilled)
         tr = self.tracer
         if tr is not None:
             tr.highwater("buf.pwb_pending_walks", self.scheduler.total_pending)

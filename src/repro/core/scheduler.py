@@ -294,8 +294,12 @@ class SubgraphScheduler:
 
         The scoreboard's per-block (pwb, fl) counts must mirror the
         :class:`~repro.core.buffers.PartitionWalkBuffer` exactly at
-        every event boundary (``_start_load`` enforces the same on the
-        drain path).  Used by the service layer's invariant auditor.
+        every event boundary: ``pwb`` is an entry's buffered walks,
+        ``slab[spilled:fill]`` of its slab in the buffer's pool, and
+        ``fl`` its spilled prefix, ``slab[:spilled]`` (``_start_load``
+        enforces the same on the drain path).  Checks every block either
+        side counts walks for.  Used by the service layer's invariant
+        auditor.
         """
         errors = []
         if int(self.pwb.min(initial=0)) < 0 or int(self.fl.min(initial=0)) < 0:

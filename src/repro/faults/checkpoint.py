@@ -112,20 +112,6 @@ def _unpack_walks(data: tuple) -> WalkSet:
     return WalkSet(src.copy(), cur.copy(), hop.copy())
 
 
-def _pack_batch(batch) -> tuple:
-    pre = None if batch.pre_edge is None else batch.pre_edge.copy()
-    return (_pack_walks(batch.walks), pre)
-
-
-def _unpack_batch(data):
-    from ..core.buffers import WalkBatch
-
-    walks_data, pre = data
-    return WalkBatch(
-        _unpack_walks(walks_data), None if pre is None else pre.copy()
-    )
-
-
 def _link_state(link) -> tuple:
     return (link._busy_until, link.bytes_moved, link.busy_time, link.transfers)
 
@@ -266,8 +252,7 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
         # scheduler scoreboard
         "scheduler": None,
         # partition walk buffer
-        "pwb_entries": None,
-        "pwb_spills": None,
+        "pwb": None,
         # foreigner pools
         "foreign": {
             int(pid): [_pack_walks(w) for w in pool]
@@ -392,14 +377,7 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
             "counts_warm": sc._counts_cache is not None,
         }
     if fw.pwb is not None:
-        data["pwb_entries"] = {
-            int(block): (
-                [_pack_batch(b) for b in e.buffered],
-                [_pack_batch(b) for b in e.spilled],
-            )
-            for block, e in fw.pwb._entries.items()
-        }
-        data["pwb_spills"] = (fw.pwb.spill_events, fw.pwb.walks_spilled)
+        data["pwb"] = fw.pwb.snapshot()
     return Checkpoint(time=t, data=data)
 
 
@@ -410,7 +388,7 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
     """Rebuild ``fw``'s run state from ``ckpt``; the caller re-arms the
     event loop (kick chips + barrier check) and calls ``sim.run()``."""
     from ..core.advance import AdvanceContext
-    from ..core.buffers import BlockEntry, PartitionWalkBuffer
+    from ..core.buffers import PartitionWalkBuffer
     from ..core.mapping import RangeTable, SubgraphMappingTable
     from ..core.scheduler import SubgraphScheduler
     from ..walks.sampling import make_sampler
@@ -529,7 +507,7 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
             sc.scores()
         if sd.get("counts_warm"):
             sc.walk_counts()
-    if d["pwb_entries"] is not None:
+    if d["pwb"] is not None:
         fw.pwb = PartitionWalkBuffer(
             first,
             last,
@@ -537,18 +515,7 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
             fw.dense_entry_capacity,
             fw.part.is_dense_block,
         )
-        for block, (buffered, spilled) in d["pwb_entries"].items():
-            e = BlockEntry()
-            for b in buffered:
-                batch = _unpack_batch(b)
-                e.buffered.append(batch)
-                e.buffered_count += len(batch)
-            for b in spilled:
-                batch = _unpack_batch(b)
-                e.spilled.append(batch)
-                e.spilled_count += len(batch)
-            fw.pwb._entries[int(block)] = e
-        fw.pwb.spill_events, fw.pwb.walks_spilled = d["pwb_spills"]
+        fw.pwb.restore(d["pwb"])
     # foreigner pools
     for pid_i, pool in d["foreign"].items():
         ws_list = [_unpack_walks(w) for w in pool]

@@ -1,15 +1,27 @@
-"""Tests for walk buffering: WalkBatch, entries, PWB, foreigner store."""
+"""Tests for walk buffering: WalkBatch, the partition walk buffer's pool
+and its entries, foreigner store."""
 
 import numpy as np
 import pytest
 
 from repro.common import BufferOverflowError, ReproError
-from repro.core import BlockEntry, ForeignerStore, PartitionWalkBuffer, WalkBatch
+from repro.core import ForeignerStore, PartitionWalkBuffer, WalkBatch
 from repro.walks import WalkSet
 
 
 def walks(n, start=0):
     return WalkSet.start(np.arange(start, start + n), 6)
+
+
+def push(pwb, block, ws, pre_edge=None):
+    """One push of ``ws`` to one block."""
+    return pwb.push(np.array([block]), np.array([len(ws)]), ws, pre_edge)
+
+
+def make(cap=8, dense_cap=12, n_blocks=10, first=0):
+    is_dense = np.zeros(first + n_blocks, dtype=bool)
+    is_dense[first + 3] = True
+    return PartitionWalkBuffer(first, first + n_blocks - 1, cap, dense_cap, is_dense)
 
 
 class TestWalkBatch:
@@ -26,114 +38,205 @@ class TestWalkBatch:
         with pytest.raises(ReproError):
             WalkBatch(walks(2), np.array([5]))
 
-    def test_merge_plain(self):
-        m = WalkBatch.merge([WalkBatch(walks(2)), WalkBatch(walks(3, 10))])
-        assert len(m) == 5
-        assert m.pre_edge is None
-
-    def test_merge_mixed_pads_minus_one(self):
-        m = WalkBatch.merge(
-            [WalkBatch(walks(2)), WalkBatch(walks(1, 10), np.array([4]))]
-        )
-        np.testing.assert_array_equal(m.pre_edge, [-1, -1, 4])
-
-    def test_merge_empty(self):
-        m = WalkBatch.merge([])
-        assert len(m) == 0
-
 
 class TestBlockEntry:
+    """One block's entry: a slab of the pool, spilled walks first."""
+
     def test_push_and_drain(self):
-        e = BlockEntry()
-        e.push(WalkBatch(walks(4)))
-        e.push(WalkBatch(walks(2, 10)))
-        batch, nb, ns = e.drain()
+        pwb = make(cap=100)
+        push(pwb, 4, walks(4))
+        push(pwb, 4, walks(2, 10))
+        batch, nb, ns = pwb.drain(4)
         assert (nb, ns) == (6, 0)
-        assert len(batch) == 6
-        assert e.total == 0
+        np.testing.assert_array_equal(batch.walks.src, [0, 1, 2, 3, 10, 11])
+        assert pwb.counts(4) == (0, 0)
 
     def test_spill_overflow_fifo(self):
-        e = BlockEntry()
-        e.push(WalkBatch(walks(4)))          # oldest
-        e.push(WalkBatch(walks(4, 10)))
-        spilled = e.spill_overflow(capacity=5)
-        assert spilled == 4  # whole oldest batch moves out
-        assert e.buffered_count == 4
-        assert e.spilled_count == 4
+        pwb = make(cap=5)
+        push(pwb, 4, walks(4))          # oldest
+        assert push(pwb, 4, walks(4, 10)) == [(4, 4)]  # whole oldest push
+        assert pwb.counts(4) == (4, 4)
 
     def test_spill_nothing_under_capacity(self):
-        e = BlockEntry()
-        e.push(WalkBatch(walks(3)))
-        assert e.spill_overflow(10) == 0
+        pwb = make(cap=10)
+        assert push(pwb, 4, walks(3)) == []
+        assert pwb.counts(4) == (3, 0)
 
     def test_drain_merges_both_sides(self):
-        e = BlockEntry()
-        e.push(WalkBatch(walks(4)))
-        e.push(WalkBatch(walks(4, 10)))
-        e.spill_overflow(4)
-        batch, nb, ns = e.drain()
+        pwb = make(cap=4)
+        push(pwb, 4, walks(4))
+        push(pwb, 4, walks(4, 10))
+        batch, nb, ns = pwb.drain(4)
         assert (nb, ns) == (4, 4)
-        assert len(batch) == 8
+        # Buffered walks first, then the spilled ones.
+        np.testing.assert_array_equal(
+            batch.walks.src, [10, 11, 12, 13, 0, 1, 2, 3]
+        )
 
     def test_negative_capacity(self):
         with pytest.raises(BufferOverflowError):
-            BlockEntry().spill_overflow(-1)
+            PartitionWalkBuffer(0, 3, -1, 1, np.zeros(4, dtype=bool))
 
 
 class TestPartitionWalkBuffer:
-    def make(self, cap=8, dense_cap=12, n_blocks=10):
-        is_dense = np.zeros(n_blocks, dtype=bool)
-        is_dense[3] = True
-        return PartitionWalkBuffer(0, n_blocks - 1, cap, dense_cap, is_dense)
-
     def test_push_within_capacity(self):
-        pwb = self.make()
-        assert pwb.push(0, WalkBatch(walks(5))) == 0
+        pwb = make()
+        assert push(pwb, 0, walks(5)) == []
         assert pwb.counts(0) == (5, 0)
 
     def test_push_overflow_spills(self):
-        pwb = self.make(cap=8)
-        pwb.push(1, WalkBatch(walks(6)))
-        spilled = pwb.push(1, WalkBatch(walks(6, 10)))
-        assert spilled == 6  # oldest batch out
+        pwb = make(cap=8)
+        push(pwb, 1, walks(6))
+        spilled = push(pwb, 1, walks(6, 10))
+        assert spilled == [(1, 6)]  # oldest push out
         assert pwb.spill_events == 1
         assert pwb.walks_spilled == 6
 
     def test_dense_entries_hold_more(self):
-        pwb = self.make(cap=8, dense_cap=12)
+        pwb = make(cap=8, dense_cap=12)
         assert pwb.capacity_of(3) == 12
         assert pwb.capacity_of(0) == 8
-        assert pwb.push(3, WalkBatch(walks(11))) == 0
+        assert push(pwb, 3, walks(11)) == []
 
     def test_drain_removes_entry(self):
-        pwb = self.make()
-        pwb.push(2, WalkBatch(walks(4)))
+        pwb = make()
+        push(pwb, 2, walks(4))
         batch, nb, ns = pwb.drain(2)
         assert (nb, ns) == (4, 0)
         assert pwb.counts(2) == (0, 0)
         assert pwb.total_walks == 0
 
     def test_drain_unknown_block_empty(self):
-        pwb = self.make()
+        pwb = make()
         batch, nb, ns = pwb.drain(7)
         assert (nb, ns) == (0, 0)
 
     def test_blocks_with_walks(self):
-        pwb = self.make()
-        pwb.push(0, WalkBatch(walks(1)))
-        pwb.push(5, WalkBatch(walks(1)))
+        pwb = make()
+        push(pwb, 0, walks(1))
+        push(pwb, 5, walks(1))
         assert sorted(pwb.blocks_with_walks()) == [0, 5]
 
     def test_out_of_partition_rejected(self):
-        pwb = self.make(n_blocks=4)
+        pwb = make(n_blocks=4)
         with pytest.raises(BufferOverflowError):
-            pwb.push(10, WalkBatch(walks(1)))
+            push(pwb, 10, walks(1))
 
     def test_validation(self):
         with pytest.raises(BufferOverflowError):
             PartitionWalkBuffer(0, 3, 0, 1, np.zeros(4, dtype=bool))
         with pytest.raises(BufferOverflowError):
             PartitionWalkBuffer(4, 3, 1, 1, np.zeros(4, dtype=bool))
+
+    def test_drain_plain_pushes_carry_no_pre_edge(self):
+        pwb = make()
+        push(pwb, 2, walks(2))
+        push(pwb, 2, walks(3, 10))
+        batch, nb, ns = pwb.drain(2)
+        assert len(batch) == nb == 5
+        assert batch.pre_edge is None
+
+    def test_drain_mixed_pushes_pad_minus_one(self):
+        pwb = make()
+        push(pwb, 2, walks(2))
+        push(pwb, 2, walks(1, 10), np.array([4]))
+        batch, _, _ = pwb.drain(2)
+        np.testing.assert_array_equal(batch.walks.src, [0, 1, 10])
+        np.testing.assert_array_equal(batch.pre_edge, [-1, -1, 4])
+
+    def test_drain_empty_entry(self):
+        pwb = make()
+        push(pwb, 2, walks(3))
+        pwb.drain(2)
+        batch, nb, ns = pwb.drain(2)
+        assert len(batch) == 0 and (nb, ns) == (0, 0)
+
+    def test_one_push_over_many_blocks(self):
+        # Enough groups for the scatter path, one of them overflowing.
+        pwb = make(cap=3)
+        blocks = np.array([0, 1, 2, 4, 5, 6])
+        counts = np.array([1, 2, 3, 4, 1, 2])
+        assert pwb.push(blocks, counts, walks(13)) == [(4, 4)]
+        assert [pwb.counts(b) for b in blocks] == [
+            (1, 0), (2, 0), (3, 0), (0, 4), (1, 0), (2, 0)
+        ]
+        np.testing.assert_array_equal(pwb.drain(4)[0].walks.src, [6, 7, 8, 9])
+        np.testing.assert_array_equal(pwb.drain(6)[0].walks.src, [11, 12])
+
+    def test_slab_grows_and_is_reused(self):
+        pwb = make(cap=1000)
+        for k in range(6):  # 6 x 7 walks: several moves to bigger slabs
+            push(pwb, 5, walks(7, 7 * k))
+        push(pwb, 6, walks(2, 100))
+        batch, nb, _ = pwb.drain(5)
+        np.testing.assert_array_equal(batch.walks.src, np.arange(42))
+        base = int(pwb._base[5])
+        push(pwb, 5, walks(3, 200))
+        assert int(pwb._base[5]) == base  # the drained slab is reused
+        np.testing.assert_array_equal(pwb.drain(5)[0].walks.src, [200, 201, 202])
+        np.testing.assert_array_equal(pwb.drain(6)[0].walks.src, [100, 101])
+
+    def test_reused_slab_forgets_old_push_starts(self):
+        pwb = make(cap=3)
+        for k in range(3):
+            push(pwb, 2, walks(1, k))     # push starts at slots 0, 1, 2
+        pwb.drain(2)
+        push(pwb, 2, walks(3, 10))        # one push over the same slots
+        # Overflow spills the whole three-walk push, not part of it.
+        assert push(pwb, 2, walks(1, 20)) == [(2, 3)]
+        assert pwb.counts(2) == (1, 3)
+
+    def test_drained_walks_survive_later_pushes(self):
+        pwb = make()
+        push(pwb, 2, walks(3))
+        batch, _, _ = pwb.drain(2)
+        push(pwb, 2, walks(3, 50))
+        np.testing.assert_array_equal(batch.walks.src, [0, 1, 2])
+
+    def test_snapshot_restores_entries_and_spill_order(self):
+        pwb = make(cap=4)
+        push(pwb, 2, walks(3))
+        push(pwb, 2, walks(3, 10), np.array([7, 8, 9]))  # spills the first
+        push(pwb, 5, walks(20, 100))                      # grown slab
+        state = pwb.snapshot()
+        pwb.drain(2)
+        push(pwb, 5, walks(1, 500))
+        for _ in range(2):  # a snapshot can be restored more than once
+            fresh = make(cap=4)
+            fresh.restore(state)
+            assert (fresh.spill_events, fresh.walks_spilled) == (2, 23)
+            batch, nb, ns = fresh.drain(2)
+            assert (nb, ns) == (3, 3)
+            np.testing.assert_array_equal(batch.walks.src, [10, 11, 12, 0, 1, 2])
+            np.testing.assert_array_equal(batch.pre_edge, [7, 8, 9, -1, -1, -1])
+            push(fresh, 5, walks(1, 900))
+            assert fresh.counts(5) == (1, 20)
+            np.testing.assert_array_equal(
+                fresh.drain(5)[0].walks.src, [900, *range(100, 120)]
+            )
+
+    @pytest.mark.parametrize("block", [-1, 1, 12])
+    def test_outside_partition_raises_everywhere(self, block):
+        # Blocks 2..11; a block below first_block gives a negative
+        # local index, which must not wrap into the last slot.
+        pwb = make(n_blocks=10, first=2)
+        with pytest.raises(BufferOverflowError):
+            push(pwb, block, walks(1))
+        with pytest.raises(BufferOverflowError):
+            pwb.drain(block)
+        with pytest.raises(BufferOverflowError):
+            pwb.counts(block)
+        wide = np.array([block, 3, 4, 5, 6, 7]) if block < 2 else np.arange(7, 13)
+        with pytest.raises(BufferOverflowError):
+            pwb.push(wide, np.ones(6, dtype=np.int64), walks(6))
+        assert pwb.total_walks == 0
+
+    def test_unsorted_scatter_push_rejected(self):
+        pwb = make()
+        with pytest.raises(BufferOverflowError):
+            pwb.push(
+                np.array([5, 1, 2, 3, 4]), np.ones(5, dtype=np.int64), walks(5)
+            )
 
 
 class TestForeignerStore:

@@ -386,6 +386,29 @@ class TestCheckpointResume:
         np.testing.assert_array_equal(full.finals.cur, resumed.finals.cur)
         np.testing.assert_array_equal(full.finals.hop, resumed.finals.hop)
 
+    def test_resume_with_spilled_entries_on_fresh_instance(self, graph):
+        # Four-walk buffer entries overflow all run long, so checkpoints
+        # carry entries holding both buffered and spilled walks.
+        cfg = FlashWalkerConfig().replace(
+            **self.ENGINE,
+            pwb_entry_walks=4,
+            faults=FaultConfig(enabled=True, **self.CFG),
+        )
+        fw = FlashWalker(graph, cfg, seed=9)
+        full = fw.run(num_walks=800, spec=WalkSpec(length=5))
+        assert full.counters["spilled_walks"] > 0
+        # Cuts whose latest checkpoint holds spilled walks, plus one near
+        # the finish line.
+        resumed_spilled = 0
+        for cut in (20, 60, 130, 180, 200, fw.sim.events_executed - 5):
+            crashed = self.crash(graph, cfg, cut)
+            ckpt = crashed.latest_checkpoint
+            resumed_spilled += int(ckpt.data["scheduler"]["fl"].sum() > 0)
+            fresh = FlashWalker(graph, cfg, seed=9)
+            resumed = fresh.resume(checkpoint=ckpt)
+            assert result_key(resumed) == result_key(full), cut
+        assert resumed_spilled >= 4
+
     def test_resume_without_checkpoint_raises(self, graph):
         fw = FlashWalker(graph, seed=9)
         with pytest.raises(SimulationError):

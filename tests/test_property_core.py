@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from repro.core import (
     BloomFilter,
+    PartitionWalkBuffer,
     SubgraphScheduler,
     WalkQueryCache,
 )
-from repro.core.buffers import BlockEntry, WalkBatch
 from repro.sim import BandwidthLink, FcfsResource, Simulator
 from repro.walks import WalkSet
 
@@ -118,24 +118,124 @@ class TestSchedulerProperties:
         assert (s.scores() >= 0).all()
 
 
+class _FifoEntries:
+    """Reference model of the partition walk buffer: per block, lists of
+    pushed batches (``(src, cur, hop, pre_edge)``, pre_edge None when the
+    push carried none), the oldest whole batches moved to the spilled
+    list while the buffered side exceeds capacity.  A drain concatenates
+    buffered then spilled batches; its pre_edge is None when no batch
+    carried one, else -1 where a batch carried none."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.buffered = {}
+        self.spilled = {}
+        self.spill_events = 0
+        self.walks_spilled = 0
+
+    @staticmethod
+    def size(batches):
+        return sum(len(b[0]) for b in batches)
+
+    def push(self, block, batch):
+        buf = self.buffered.setdefault(block, [])
+        spl = self.spilled.setdefault(block, [])
+        buf.append(batch)
+        moved = 0
+        while self.size(buf) > self.capacity(block) and buf:
+            b = buf.pop(0)
+            spl.append(b)
+            moved += len(b[0])
+        if moved:
+            self.spill_events += 1
+            self.walks_spilled += moved
+        return moved
+
+    def counts(self, block):
+        return (
+            self.size(self.buffered.get(block, [])),
+            self.size(self.spilled.get(block, [])),
+        )
+
+    def drain(self, block):
+        nb, ns = self.counts(block)
+        batches = self.buffered.pop(block, []) + self.spilled.pop(block, [])
+        cols = [
+            np.concatenate([b[i] for b in batches] + [np.zeros(0, np.int64)])
+            for i in range(3)
+        ]
+        pre = None
+        if any(b[3] is not None for b in batches):
+            pre = np.concatenate(
+                [np.full(len(b[0]), -1) if b[3] is None else b[3] for b in batches]
+            )
+        return cols, pre, nb, ns
+
+
+FIRST, LAST = 3, 7
+_push_op = st.tuples(
+    st.just("push"),
+    st.dictionaries(st.integers(FIRST, LAST), st.integers(1, 12), min_size=1),
+    st.booleans(),
+)
+_drain_op = st.tuples(st.just("drain"), st.integers(FIRST, LAST), st.just(False))
+
+
 class TestBufferProperties:
     @given(
-        st.lists(st.integers(1, 30), min_size=1, max_size=20),
-        st.integers(1, 100),
+        st.lists(st.one_of(_push_op, _push_op, _drain_op), min_size=1, max_size=40),
+        st.integers(1, 6),
+        st.integers(1, 10),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_entry_conserves_walks(self, batch_sizes, capacity):
-        e = BlockEntry()
-        total = 0
-        for size in batch_sizes:
-            e.push(WalkBatch(WalkSet.start(np.arange(size), 6)))
-            e.spill_overflow(capacity)
-            total += size
-        assert e.total == total
-        merged, nb, ns = e.drain()
-        assert nb + ns == total
-        assert len(merged) == total
-        assert e.buffered_count <= capacity or ns == 0
+    @settings(max_examples=200, deadline=None)
+    def test_pool_matches_list_fifo_model(self, ops, cap, dense_cap):
+        """Multi-group pushes (both the per-group and the scatter path),
+        spills at tiny capacities, slab growth and reuse, and drains give
+        exactly what a list-of-batches FIFO gives."""
+        is_dense = np.zeros(LAST + 1, dtype=bool)
+        is_dense[[FIRST, 6]] = True
+        pwb = PartitionWalkBuffer(FIRST, LAST, cap, dense_cap, is_dense)
+        model = _FifoEntries(lambda b: dense_cap if is_dense[b] else cap)
+        serial = 0
+        for op, arg, with_pre in ops:
+            if op == "push":
+                blocks = np.array(sorted(arg), dtype=np.int64)
+                counts = np.array([arg[b] for b in blocks], dtype=np.int64)
+                n = int(counts.sum())
+                ids = np.arange(serial, serial + n, dtype=np.int64)
+                serial += n
+                ws = WalkSet(ids, ids * 7 + 1, ids % 5)
+                pre = ids * 3 if with_pre else None
+                expected = []
+                s = 0
+                for b, k in zip(blocks.tolist(), counts.tolist()):
+                    moved = model.push(
+                        b,
+                        (ws.src[s : s + k], ws.cur[s : s + k], ws.hop[s : s + k],
+                         None if pre is None else pre[s : s + k]),
+                    )
+                    if moved:
+                        expected.append((b, moved))
+                    s += k
+                assert pwb.push(blocks, counts, ws, pre) == expected
+            else:
+                batch, nb, ns = pwb.drain(arg)
+                cols, pre, mnb, mns = model.drain(arg)
+                assert (nb, ns) == (mnb, mns)
+                for got, want in zip(
+                    (batch.walks.src, batch.walks.cur, batch.walks.hop), cols
+                ):
+                    np.testing.assert_array_equal(got, want)
+                if pre is None:
+                    assert batch.pre_edge is None
+                else:
+                    np.testing.assert_array_equal(batch.pre_edge, pre)
+            for b in range(FIRST, LAST + 1):
+                assert pwb.counts(b) == model.counts(b)
+            assert pwb.spill_events == model.spill_events
+            assert pwb.walks_spilled == model.walks_spilled
+            assert pwb.occupancy_errors() == []
+        assert pwb.total_walks == sum(sum(model.counts(b)) for b in range(FIRST, LAST + 1))
 
 
 class TestResourceProperties:
