@@ -81,8 +81,8 @@ def run(ctx, jobs):
     rows = []
     for name, rep in matrix.items():
         svc = rep["service"]
-        gray_s = rep["cluster"].get("gray", {})
-        hedging = gray_s.get("hedging", {})
+        gray_s = rep["cluster"]["gray"]
+        hedging = gray_s["hedging"]
         rows.append({
             "run": name,
             "ok": svc["requests"]["ok"],
@@ -90,9 +90,9 @@ def run(ctx, jobs):
             "shed": svc["requests"]["shed"],
             "p50_ms": svc["latency"]["p50"] * 1e3,
             "p99_ms": svc["latency"]["p99"] * 1e3,
-            "hedges": hedging.get("issued", 0),
-            "hedge_waste_rate": hedging.get("wasted_work_rate", 0.0),
-            "sacrificed": gray_s.get("walks_sacrificed", 0),
+            "hedges": hedging["issued"],
+            "hedge_waste_rate": hedging["wasted_work_rate"],
+            "sacrificed": gray_s["walks_sacrificed"],
             "audit_violations": rep["cluster"]["audit"]["violations"],
         })
 

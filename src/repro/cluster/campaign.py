@@ -146,7 +146,7 @@ def cluster_config(
 
     ``gray`` is a dict of extra :class:`ClusterConfig` field overrides
     (straggler/hedging/deadline/brownout/ramp knobs); None leaves every
-    gray layer off and the config byte-identical to pre-gray builds.
+    gray layer at its default (off).
     """
     resizes = tuple((float(t), str(k), int(a)) for t, k, a in resizes)
     # Grows mint physical ids above n_shards, so kill targets wrap at

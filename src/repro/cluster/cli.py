@@ -235,29 +235,26 @@ def main(argv: list[str] | None = None) -> int:
         f"p99={lat['p99'] * 1e3:.3f}ms  audits={cluster['audit']['audits']} "
         f"violations={cluster['audit']['violations']}"
     )
-    if "gray" in cluster:
-        gray_s = cluster["gray"]
-        hedge = gray_s.get("hedging", {})
-        straggle = gray_s.get("stragglers", {})
-        print(
-            f"gray: suspect_epochs={straggle.get('suspect_epochs')} "
-            f"hedges={hedge.get('issued', 0)} "
-            f"(wins primary={hedge.get('wins_primary', 0)} "
-            f"hedge={hedge.get('wins_hedge', 0)}, "
-            f"wasted_work_rate={hedge.get('wasted_work_rate', 0.0):.3f}) "
-            f"sacrificed={gray_s['walks_sacrificed']} "
-            f"budget_exhausted={gray_s['retry_budget_exhausted']}"
-        )
-    if "handoff" in cluster:
-        ho, mem = cluster["handoff"], cluster["membership"]
-        committed = sum(1 for r in cluster["resizes"] if r.get("committed"))
-        print(
-            f"resizes={len(cluster['resizes'])} committed={committed} "
-            f"aborted={ho['aborts']} live={mem['live_shards']} "
-            f"handoff_walks={ho['walks']} deferred={ho['deferred_batches']} "
-            f"rpo_walks={ho['rpo_walks']} "
-            f"resize_rto_max={ho['rto']['max'] * 1e3:.3f}ms"
-        )
+    gray_s = cluster["gray"]
+    hedge, straggle = gray_s["hedging"], gray_s["stragglers"]
+    print(
+        f"gray: suspect_epochs={straggle['suspect_epochs']} "
+        f"hedges={hedge['issued']} "
+        f"(wins primary={hedge['wins_primary']} "
+        f"hedge={hedge['wins_hedge']}, "
+        f"wasted_work_rate={hedge['wasted_work_rate']:.3f}) "
+        f"sacrificed={gray_s['walks_sacrificed']} "
+        f"budget_exhausted={gray_s['retry_budget_exhausted']}"
+    )
+    ho, mem = cluster["handoff"], cluster["membership"]
+    committed = sum(1 for r in cluster["resizes"] if r.get("committed"))
+    print(
+        f"resizes={len(cluster['resizes'])} committed={committed} "
+        f"aborted={ho['aborts']} live={mem['live_shards']} "
+        f"handoff_walks={ho['walks']} deferred={ho['deferred_batches']} "
+        f"rpo_walks={ho['rpo_walks']} "
+        f"resize_rto_max={ho['rto']['max'] * 1e3:.3f}ms"
+    )
 
     rc = 0
     if args.verify_identity:

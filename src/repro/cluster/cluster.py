@@ -53,7 +53,7 @@ from .shard import ShardStepCommand
 __all__ = ["ClusterOutcome", "ClusterService"]
 
 CLUSTER_SCHEMA = "repro.obs.cluster-report"
-CLUSTER_SCHEMA_VERSION = 1
+CLUSTER_SCHEMA_VERSION = 4
 
 #: Failover-RTO histogram bounds (simulated seconds of replica
 #: catch-up: checkpoint restore + journal replay + epoch re-run).
@@ -1016,24 +1016,43 @@ class ClusterService:
         rtos = [f["rto_time"] for f in self.failovers if "rto_time" in f]
         migrations_total = int(sum(self.migrations_out))
         per_walk = [w.migrations for w in self.walks.values()]
-        # Elastic sections (and per-shard handoff keys) appear only when
-        # the elastic machinery is configured, so no-resize reports stay
-        # byte-identical to the pre-elastic schema.
-        elastic = bool(self.ccfg.resize_schedule) or self.ccfg.rebalance_enabled
-        shard_rows = []
-        for i in range(self.n_phys):
-            row = {
+        rz = self.resizer.stats()
+        shard_rows = [
+            {
                 "shard": i,
                 "epochs_stepped": self.epochs_stepped[i],
                 "segments_injected": self.segments_injected[i],
                 "migrations_out": self.migrations_out[i],
                 "migrations_in": self.migrations_in[i],
+                "handoffs_out": self.handoffs_out[i],
+                "handoffs_in": self.handoffs_in[i],
+                "retired": i in self.health.retired,
             }
-            if elastic:
-                row["handoffs_out"] = self.handoffs_out[i]
-                row["handoffs_in"] = self.handoffs_in[i]
-                row["retired"] = i in self.health.retired
-            shard_rows.append(row)
+            for i in range(self.n_phys)
+        ]
+        gray = {
+            "walks_sacrificed": self.walks_sacrificed,
+            "retry_budget_exhausted": self.retry_budget_exhausted,
+            "stragglers": {
+                "suspect_epochs": list(self.health.suspect_epochs),
+                "transitions": self.health.suspect_transitions,
+            },
+            "hedging": {
+                "issued": self.hedges_issued,
+                "wins_primary": self.hedge_wins_primary,
+                "wins_hedge": self.hedge_wins_hedge,
+                "wasted_segments": self.hedge_wasted_segments,
+                "deferred": self.hedges_deferred,
+                "segments_committed": self.segments_committed,
+                "wasted_work_rate": (
+                    self.hedge_wasted_segments / self.segments_committed
+                    if self.segments_committed else 0.0
+                ),
+            },
+            "admission_ramp": {"epochs": self.ramp_epochs},
+        }
+        if self.brownout is not None:
+            gray["brownout"] = self.brownout.stats()
         cluster = {
             "epochs": self.epoch,
             "placement": self.ccfg.placement,
@@ -1058,48 +1077,18 @@ class ClusterService:
                 "mean": float(sum(rtos) / len(rtos)) if rtos else 0.0,
             },
             "audit": self.auditor.stats(),
-        }
-        if elastic:
-            rz = self.resizer.stats()
-            cluster["membership"] = {
+            "membership": {
                 "initial_shards": self.ccfg.n_shards,
                 "live_shards": list(self.placement.shard_ids),
                 "retired_shards": sorted(self.health.retired),
                 "placement": self.placement.describe(),
                 "window_loads": self.health.window_loads(range(self.n_phys)),
-            }
-            cluster["resizes"] = rz["resizes"]
-            cluster["resizes_unfired"] = rz["unfired"]
-            cluster["handoff"] = rz["handoff"]
-        gray = self.ccfg.gray_enabled()
-        if gray:
-            section = {
-                "walks_sacrificed": self.walks_sacrificed,
-                "retry_budget_exhausted": self.retry_budget_exhausted,
-            }
-            if self.ccfg.straggler_detection:
-                section["stragglers"] = {
-                    "suspect_epochs": list(self.health.suspect_epochs),
-                    "transitions": self.health.suspect_transitions,
-                }
-            if self.ccfg.hedging_enabled:
-                section["hedging"] = {
-                    "issued": self.hedges_issued,
-                    "wins_primary": self.hedge_wins_primary,
-                    "wins_hedge": self.hedge_wins_hedge,
-                    "wasted_segments": self.hedge_wasted_segments,
-                    "deferred": self.hedges_deferred,
-                    "segments_committed": self.segments_committed,
-                    "wasted_work_rate": (
-                        self.hedge_wasted_segments / self.segments_committed
-                        if self.segments_committed else 0.0
-                    ),
-                }
-            if self.brownout is not None:
-                section["brownout"] = self.brownout.stats()
-            if self.ccfg.resize_admission_ramp:
-                section["admission_ramp"] = {"epochs": self.ramp_epochs}
-            cluster["gray"] = section
+            },
+            "resizes": rz["resizes"],
+            "resizes_unfired": rz["unfired"],
+            "handoff": rz["handoff"],
+            "gray": gray,
+        }
         if self.telemetry is not None:
             # Inside the "cluster" section on purpose: the baseline gate
             # compares killed vs uninterrupted runs with this section
@@ -1107,9 +1096,7 @@ class ClusterService:
             cluster["telemetry"] = self.telemetry.section(self.now)
         return {
             "schema": CLUSTER_SCHEMA,
-            "schema_version": (
-                3 if gray else 2 if elastic else CLUSTER_SCHEMA_VERSION
-            ),
+            "schema_version": CLUSTER_SCHEMA_VERSION,
             "seed": self.seed,
             "n_shards": self.ccfg.n_shards,
             "jobs": jobs,

@@ -111,8 +111,8 @@ class ClusterConfig:
     rebalance_min_walks: int = 32
     # -- telemetry ----------------------------------------------------------
     #: Enable the router's deterministic metrics registry plus per-shard
-    #: engine telemetry (:mod:`repro.obs.metrics`).  Off by default so
-    #: cluster reports stay byte-identical to pre-telemetry runs.
+    #: engine telemetry (:mod:`repro.obs.metrics`).  Off by default; the
+    #: report's ``cluster.telemetry`` section exists only when it is on.
     telemetry_enabled: bool = False
     telemetry_sample_interval: float = 20e-6
     telemetry_max_samples: int = 2048
@@ -328,23 +328,6 @@ class ClusterConfig:
         self.rpc_policy(seed=0).validate()
         self.service_cfg().validate()
         return self
-
-    def gray_enabled(self) -> bool:
-        """True when any gray-failure-resilience layer is active.
-
-        Gates the report's ``cluster["gray"]`` section and the schema
-        version bump; with everything at defaults reports stay
-        byte-identical to pre-gray runs.
-        """
-        return bool(
-            self.link_slow_windows
-            or self.straggler_detection
-            or self.hedging_enabled
-            or self.deadline_propagation
-            or self.query_retry_budget
-            or self.brownout_enabled
-            or self.resize_admission_ramp
-        )
 
     def metrics_cfg(self):
         """Telemetry knobs repackaged as a

@@ -235,17 +235,13 @@ class HealthBoard:
     # ---------------------------------------------------------------- report
 
     def stats(self) -> dict:
-        # Keys kept identical to the pre-elastic board: retired/load
-        # details live in the report's elastic-only ``membership``
-        # section, straggler keys appear only with detection on, so
-        # legacy reports stay byte-identical.
-        out = {
+        # Retired/load details live in the report's ``membership``
+        # section; suspect counts stay zero with detection off.
+        return {
             "breaker_trips": [b.trips for b in self.breakers],
             "open_epochs": list(self.open_epochs),
             "reroutes": list(self.reroutes),
             "breaker_promotions": len(self.promotions),
+            "suspect_epochs": list(self.suspect_epochs),
+            "suspect_transitions": len(self.suspect_transitions),
         }
-        if self._straggler_window > 0:
-            out["suspect_epochs"] = list(self.suspect_epochs)
-            out["suspect_transitions"] = len(self.suspect_transitions)
-        return out

@@ -159,7 +159,7 @@ class NetworkLink:
         return delivery
 
     def stats(self) -> dict:
-        out = {
+        return {
             "messages": self.messages,
             "walks_moved": self.walks_moved,
             "bytes_moved": self.bytes_moved,
@@ -170,20 +170,14 @@ class NetworkLink:
             "mean_delay": (
                 self.total_delay / self.messages if self.messages else 0.0
             ),
-        }
-        # Slow-window keys exist only when windows are configured, and
-        # pair counters only when callers attribute traffic (handoffs
-        # do, plain migrations do not): runs with neither keep the
-        # exact legacy key set.
-        if self.slow_windows:
-            out["slow_transmits"] = self.slow_transmits
-            out["slow_delay_added"] = self.slow_delay_added
-        if self.budget_escalations:
-            out["budget_escalations"] = self.budget_escalations
-        if self.pair_walks:
-            out["pairs"] = {
+            "slow_transmits": self.slow_transmits,
+            "slow_delay_added": self.slow_delay_added,
+            "budget_escalations": self.budget_escalations,
+            # Per-pair walk counts; only callers that attribute traffic
+            # (handoffs) fill it, so plain-migration runs report {}.
+            "pairs": {
                 f"{s}->{d}": self.pair_walks[(s, d)]
                 for s, d in sorted(self.pair_walks)
-            }
-            out["retired_pairs_folded"] = self.pair_walks.get((-1, -1), 0)
-        return out
+            },
+            "retired_pairs_folded": self.pair_walks.get((-1, -1), 0),
+        }

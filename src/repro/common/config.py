@@ -67,9 +67,8 @@ class FTLConfig:
     """DFTL translation layer + device housekeeping (strictly opt-in).
 
     With ``enabled=False`` (the default) the mapping cache is never
-    constructed, no background GC events are scheduled, and every flash
-    operation takes the exact pre-DFTL code path, so default runs stay
-    bit-identical to a build without this subsystem (test-guarded).
+    constructed, no background GC events are scheduled, and no flash
+    operation charges translation traffic.
 
     Enabled, the device pays for its own translation layer: a Cached
     Mapping Table (:mod:`repro.flash.cmt`) holds ``cmt_entries`` mapping
@@ -503,8 +502,7 @@ class SlowFaultConfig:
     simulated-time grid at construction (explicitly, or generated once
     from the seed), so no per-event RNG is drawn and same-seed runs stay
     byte-identical.  With ``enabled=False`` (the default) the model is
-    never constructed and ``config_fingerprint`` is unchanged from a
-    build without this subsystem.
+    never constructed.
     """
 
     enabled: bool = False

@@ -363,7 +363,7 @@ class FlashWalker:
         self._checkpoint_extra = None
         self._restored_extra = None
         # Which recurring durability events the restored snapshot had
-        # armed (None = legacy snapshot / no restore: arm everything).
+        # armed (None = no restore: arm everything).
         self._restored_dur_armed: set[str] | None = None
         self._ckpt_interval = (
             fcfg.checkpoint_interval if (fcfg.enabled or dcfg.enabled) else 0.0

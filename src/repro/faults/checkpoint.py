@@ -17,8 +17,7 @@ selection is deterministic given the call sequence, so the rebuilt map
 routes pages exactly as the captured one did.  This matters once the
 durability layer's parity-group quarantine retires blocks mid-run —
 post-recovery page routing must match the crashed timeline's.
-Pre-durability snapshots (no log recorded) restore as before, skipping
-the FTL entirely.  DFTL-enabled runs are the exception: background GC
+DFTL-enabled runs are the exception: background GC
 makes the FTL's state time-dependent, so their snapshots carry the full
 FTL and CMT state instead.
 
@@ -33,7 +32,7 @@ import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..common.errors import SimulationError
+from ..common.errors import ConfigError, SimulationError
 from ..walks.state import WalkSet
 
 __all__ = [
@@ -401,18 +400,20 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
         )
     # A snapshot only replays correctly into the exact configuration
     # that produced it (capacities, timings, fault schedule are all
-    # baked into the captured state).  Pre-fingerprint checkpoints
-    # (no field recorded) restore as before.
+    # baked into the captured state), so one that names no
+    # configuration is refused too.
     recorded = d.get("config_fingerprint")
-    if recorded is not None:
-        own = fw.config_fingerprint
-        if recorded != own:
-            from ..common.errors import ConfigError
-
-            raise ConfigError(
-                "checkpoint does not match this engine's configuration: "
-                f"checkpoint {recorded}, engine {own}"
-            )
+    if recorded is None:
+        raise ConfigError(
+            f"checkpoint at t={ckpt.time:.9f} records no config "
+            "fingerprint; refusing to restore it"
+        )
+    own = fw.config_fingerprint
+    if recorded != own:
+        raise ConfigError(
+            "checkpoint does not match this engine's configuration: "
+            f"checkpoint {recorded}, engine {own}"
+        )
     fw.spec = d["spec"]
     fw._reset_run_state()
     # RNG streams become exactly the snapshot's set: streams first created
@@ -434,7 +435,7 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
         fm.crc_retries = fs["crc_retries"]
         fm.crc_resets = fs["crc_resets"]
         fm.chip_failures = fs["chip_failures"]
-    if fw.slow_model is not None and d.get("slow_faults") is not None:
+    if fw.slow_model is not None:
         fw.slow_model.restore(d["slow_faults"])
     # clock + walk accounting (quiescent: nothing in transit)
     fw.sim.now = ckpt.time
@@ -498,14 +499,14 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
         sc._dirty = set(sd["dirty"])
         sc.topn_refreshes = sd["refreshes"]
         sc.topn_updates_deferred = sd["deferred"]
-        sc.score_cache_hits = sd.get("score_hits", 0)
+        sc.score_cache_hits = sd["score_hits"]
         # Re-warm the derived-array caches the snapshot saw as warm
         # (recomputed from the restored scoreboard, not stored): the
         # first post-restore scores()/walk_counts() call then hits or
         # misses exactly as the original timeline did.
-        if sd.get("scores_warm"):
+        if sd["scores_warm"]:
             sc.scores()
-        if sd.get("counts_warm"):
+        if sd["counts_warm"]:
             sc.walk_counts()
     if d["pwb"] is not None:
         fw.pwb = PartitionWalkBuffer(
@@ -572,42 +573,31 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
     # FTL: rebuild pristine placement and replay the remap log so
     # post-recovery page routing matches the crashed timeline's.
     # DFTL-enabled snapshots carry the full FTL state instead (replay
-    # can't reproduce background GC's block shuffling); legacy
-    # snapshots (no log recorded) skip the FTL as before.
-    ftl_state = d.get("ftl_state")
-    remap = d.get("ftl_remap_log")
-    if ftl_state is not None:
-        from ..flash.ftl import FTL
+    # can't reproduce background GC's block shuffling).
+    from ..flash.ftl import FTL
 
-        ftl = FTL(fw.cfg.ssd)
-        ftl.restore_state(ftl_state)
-        fw.ssd.ftl = ftl
-        if fw.ssd.dftl is not None and d.get("dftl_state") is not None:
-            fw.ssd.dftl.restore_state(d["dftl_state"])
-    elif remap is not None:
-        from ..flash.ftl import FTL
-
-        ftl = FTL(fw.cfg.ssd)
+    ftl = FTL(fw.cfg.ssd)
+    if fw.ssd.dftl is not None:
+        ftl.restore_state(d["ftl_state"])
+        fw.ssd.dftl.restore_state(d["dftl_state"])
+    else:
         ftl.place_striped(fw.part.num_blocks, fw.cfg.subgraph_pages())
-        for flat in remap:
+        for flat in d["ftl_remap_log"]:
             ftl.retire_active_block(int(flat))
-        fw.ssd.ftl = ftl
-    fw._next_ftl_gc = d.get("next_ftl_gc")
-    fw._restored_ftlgc_armed = d.get("ftlgc_armed")
+    fw.ssd.ftl = ftl
+    fw._next_ftl_gc = d["next_ftl_gc"]
+    fw._restored_ftlgc_armed = d["ftlgc_armed"]
     # Durability layer: journal/integrity contents + next fire times
-    # (the caller's _arm_durability re-schedules from these).
-    dur = d.get("durability")
+    # (the caller's _arm_durability re-schedules from these, then
+    # restore_for_resume cancels what the snapshot had not armed).
+    dur = d["durability"]
     if dur is not None:
         fw._next_journal_flush = dur["next_journal_flush"]
         fw._next_scrub = dur["next_scrub"]
         fw._next_corruption = dur["next_corruption"]
-        # Legacy snapshots (no "armed" recorded) arm everything, the
-        # pre-cluster behavior; restore_for_resume consumes this.
-        fw._restored_dur_armed = (
-            None if "armed" not in dur else set(dur["armed"])
-        )
-        if fw.journal is not None and dur["journal"] is not None:
+        fw._restored_dur_armed = set(dur["armed"])
+        if fw.journal is not None:
             fw.journal.restore(dur["journal"])
-        if fw.integrity is not None and dur["integrity"] is not None:
+        if fw.integrity is not None:
             fw.integrity.restore(dur["integrity"])
-    fw._restored_extra = d.get("extra")
+    fw._restored_extra = d["extra"]

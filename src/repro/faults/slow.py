@@ -12,8 +12,7 @@ runs stay byte-identical.
 
 The model plugs into the flash layer the same way ``FaultModel`` does:
 ``SSD.attach_slow_model`` sets ``chip.slow_model`` / ``channel.slow_model``
-(both default ``None``, so a disabled run keeps the exact pre-subsystem
-code path).  Chips charge ``read_extra`` / ``program_extra`` on array
+(both default ``None``, so a disabled run charges no extra latency).  Chips charge ``read_extra`` / ``program_extra`` on array
 ops; channels charge ``bus_extra`` on bus transfers.
 """
 

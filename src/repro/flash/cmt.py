@@ -238,7 +238,7 @@ class DFTL:
         return (data + extra) / data
 
     def stats(self, ftl) -> dict:
-        """The run report's ``ftl`` section (schema v5, additive)."""
+        """The run report's ``ftl`` section."""
         return {
             "enabled": True,
             "cmt": self.cmt.stats(),

@@ -13,7 +13,7 @@
 dataset, unbiased walks) with tracing enabled and write the artifact;
 ``metrics`` runs it with the deterministic metrics registry enabled and
 exports the series (OpenMetrics text or JSON); ``alerts`` prints the
-alert-rule firings of a fresh run or of a saved v4 report; ``diff``
+alert-rule firings of a fresh run or of a saved metered report; ``diff``
 compares two reports counter-by-counter and names the sections that
 differ; ``validate`` checks a trace file against the Chrome trace-event
 structure or a run report against the report schema (the CI smoke job).
@@ -157,7 +157,7 @@ def _cmd_alerts(args) -> int:
         tel = report.get("telemetry")
         if tel is None:
             print(f"{args.report}: no telemetry section (run with metrics "
-                  "enabled, schema v4)", file=sys.stderr)
+                  "enabled)", file=sys.stderr)
             return 2
         firings = tel.get("alerts", {}).get("firings", [])
     else:
@@ -183,7 +183,7 @@ def _cmd_diff(args) -> int:
         rel = f"{row['rel']:+.2%}" if row["rel"] is not None else ""
         print(f"{key.ljust(width)}  {row['a']!r} -> {row['b']!r}  {rel}")
     # Name the top-level sections involved so a pair differing only in
-    # a new section (e.g. v4's "telemetry") reads as more than a bare
+    # one section (e.g. "telemetry") reads as more than a bare
     # mismatch.
     sections = sorted({key.split(".")[0].split("[")[0] for key in changes})
     print(f"{len(changes)} differences in: {', '.join(sections)}")
@@ -250,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_metrics)
 
     p = sub.add_parser("alerts", help="print alert-rule firings (fresh run, "
-                                      "or a saved v4 report)")
+                                      "or a saved metered report)")
     _add_run_args(p)
     p.add_argument("--report", default=None,
                    help="read firings from this run-report JSON instead of "

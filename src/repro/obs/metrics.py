@@ -20,7 +20,7 @@ this).
 
 Exports: OpenMetrics text (:meth:`MetricsRegistry.to_openmetrics`) and
 JSON (:meth:`MetricsRegistry.to_json`); the run report embeds
-:meth:`MetricsRegistry.section` as the v4 ``telemetry`` section,
+:meth:`MetricsRegistry.section` as the ``telemetry`` section,
 including any alert-rule firings (:mod:`repro.obs.alerts`).
 """
 
@@ -278,7 +278,7 @@ class MetricsRegistry:
     # -------------------------------------------------------------- exporting
 
     def section(self, t_end: float | None = None) -> dict:
-        """The run report's ``telemetry`` section (schema v4, additive)."""
+        """The run report's ``telemetry`` section."""
         n, factor, interval = self.grid(t_end)
         series = []
         for inst in self.instruments():

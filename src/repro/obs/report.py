@@ -7,8 +7,13 @@ run was traced.  Reports are what CI archives, what ``cli diff``
 compares across PRs, and what downstream tooling parses instead of
 scraping ``RunResult.summary()`` strings.
 
-The schema is versioned: any field removal or meaning change bumps
-``REPORT_SCHEMA_VERSION``; additions are backwards-compatible.
+There is one schema version, ``REPORT_SCHEMA_VERSION``, and one
+presence rule: a section is present iff the object that produces it was
+built (``service``, ``durability``, ``ftl``, ``telemetry`` and the
+trace-derived sections are absent when their layer is off).  No key,
+value or version depends on which build produced the report; any change
+to the key set bumps the version, and :func:`validate_report` accepts
+only the current one.
 """
 
 from __future__ import annotations
@@ -28,18 +33,7 @@ __all__ = [
 ]
 
 REPORT_SCHEMA = "repro.obs.run-report"
-#: v2 (additive): optional "service" section with query-serving SLO
-#: metrics when the run was driven through :mod:`repro.service`.
-#: v3 (additive): optional "durability" section (checkpoint/journal/
-#: integrity stats) when the run had :class:`DurabilityConfig` enabled,
-#: with a "recovery" subsection (RPO/RTO) after a power-loss recovery.
-#: v4 (additive): optional "telemetry" section (deterministic metrics
-#: series + alert firings, :mod:`repro.obs.metrics`) when the run was
-#: built with a :class:`~repro.obs.MetricsConfig`.
-#: v5 (additive): optional "ftl" section (DFTL mapping-cache hit rates,
-#: GC/wear/write-amplification stats, :mod:`repro.flash.cmt`) when the
-#: run had :class:`~repro.common.config.FTLConfig` enabled.
-REPORT_SCHEMA_VERSION = 5
+REPORT_SCHEMA_VERSION = 6
 
 #: Percentiles quoted for every latency histogram.
 _PERCENTILES = (50.0, 90.0, 99.0)
@@ -77,45 +71,8 @@ def config_fingerprint(config) -> str:
         obj = dataclasses.asdict(config)
     else:
         obj = config
-    obj = _canonical_config(obj)
     canonical = json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def _canonical_config(obj):
-    """Drop opt-in subsystems introduced after v1 when they are disabled.
-
-    Opt-in config sections added to the dataclasses after fingerprints
-    were first committed (currently ``ssd.ftl`` and ``faults.slow``) are
-    hashed only when ``enabled`` is true, so a default config keeps the
-    exact fingerprint it had before the subsystem existed — turning the
-    knob off must reproduce the pre-subsystem run *and* its identity.
-    """
-    if not isinstance(obj, dict):
-        return obj
-
-    def _strip_key(d: dict, key: str) -> dict:
-        sub = d.get(key)
-        if isinstance(sub, dict) and not sub.get("enabled", False):
-            d = dict(d)
-            del d[key]
-        return d
-
-    obj = _strip_key(obj, "ftl")  # a bare SSDConfig
-    obj = _strip_key(obj, "slow")  # a bare FaultConfig
-    ssd = obj.get("ssd")
-    if isinstance(ssd, dict):
-        stripped = _strip_key(ssd, "ftl")
-        if stripped is not ssd:
-            obj = dict(obj)
-            obj["ssd"] = stripped
-    faults = obj.get("faults")
-    if isinstance(faults, dict):
-        stripped = _strip_key(faults, "slow")
-        if stripped is not faults:
-            obj = dict(obj)
-            obj["faults"] = stripped
-    return obj
 
 
 def _percentile_block(hist) -> dict:
@@ -229,7 +186,7 @@ def diff_reports(a: dict, b: dict, rel_tol: float = 0.0) -> dict:
     for name in sorted(set(ta) | set(tb)):
         _compare(f"traffic.{name}", ta.get(name, 0.0), tb.get(name, 0.0))
     # Structured sections are swept generically, so a report pair that
-    # differs only in a *new* section (e.g. v4's "telemetry") names that
+    # differs only in one section (e.g. "telemetry") names that
     # section instead of silently matching or failing bare.
     for section in sorted(_sections(a) | _sections(b)):
         sa, sb = a.get(section), b.get(section)
@@ -289,9 +246,8 @@ _REQUIRED_KEYS = (
 def validate_report(obj) -> list[str]:
     """Structural checks for a run-report dict; returns problem strings.
 
-    Accepts every schema version up to :data:`REPORT_SCHEMA_VERSION`
-    (additions are backwards-compatible), including v4's optional
-    ``telemetry`` section, whose series shapes are checked against its
+    Accepts only :data:`REPORT_SCHEMA_VERSION`.  An optional
+    ``telemetry`` section has its series shapes checked against its
     declared sample count.
     """
     problems: list[str] = []
@@ -302,9 +258,9 @@ def validate_report(obj) -> list[str]:
             f"schema is {obj.get('schema')!r}, expected {REPORT_SCHEMA!r}"
         )
     version = obj.get("schema_version")
-    if not _is_int(version) or not 1 <= version <= REPORT_SCHEMA_VERSION:
+    if not _is_int(version) or version != REPORT_SCHEMA_VERSION:
         problems.append(
-            f"schema_version {version!r} not in 1..{REPORT_SCHEMA_VERSION}"
+            f"schema_version {version!r} is not {REPORT_SCHEMA_VERSION}"
         )
     for key in _REQUIRED_KEYS:
         if key not in obj:

@@ -58,8 +58,7 @@ class ServiceConfig:
     reopen_backoff_cap: float = 10e-3
     reopen_backoff_jitter: float = 0.0
     audit_interval_events: int = 256
-    # -- gray-failure resilience (all opt-in; the defaults leave
-    #    behavior and reports byte-identical to pre-gray builds) -------
+    # -- gray-failure resilience (all opt-in; off by default) ------------
     #: Breaker-reopen retries a deferred query may consume before it is
     #: shed with reason ``retry-budget-exhausted`` (0 = unlimited, the
     #: legacy behavior).  Retries that could only land after the

@@ -224,11 +224,7 @@ class WalkQueryService:
                     "walks_done": st.walks_done,
                     "injected": st.injected,
                     "responded": st.responded,
-                    **(
-                        {"retry_budget": st.retry_budget}
-                        if st.retry_budget is not None
-                        else {}
-                    ),
+                    "retry_budget": st.retry_budget,
                 }
                 for st in self.states.values()
             ],
@@ -243,6 +239,7 @@ class WalkQueryService:
                 "deadline_misses": self.deadline_misses,
                 "deferrals": self.deferrals,
                 "reopen_attempts": self._reopen_attempts,
+                "retry_budget_exhausted": self.retry_budget_exhausted,
             },
             "queue": {
                 "ids": [r.query_id for r in self.queue._q],
@@ -263,12 +260,6 @@ class WalkQueryService:
             },
             "t0": self._t0,
         }
-        # Gray-resilience state rides along only when the knob is on,
-        # so disabled configs keep pre-gray checkpoints byte-identical.
-        if self.cfg.query_retry_budget > 0:
-            snap["counters"]["retry_budget_exhausted"] = (
-                self.retry_budget_exhausted
-            )
         if self.brownout is not None:
             snap["brownout"] = {
                 "controller": self.brownout.snapshot(),
@@ -287,7 +278,7 @@ class WalkQueryService:
                 walks_done=q["walks_done"],
                 injected=q["injected"],
                 responded=q["responded"],
-                retry_budget=q.get("retry_budget"),
+                retry_budget=q["retry_budget"],
             )
             self.states[st.req.query_id] = st
         self.responses = list(d["responses"])
@@ -300,9 +291,9 @@ class WalkQueryService:
         self.zombie_walks = c["zombie_walks"]
         self.deadline_misses = c["deadline_misses"]
         self.deferrals = c["deferrals"]
-        self._reopen_attempts = c.get("reopen_attempts", 0)
-        self.retry_budget_exhausted = c.get("retry_budget_exhausted", 0)
-        if self.brownout is not None and "brownout" in d:
+        self._reopen_attempts = c["reopen_attempts"]
+        self.retry_budget_exhausted = c["retry_budget_exhausted"]
+        if self.brownout is not None:
             bo = d["brownout"]
             self.brownout.restore(bo["controller"])
             self._recent_misses.clear()
@@ -645,19 +636,15 @@ class WalkQueryService:
 
     def _service_section(self) -> dict:
         arrivals = max(self.arrivals, 1)
-        requests = {
-            "arrivals": self.arrivals,
-            "ok": self.ok_count,
-            "timed_out": self.timed_out_count,
-            "shed": self.shed_count,
-            "deadline_misses": self.deadline_misses,
-        }
-        # Gray-resilience keys only appear with their knob on, so
-        # legacy reports stay byte-identical.
-        if self.cfg.query_retry_budget > 0:
-            requests["retry_budget_exhausted"] = self.retry_budget_exhausted
         section = {
-            "requests": requests,
+            "requests": {
+                "arrivals": self.arrivals,
+                "ok": self.ok_count,
+                "timed_out": self.timed_out_count,
+                "shed": self.shed_count,
+                "deadline_misses": self.deadline_misses,
+                "retry_budget_exhausted": self.retry_budget_exhausted,
+            },
             "walks": {
                 "injected": self.walks_injected,
                 "zombie": self.zombie_walks,

@@ -21,6 +21,7 @@ from repro.core import FlashWalker
 from repro.durability.harness import run_crash_campaign, strip_durability
 from repro.durability.journal import WalkJournal
 from repro.graph import rmat
+from repro.obs.report import REPORT_SCHEMA_VERSION
 from repro.service.breaker import CircuitBreaker
 from repro.service.config import ServiceConfig
 from repro.service.request import QueryRequest
@@ -121,7 +122,7 @@ class TestDefaultRunsUntouched:
         assert res.durability is None
         report = res.to_report()
         assert "durability" not in report
-        assert report["schema_version"] == 5
+        assert report["schema_version"] == REPORT_SCHEMA_VERSION
 
     def test_default_report_deterministic(self, graph):
         r1 = make_engine(graph).run(WALKS, SPEC).to_report()

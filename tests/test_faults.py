@@ -455,13 +455,14 @@ class TestCheckpointFingerprint:
         msg = str(exc_info.value)
         assert msg.count("sha256:") == 2
 
-    def test_legacy_checkpoint_without_fingerprint_restores(self, graph):
+    def test_checkpoint_without_fingerprint_is_refused(self, graph):
         cfg = self.make_cfg()
         crashed = self.crashed(graph, cfg)
-        crashed.latest_checkpoint.data.pop("config_fingerprint")
+        ckpt = crashed.latest_checkpoint
+        ckpt.data.pop("config_fingerprint")
         fresh = FlashWalker(graph, cfg, seed=9)
-        resumed = fresh.resume(checkpoint=crashed.latest_checkpoint)
-        assert resumed.total_walks == 800
+        with pytest.raises(ConfigError, match=f"t={ckpt.time:.9f}"):
+            fresh.resume(checkpoint=ckpt)
 
 
 class TestFailoverCacheInvalidation:

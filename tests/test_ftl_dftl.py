@@ -15,7 +15,7 @@ from repro.common import (
     RngRegistry,
     SimulationError,
 )
-from repro.common.config import FaultConfig, SSDConfig
+from repro.common.config import FaultConfig, SlowFaultConfig, SSDConfig
 from repro.core import FlashWalker
 from repro.flash import FTL, SSD, CachedMappingTable
 from repro.graph import rmat
@@ -326,11 +326,23 @@ class TestDefaultRunsUntouched:
         assert "ftl" not in report
         assert not any(k.startswith("ftl_") for k in res.counters)
 
-    def test_disabled_ftl_keeps_pre_subsystem_fingerprint(self):
+    @staticmethod
+    def explicit_off():
         cfg = FlashWalkerConfig(**ENGINE)
-        legacy = dataclasses.asdict(cfg)
-        del legacy["ssd"]["ftl"]  # the config shape before DFTL existed
-        assert config_fingerprint(cfg) == config_fingerprint(legacy)
+        return cfg.replace(
+            ssd=dataclasses.replace(cfg.ssd, ftl=FTLConfig(enabled=False)),
+            faults=FaultConfig(slow=SlowFaultConfig(enabled=False)),
+        )
+
+    def test_explicit_off_keeps_default_fingerprint(self):
+        cfg = FlashWalkerConfig(**ENGINE)
+        assert config_fingerprint(self.explicit_off()) == config_fingerprint(cfg)
+
+    def test_explicit_off_run_matches_default(self, graph):
+        base = make_engine(graph).run(WALKS, SPEC)
+        off = make_engine(graph, self.explicit_off()).run(WALKS, SPEC)
+        assert off.elapsed == base.elapsed
+        assert off.counters == base.counters
 
     def test_enabled_ftl_changes_fingerprint(self):
         cfg = FlashWalkerConfig(**ENGINE)

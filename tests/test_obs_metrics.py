@@ -18,6 +18,7 @@ from repro.obs import (
     validate_report,
 )
 from repro.obs.cli import main as obs_main
+from repro.obs.report import REPORT_SCHEMA_VERSION
 
 
 # -- MetricsConfig -----------------------------------------------------------
@@ -337,13 +338,14 @@ class TestEngineTelemetry:
             mx_graph, mx_config, seed=3, telemetry=MetricsConfig()
         ).run(num_walks=200)
         report = json.loads(json.dumps(res.to_report()))
-        assert report["schema_version"] == 5
+        assert report["schema_version"] == REPORT_SCHEMA_VERSION
         assert validate_report(report) == []
 
     def test_validate_flags_broken_telemetry(self):
         assert validate_report({"schema": "nope"})
         broken = {
-            "schema": "repro.obs.run-report", "schema_version": 4,
+            "schema": "repro.obs.run-report",
+            "schema_version": REPORT_SCHEMA_VERSION,
             "seed": 1, "elapsed": 1.0, "total_walks": 1, "hops": 1,
             "traffic": {}, "counters": {},
             "telemetry": {
@@ -363,6 +365,18 @@ class TestEngineTelemetry:
             assert validate_report(report) == []
             (report if where == "report" else report["telemetry"])[key] = True
             assert any(key in p for p in validate_report(report)), key
+
+    def test_validate_accepts_only_the_current_version(self):
+        report = {
+            "schema": "repro.obs.run-report",
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "seed": 1, "elapsed": 1.0, "total_walks": 1, "hops": 1,
+            "traffic": {}, "counters": {},
+        }
+        assert validate_report(report) == []
+        for version in (1, REPORT_SCHEMA_VERSION - 1, REPORT_SCHEMA_VERSION + 1):
+            report["schema_version"] = version
+            assert any("schema_version" in p for p in validate_report(report))
 
     def test_diff_names_telemetry_section(self, mx_graph, mx_config):
         base = FlashWalker(mx_graph, mx_config, seed=3).run(num_walks=200)
@@ -385,7 +399,7 @@ class TestEngineTelemetry:
         path.write_text(json.dumps(res.to_report()))
         assert obs_main(["validate", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "schema v5" in out and "telemetry" in out
+        assert f"schema v{REPORT_SCHEMA_VERSION}" in out and "telemetry" in out
 
     def test_cli_alerts_reads_report(self, mx_graph, mx_config, tmp_path,
                                      capsys):

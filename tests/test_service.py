@@ -13,7 +13,7 @@ from repro.common import (
 from repro.common.errors import InvariantViolation
 from repro.core import FlashWalker
 from repro.graph import rmat
-from repro.obs.report import diff_reports
+from repro.obs.report import REPORT_SCHEMA_VERSION, diff_reports
 from repro.service import (
     AdmissionQueue,
     CircuitBreaker,
@@ -210,7 +210,7 @@ class TestServiceHappyPath:
         svc = make_service(graph, engine=ENGINE)
         out = svc.run(burst_requests(3, gap=30e-6))
         report = out.result.to_report()
-        assert report["schema_version"] == 5
+        assert report["schema_version"] == REPORT_SCHEMA_VERSION
         assert report["service"]["requests"]["ok"] == 3
         assert "p99" in report["service"]["latency"]
 
