@@ -60,7 +60,7 @@ class DrunkardMob:
             starts = np.asarray(starts, dtype=np.int64)
             if starts.size == 0:
                 raise SimulationError("empty starts array")
-        sampler = make_sampler(self.graph)
+        sampler = make_sampler(self.graph, spec.biased)
         rng = self.rngs.fresh("walks")
 
         n_blocks = self.part.num_blocks

@@ -119,7 +119,7 @@ class GraphWalker:
             starts = np.asarray(starts, dtype=np.int64)
             if starts.size == 0:
                 raise SimulationError("empty starts array")
-        sampler = make_sampler(self.graph)
+        sampler = make_sampler(self.graph, spec.biased)
         rng = self.rngs.fresh("walks")
 
         n_blocks = self.part.num_blocks

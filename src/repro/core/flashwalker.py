@@ -420,7 +420,7 @@ class FlashWalker:
                 raise SimulationError("empty starts array")
         self.total_walks = int(starts.size)
         self.in_transit = self.total_walks
-        sampler = make_sampler(self.graph)
+        sampler = make_sampler(self.graph, self.spec.biased)
         self.ctx = AdvanceContext.build(self.graph, self.part, self.spec, sampler)
         # Size partition-walk-buffer entries: a few times the mean walks
         # per subgraph, so only hot entries overflow (paper regime).
@@ -474,7 +474,7 @@ class FlashWalker:
         self._checkpoints.clear()
         self._crashes_fired = 0
         self._last_power_loss = None
-        sampler = make_sampler(self.graph)
+        sampler = make_sampler(self.graph, self.spec.biased)
         self.ctx = AdvanceContext.build(self.graph, self.part, self.spec, sampler)
         if self.cfg.pwb_entry_walks > 0:
             self.entry_capacity = self.cfg.pwb_entry_walks

@@ -454,7 +454,7 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
         else [_unpack_walks(w) for w in d["finals"]]
     )
     # advance context (deterministic rebuild from graph + spec)
-    sampler = make_sampler(fw.graph)
+    sampler = make_sampler(fw.graph, fw.spec.biased)
     fw.ctx = AdvanceContext.build(fw.graph, fw.part, fw.spec, sampler)
     # metrics
     _set_metrics(fw.metrics, d["metrics"])

@@ -130,26 +130,30 @@ class GraphPartitioning:
             raise PartitionError(
                 f"vertex out of range [0, {self.graph.num_vertices})"
             )
-        table = self._vertex_block
-        if table is None:
-            table = self._vertex_block = self._build_vertex_block()
-        idx = table[varr]
+        idx = self.vertex_block[varr]
         if scalar:
             return int(idx[0])
         return idx
 
-    def _build_vertex_block(self) -> np.ndarray:
-        """Vertex -> block table (one gather per lookup afterwards),
-        built on first use by the same search it replaces."""
-        idx = np.searchsorted(
-            self.block_lo, np.arange(self.graph.num_vertices), side="right"
-        ) - 1
-        # A vertex inside a dense vertex's block run maps to the run's
-        # first block: back up over earlier slices of the same vertex.
-        first = self._dense_first_block
-        if first is not None:
-            idx = first[idx]
-        return idx.astype(np.int64, copy=False)
+    @property
+    def vertex_block(self) -> np.ndarray:
+        """Read-only vertex -> block table, built on first use (a dense
+        vertex maps to its first block).  Indexing it skips
+        :meth:`block_of_vertex`'s range check."""
+        table = self._vertex_block
+        if table is None:
+            table = np.searchsorted(
+                self.block_lo, np.arange(self.graph.num_vertices), side="right"
+            ) - 1
+            # A vertex inside a dense vertex's block run maps to the run's
+            # first block: back up over earlier slices of the same vertex.
+            first = self._dense_first_block
+            if first is not None:
+                table = first[table]
+            table = table.astype(np.int64, copy=False)
+            table.flags.writeable = False
+            self._vertex_block = table
+        return table
 
     def vertex_in_block(self, v: np.ndarray, block_id: int) -> np.ndarray:
         """Boolean mask: is each vertex within ``block_id``'s range?"""

@@ -40,9 +40,7 @@ def reference_walks(
     if starts.size and (starts.min() < 0 or starts.max() >= graph.num_vertices):
         raise WalkError("start vertex out of range")
     spec.validate(graph)
-    sampler = make_sampler(graph if not spec.biased else graph)
-    if spec.biased and graph.weights is None:
-        raise WalkError("biased spec on unweighted graph")
+    sampler = make_sampler(graph, spec.biased)
 
     n = starts.size
     cur = starts.copy()

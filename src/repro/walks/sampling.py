@@ -156,13 +156,14 @@ class AliasSampler:
         return out
 
 
-def make_sampler(graph: CSRGraph):
-    """Sampler function ``(cur, rng) -> next`` fitting the graph.
+def make_sampler(graph: CSRGraph, biased: bool = False):
+    """Sampler function ``(cur, rng) -> next`` for a walk spec's
+    ``biased`` flag.
 
-    Unweighted graphs sample uniformly; weighted graphs get an
-    :class:`AliasSampler` (ITS-equivalent distribution).
+    Unbiased walks sample uniformly, whatever the edge weights (Section
+    II-A); biased walks get an :class:`AliasSampler` (ITS-equivalent
+    distribution), which needs a weighted graph.
     """
-    if graph.weights is None:
+    if not biased:
         return lambda cur, rng: uniform_next(graph, cur, rng)
-    alias = AliasSampler(graph)
-    return alias.next_vertices
+    return AliasSampler(graph).next_vertices

@@ -1,12 +1,14 @@
 """Property-based tests for walk semantics and the advancement kernel."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import RngRegistry
+from repro.common import ReproError, RngRegistry, WalkError
 from repro.core import AdvanceContext, WalkBatch, advance_batch
-from repro.graph import CSRGraph, partition_graph
+from repro.core.advance import SMALL_BATCH, advance_scalar, advance_vector
+from repro.graph import CSRGraph, partition_graph, ring_graph
 from repro.walks import WalkSet, WalkSpec, make_sampler, reference_walks
 
 
@@ -76,6 +78,92 @@ class TestTrustedWalkSetPaths:
         res = advance_batch(ctx, batch, list(range(0, part.num_blocks, 2)), rng)
         assert_revalidates(res.completed)
         assert_revalidates(res.roving)
+
+
+@st.composite
+def advance_cases(draw):
+    """A graph with dead ends and dense vertices, partitioned into small
+    blocks, plus a loaded-block list that may repeat blocks."""
+    n = draw(st.integers(4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    # Out-degree 0-4 (0 is a dead end); a few hubs get 40-90 out-edges,
+    # more than a 128-byte block holds, so they become dense.
+    deg = rng.integers(0, 5, size=n)
+    deg[rng.choice(n, size=draw(st.integers(0, 3)), replace=False)] = (
+        rng.integers(40, 90)
+    )
+    src = np.repeat(np.arange(n), deg)
+    g = CSRGraph.from_edge_list(src, rng.integers(0, n, size=src.size), n)
+    part = partition_graph(g, 128)
+    loaded = draw(
+        st.lists(st.integers(0, part.num_blocks - 1), max_size=2 * part.num_blocks)
+    )
+    return g, part, loaded, rng
+
+
+def run_both(ctx, batch, loaded, seed):
+    """(scalar result, vector result, their generators afterwards)."""
+    rs, rv = np.random.default_rng(seed), np.random.default_rng(seed)
+    return (
+        advance_scalar(ctx, batch, loaded, rs),
+        advance_vector(ctx, batch, loaded, rv),
+        rs,
+        rv,
+    )
+
+
+class TestKernelsAgree:
+    """The small-batch scalar kernel is the vector kernel, draw for draw."""
+
+    @given(advance_cases(), st.integers(0, 2**20))
+    @settings(max_examples=60, deadline=None)
+    def test_same_walks_counts_and_draws(self, case, seed):
+        g, part, loaded, rng = case
+        ctx = AdvanceContext.build(g, part, WalkSpec(length=6), make_sampler(g))
+        deg = g.out_degrees()
+        for size in range(1, SMALL_BATCH + 1):
+            cur = rng.integers(0, g.num_vertices, size=size)
+            ws = WalkSet(cur.copy(), cur, rng.integers(1, 7, size=size))
+            # Pre-walk about half the walks that have an out-edge.
+            pre = np.where(
+                (deg[cur] > 0) & (rng.random(size) < 0.5),
+                (rng.random(size) * deg[cur]).astype(np.int64),
+                -1,
+            )
+            for batch in (WalkBatch(ws), WalkBatch(ws, pre)):
+                s, v, rs, rv = run_both(ctx, batch, loaded, seed + size)
+                for a, b in ((s.completed, v.completed), (s.roving, v.roving)):
+                    assert_revalidates(a)
+                    assert_revalidates(b)
+                    for col in ("src", "cur", "hop"):
+                        np.testing.assert_array_equal(
+                            getattr(a, col), getattr(b, col)
+                        )
+                assert (s.hops, s.guide_ops, s.bias_steps) == (
+                    v.hops, v.guide_ops, v.bias_steps
+                )
+                assert rs.bit_generator.state == rv.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "cur, pre, error",
+        [
+            ([0, 1], [-1, 10**6], ReproError),  # pre-edge beyond the degree
+            ([0, 9], None, WalkError),  # vertex 9 of a 9-vertex graph
+        ],
+    )
+    def test_same_errors(self, cur, pre, error):
+        g = ring_graph(9)
+        ctx = AdvanceContext.build(
+            g, partition_graph(g, 128), WalkSpec(length=6), make_sampler(g)
+        )
+        ws = WalkSet(np.array(cur), np.array(cur), np.array([3, 3]))
+        batch = WalkBatch(ws, None if pre is None else np.array(pre))
+        raised = []
+        for kernel in (advance_scalar, advance_vector):
+            with pytest.raises(error) as info:
+                kernel(ctx, batch, [0], np.random.default_rng(0))
+            raised.append(type(info.value))
+        assert raised == [error, error]
 
 
 class TestWalkSemantics:

@@ -131,6 +131,25 @@ class TestReferenceWalks:
         )
         assert np.mean(res["final"] == 1) > 0.95
 
+    def test_unbiased_walks_ignore_weights(self, rng):
+        """Section II-A: an unbiased walk picks a uniform out-edge, even
+        on a weighted graph.  Same 99:1 fork as above."""
+        from repro.core import FlashWalker
+
+        g = CSRGraph(
+            np.array([0, 2, 2, 2]),
+            np.array([1, 2]),
+            np.array([99.0, 1.0]),
+        )
+        starts = np.zeros(2000, dtype=np.int64)
+        ref = reference_walks(g, starts, WalkSpec(length=1), rng)
+        assert 0.45 < np.mean(ref["final"] == 1) < 0.55
+        res = FlashWalker(g, seed=3).run(
+            starts=starts, spec=WalkSpec(length=1), record_finals=True
+        )
+        assert len(res.finals) == starts.size
+        assert 0.45 < np.mean(res.finals.cur == 1) < 0.55
+
     def test_rejects_out_of_range_start(self, small_graph, rng):
         with pytest.raises(WalkError):
             reference_walks(

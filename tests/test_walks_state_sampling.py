@@ -208,6 +208,6 @@ class TestMakeSampler:
 
     def test_weighted_alias(self, small_graph, rng):
         g = add_random_weights(small_graph, rng)
-        sampler = make_sampler(g)
+        sampler = make_sampler(g, biased=True)
         out = sampler(np.zeros(10, dtype=np.int64), rng)
         assert out.shape == (10,)
