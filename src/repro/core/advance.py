@@ -73,10 +73,7 @@ class AdvanceContext:
 
     @classmethod
     def build(cls, graph, partitioning, spec, sampler) -> "AdvanceContext":
-        dense = np.zeros(graph.num_vertices, dtype=bool)
-        if partitioning.dense_meta:
-            dense[np.fromiter(partitioning.dense_meta, dtype=np.int64)] = True
-        return cls(graph, partitioning, spec, sampler, dense)
+        return cls(graph, partitioning, spec, sampler, partitioning.dense_vertex_mask)
 
 
 @dataclass

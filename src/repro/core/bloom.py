@@ -5,6 +5,10 @@ hash table returns the dense vertex metadata."  A false positive merely
 costs one wasted hash-table probe (the paper notes correctness is
 preserved); :meth:`false_positive_rate` exposes the analytic rate so
 tests can assert the sizing is sane.
+
+Keys are hashed one at a time on Python ints: the board guider asks
+about 1-3 vertices per call, where a NumPy call's fixed cost would
+dominate.
 """
 
 from __future__ import annotations
@@ -17,21 +21,28 @@ from ..common.errors import ReproError
 
 __all__ = ["BloomFilter"]
 
-_MIX_1 = np.uint64(0xFF51AFD7ED558CCD)
-_MIX_2 = np.uint64(0xC4CEB9FE1A85EC53)
+_M64 = 0xFFFFFFFFFFFFFFFF
+_MIX_1 = 0xFF51AFD7ED558CCD
+_MIX_2 = 0xC4CEB9FE1A85EC53
+# Per-hash-function offsets: seed * golden-ratio constant + 1, mod 2**64.
+_STRIDE_1 = (1 * 0x9E3779B97F4A7C15 + 1) & _M64
+_STRIDE_2 = (2 * 0x9E3779B97F4A7C15 + 1) & _M64
 
 
-def _splitmix(x: np.ndarray, seed: int) -> np.ndarray:
-    """64-bit avalanche hash (splitmix64 finalizer), vectorized."""
-    stride = (seed * 0x9E3779B97F4A7C15 + 1) & 0xFFFFFFFFFFFFFFFF
-    z = x.astype(np.uint64) + np.uint64(stride)
-    z = (z ^ (z >> np.uint64(30))) * _MIX_1
-    z = (z ^ (z >> np.uint64(27))) * _MIX_2
-    return z ^ (z >> np.uint64(31))
+def _splitmix(x: int, stride: int) -> int:
+    """64-bit avalanche hash (splitmix64 finalizer) of ``x + stride``."""
+    z = (x + stride) & _M64
+    z = ((z ^ (z >> 30)) * _MIX_1) & _M64
+    z = ((z ^ (z >> 27)) * _MIX_2) & _M64
+    return z ^ (z >> 31)
 
 
 class BloomFilter:
-    """Fixed-size Bloom filter over non-negative integer keys."""
+    """Fixed-size Bloom filter over non-negative integer keys.
+
+    ``_bits`` is a list of 64-bit words: bit position ``p`` is bit
+    ``p & 63`` of word ``p >> 6``.
+    """
 
     def __init__(self, capacity_bits: int, n_hashes: int = 4):
         if capacity_bits < 8:
@@ -40,7 +51,7 @@ class BloomFilter:
             raise ReproError(f"n_hashes must be in [1, 16], got {n_hashes}")
         self.n_bits = int(capacity_bits)
         self.n_hashes = n_hashes
-        self._bits = np.zeros((self.n_bits + 63) // 64, dtype=np.uint64)
+        self._bits = [0] * ((self.n_bits + 63) // 64)
         self.n_added = 0
 
     @classmethod
@@ -52,37 +63,36 @@ class BloomFilter:
         k = max(1, round(bits_per_item * math.log(2)))
         return cls(bits, min(16, k))
 
-    def _positions(self, keys: np.ndarray) -> np.ndarray:
-        """(n_keys, n_hashes) bit positions via double hashing."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size and keys.min() < 0:
-            raise ReproError("BloomFilter keys must be non-negative")
-        h1 = _splitmix(keys, 1)
-        h2 = _splitmix(keys, 2) | np.uint64(1)  # odd stride
-        i = np.arange(self.n_hashes, dtype=np.uint64)
-        return ((h1[:, None] + i[None, :] * h2[:, None]) % np.uint64(self.n_bits)).astype(
-            np.int64
-        )
+    def _positions(self, key: int):
+        """The key's ``n_hashes`` bit positions via double hashing."""
+        h1 = _splitmix(key, _STRIDE_1)
+        h2 = _splitmix(key, _STRIDE_2) | 1  # odd stride
+        n_bits = self.n_bits
+        for i in range(self.n_hashes):
+            yield ((h1 + i * h2) & _M64) % n_bits
 
     def add(self, keys: np.ndarray | int) -> None:
-        keys = np.atleast_1d(np.asarray(keys, dtype=np.int64))
-        if keys.size == 0:
-            return
-        pos = self._positions(keys).ravel()
-        words = pos >> 6
-        masks = np.uint64(1) << (pos & 63).astype(np.uint64)
-        np.bitwise_or.at(self._bits, words, masks)
-        self.n_added += keys.size
+        keys = _as_keys(keys)
+        bits = self._bits
+        for key in keys:
+            for p in self._positions(key):
+                bits[p >> 6] |= 1 << (p & 63)
+        self.n_added += len(keys)
+
+    def contains_key(self, key: int) -> bool:
+        """Membership of one key, as a Python bool."""
+        if key < 0:
+            raise ReproError("BloomFilter keys must be non-negative")
+        bits = self._bits
+        for p in self._positions(key):
+            if not bits[p >> 6] >> (p & 63) & 1:
+                return False
+        return True
 
     def contains(self, keys: np.ndarray | int) -> np.ndarray | bool:
         scalar = np.isscalar(keys)
-        keys = np.atleast_1d(np.asarray(keys, dtype=np.int64))
-        if keys.size == 0:
-            return np.zeros(0, dtype=bool)
-        pos = self._positions(keys)
-        words = pos >> 6
-        masks = np.uint64(1) << (pos & 63).astype(np.uint64)
-        hit = ((self._bits[words] & masks) != 0).all(axis=1)
+        keys = _as_keys(keys)
+        hit = np.fromiter(map(self.contains_key, keys), dtype=bool, count=len(keys))
         if scalar:
             return bool(hit[0])
         return hit
@@ -99,3 +109,11 @@ class BloomFilter:
             f"BloomFilter(bits={self.n_bits}, k={self.n_hashes}, "
             f"added={self.n_added}, fpr~{self.false_positive_rate():.2%})"
         )
+
+
+def _as_keys(keys: np.ndarray | int) -> list[int]:
+    """Keys as a list of Python ints; raises on a negative key."""
+    keys = np.atleast_1d(np.asarray(keys, dtype=np.int64))
+    if keys.size and keys.min() < 0:
+        raise ReproError("BloomFilter keys must be non-negative")
+    return keys.ravel().tolist()

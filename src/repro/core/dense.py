@@ -63,6 +63,11 @@ class DenseVertexTable:
             self._first = np.zeros(0, dtype=np.int64)
             self._degree = np.zeros(0, dtype=np.int64)
             self._per_block = np.zeros(0, dtype=np.int64)
+        # The filter's answer per vertex (-1: not asked yet).  Answers
+        # never change after construction, so this is a pure cache:
+        # each vertex is hashed at most once, on its first query.
+        self._memo = np.full(partitioning.graph.num_vertices, -1, dtype=np.int8)
+        self._dense = partitioning.dense_vertex_mask
         self.bloom_queries = 0
         self.bloom_positives = 0
         self.false_positives = 0
@@ -76,27 +81,34 @@ class DenseVertexTable:
         """Mask of vertices that are dense, via bloom + hash confirm.
 
         Bloom false positives are counted (they cost a hash probe) but
-        corrected by the hash-table miss, so the result is exact.
+        corrected by the hash-table miss, so the result is exact.  The
+        counters count every query, repeats included, as if each one
+        went through the filter.
         """
         v = np.asarray(v, dtype=np.int64)
         if v.size == 0:
             return np.zeros(0, dtype=bool)
+        memo = self._memo
+        # One reduction checks both ends: a negative int64 viewed as
+        # uint64 is at least 2**63.
+        if v.view(np.uint64).max() >= memo.size:
+            raise ReproError(f"vertex out of range [0, {memo.size})")
+        maybe = memo[v]
+        unseen = maybe < 0
+        if unseen.any():
+            contains_key = self.bloom.contains_key
+            for key in set(v[unseen].tolist()):
+                memo[key] = contains_key(key)
+            maybe = memo[v]
+        maybe = maybe.view(bool)
+        n_maybe = int(np.count_nonzero(maybe))
         self.bloom_queries += v.size
-        maybe = np.atleast_1d(self.bloom.contains(v))
-        self.bloom_positives += int(maybe.sum())
-        confirmed = np.zeros(v.shape, dtype=bool)
-        if maybe.any():
-            cand = v[maybe]
-            self.hash_probes += cand.size
-            if self._verts.size:
-                pos = np.searchsorted(self._verts, cand)
-                pos_ok = pos < self._verts.size
-                real = np.zeros(cand.shape, dtype=bool)
-                real[pos_ok] = self._verts[pos[pos_ok]] == cand[pos_ok]
-            else:
-                real = np.zeros(cand.shape, dtype=bool)
-            self.false_positives += int((~real).sum())
-            confirmed[np.flatnonzero(maybe)[real]] = True
+        self.bloom_positives += n_maybe
+        if not n_maybe:
+            return maybe
+        confirmed = maybe & self._dense[v]
+        self.hash_probes += n_maybe
+        self.false_positives += n_maybe - int(np.count_nonzero(confirmed))
         return confirmed
 
     def pre_walk(self, v: np.ndarray, rng: np.random.Generator) -> PreWalkResult:

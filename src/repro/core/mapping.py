@@ -86,11 +86,7 @@ class SubgraphMappingTable:
             return np.zeros(0, dtype=np.int64), 0
         if (v < self.vertex_lo).any() or (v > self.vertex_hi).any():
             raise ReproError("lookup of vertex outside partition span")
-        idx = np.searchsorted(self.lo, v, side="right") - 1
-        blocks = idx + self.first_block
-        first = self.partitioning._dense_first_block
-        if first is not None:
-            blocks = first[blocks]
+        blocks = self.partitioning.vertex_block[v]
         # Clamp the modeled scope to [1, n_entries]: a range tag can name
         # an empty scope (0 subgraphs beyond the first), but the guider
         # still performs at least one comparison to confirm the entry.

@@ -155,6 +155,18 @@ class GraphPartitioning:
             self._vertex_block = table
         return table
 
+    @property
+    def dense_vertex_mask(self) -> np.ndarray:
+        """Read-only per-vertex mask of dense vertices, built on first
+        use."""
+        mask = self._dense_vertex_mask
+        if mask is None:
+            mask = np.zeros(self.graph.num_vertices, dtype=bool)
+            mask[np.fromiter(self.dense_meta, dtype=np.int64)] = True
+            mask.flags.writeable = False
+            self._dense_vertex_mask = mask
+        return mask
+
     def vertex_in_block(self, v: np.ndarray, block_id: int) -> np.ndarray:
         """Boolean mask: is each vertex within ``block_id``'s range?"""
         self._check_block(block_id)
@@ -266,6 +278,7 @@ class GraphPartitioning:
 
     def __post_init__(self):
         self._vertex_block: np.ndarray | None = None
+        self._dense_vertex_mask: np.ndarray | None = None
         # Precompute dense-run first-block redirection for block_of_vertex.
         if self.is_dense_block.any():
             first = np.arange(self.num_blocks, dtype=np.int64)

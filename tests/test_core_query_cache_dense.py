@@ -171,6 +171,14 @@ class TestDenseVertexTable:
         t = DenseVertexTable(dense_part)
         assert t.classify(np.zeros(0, dtype=np.int64)).size == 0
 
+    @pytest.mark.parametrize("bad", [-1, 5001, 2**40])
+    def test_classify_rejects_out_of_range(self, dense_part, bad):
+        t = DenseVertexTable(dense_part)  # star_graph(5000): 5001 vertices
+        with pytest.raises(ReproError):
+            t.classify(np.array([0, bad]))
+        assert t.bloom_queries == 0
+        assert t.classify(np.array([0])).tolist() == [True]
+
     def test_bloom_false_positives_corrected(self, dense_part, rng):
         # Undersized bloom filter: false positives happen but classify
         # stays exact because the hash table confirms.

@@ -53,6 +53,9 @@ class TestDenseVertices:
         p.verify()
         assert p.is_dense_vertex(0)
         assert not p.is_dense_vertex(1)
+        mask = p.dense_vertex_mask
+        assert mask.tolist() == [p.is_dense_vertex(v) for v in range(g.num_vertices)]
+        assert not mask.flags.writeable
         meta = p.dense_meta[0]
         assert meta.out_degree == 5000
         assert meta.n_blocks == -(-5000 // meta.edges_per_block)

@@ -6,12 +6,52 @@ from hypothesis import strategies as st
 
 from repro.core import (
     BloomFilter,
+    DenseVertexTable,
     PartitionWalkBuffer,
     SubgraphScheduler,
     WalkQueryCache,
 )
+from repro.graph import CSRGraph, partition_graph
 from repro.sim import BandwidthLink, FcfsResource, Simulator
 from repro.walks import WalkSet
+
+_MIX_1 = np.uint64(0xFF51AFD7ED558CCD)
+_MIX_2 = np.uint64(0xC4CEB9FE1A85EC53)
+
+
+def ref_splitmix(x: np.ndarray, seed: int) -> np.ndarray:
+    """Vectorized splitmix64 finalizer, the filter's hash reference."""
+    stride = (seed * 0x9E3779B97F4A7C15 + 1) & 0xFFFFFFFFFFFFFFFF
+    z = x.astype(np.uint64) + np.uint64(stride)
+    z = (z ^ (z >> np.uint64(30))) * _MIX_1
+    z = (z ^ (z >> np.uint64(27))) * _MIX_2
+    return z ^ (z >> np.uint64(31))
+
+
+def ref_positions(keys: np.ndarray, n_bits: int, n_hashes: int) -> np.ndarray:
+    """(n_keys, n_hashes) bit positions by double hashing in uint64."""
+    keys = np.asarray(keys, dtype=np.int64)
+    h1 = ref_splitmix(keys, 1)
+    h2 = ref_splitmix(keys, 2) | np.uint64(1)
+    i = np.arange(n_hashes, dtype=np.uint64)
+    return ((h1[:, None] + i[None, :] * h2[:, None]) % np.uint64(n_bits)).astype(
+        np.int64
+    )
+
+
+def ref_bits(keys, n_bits: int, n_hashes: int) -> np.ndarray:
+    """The uint64 words a filter holding ``keys`` sets."""
+    bits = np.zeros((n_bits + 63) // 64, dtype=np.uint64)
+    pos = ref_positions(keys, n_bits, n_hashes).ravel()
+    np.bitwise_or.at(bits, pos >> 6, np.uint64(1) << (pos & 63).astype(np.uint64))
+    return bits
+
+
+def ref_contains(bits: np.ndarray, keys, n_bits: int, n_hashes: int) -> np.ndarray:
+    """Membership of each key in the filter whose words are ``bits``."""
+    pos = ref_positions(keys, n_bits, n_hashes)
+    words = bits[pos >> 6] >> (pos & 63).astype(np.uint64)
+    return (words & np.uint64(1)).astype(bool).all(axis=1)
 
 
 class TestBloomProperties:
@@ -35,6 +75,97 @@ class TestBloomProperties:
         b.add(arr)
         b.add(arr)  # adding twice changes nothing
         np.testing.assert_array_equal(a._bits, b._bits)
+
+    @given(
+        st.lists(st.integers(0, 2**62), max_size=60),
+        st.lists(st.integers(0, 2**62), max_size=60),
+        st.integers(8, 4096),
+        st.integers(1, 16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_vectorized_reference(self, keys, probes, n_bits, n_hashes):
+        bf = BloomFilter(n_bits, n_hashes)
+        bf.add(np.array(keys, dtype=np.int64))
+        want = ref_bits(np.array(keys, dtype=np.int64), n_bits, n_hashes)
+        np.testing.assert_array_equal(np.array(bf._bits, dtype=np.uint64), want)
+        queries = np.array(keys + probes, dtype=np.int64)
+        np.testing.assert_array_equal(
+            bf.contains(queries), ref_contains(want, queries, n_bits, n_hashes)
+        )
+        assert [bf.contains(k) for k in probes] == ref_contains(
+            want, np.array(probes, dtype=np.int64), n_bits, n_hashes
+        ).tolist()
+
+
+@st.composite
+def dense_classify_cases(draw):
+    """A partitioning with 0-4 dense hubs, a filter size that makes
+    false positives likely, and a sequence of classify calls whose
+    vertices repeat within and across calls."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    # 40-90 out-edges overflow a 128-byte block, so a hub becomes dense.
+    deg = rng.integers(0, 5, size=n)
+    deg[rng.choice(n, size=draw(st.integers(0, min(4, n))), replace=False)] = (
+        rng.integers(40, 90)
+    )
+    src = np.repeat(np.arange(n), deg)
+    g = CSRGraph.from_edge_list(src, rng.integers(0, n, size=src.size), n)
+    calls = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=24), max_size=8))
+    return partition_graph(g, 128), draw(st.integers(1, 10)), calls
+
+
+class TestDenseClassifyProperties:
+    @staticmethod
+    def reference(table, calls):
+        """Memo-free classify: every query goes through the reference
+        filter; returns the masks and the four counters."""
+        dense = np.array(sorted(table.meta), dtype=np.int64)
+        n_bits, k = table.bloom.n_bits, table.bloom.n_hashes
+        bits = ref_bits(dense, n_bits, k)
+        masks, queries, positives, false_pos = [], 0, 0, 0
+        for call in calls:
+            v = np.array(call, dtype=np.int64)
+            maybe = ref_contains(bits, v, n_bits, k)
+            real = np.isin(v, dense)
+            masks.append((maybe & real).tolist())
+            queries += v.size
+            positives += int(maybe.sum())
+            false_pos += int((maybe & ~real).sum())
+        return masks, (queries, positives, false_pos, positives)
+
+    @staticmethod
+    def counters(table):
+        return (
+            table.bloom_queries,
+            table.bloom_positives,
+            table.false_positives,
+            table.hash_probes,
+        )
+
+    @given(dense_classify_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_memo_free_reference(self, case):
+        part, bits_per_item, calls = case
+        table = DenseVertexTable(part, bits_per_item)
+        got = [table.classify(np.array(c, dtype=np.int64)).tolist() for c in calls]
+        masks, counters = self.reference(table, calls)
+        assert got == masks
+        assert self.counters(table) == counters
+
+    @given(dense_classify_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_warm_and_cold_tables_agree(self, case):
+        part, bits_per_item, calls = case
+        warm = DenseVertexTable(part, bits_per_item)
+        for c in calls:
+            warm.classify(np.array(c, dtype=np.int64))
+        before = self.counters(warm)
+        cold = DenseVertexTable(part, bits_per_item)
+        last = np.array([v for c in calls for v in c], dtype=np.int64)
+        np.testing.assert_array_equal(warm.classify(last), cold.classify(last))
+        delta = tuple(a - b for a, b in zip(self.counters(warm), before))
+        assert delta == self.counters(cold)
 
 
 class TestQueryCacheProperties:
