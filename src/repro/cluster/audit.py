@@ -142,6 +142,12 @@ class ClusterAuditor:
                 f"done-state walks {counts['done']} != done counter "
                 f"{cl.walks_done}"
             )
+        live = len(cl.walks) - counts["done"]
+        if len(cl.live_walks) != live:
+            violations.append(
+                f"live walk table holds {len(cl.live_walks)} walks but "
+                f"{live} are not done"
+            )
         if final and accounted != counts["done"]:
             violations.append(
                 f"final audit: {accounted - counts['done']} walks not done"
@@ -150,8 +156,8 @@ class ClusterAuditor:
         # No live walk may reside on (or be flying to) a retired shard.
         retired = cl.health.retired
         if retired:
-            for w in cl.walks.values():
-                if w.state != "done" and w.shard in retired:
+            for w in cl.live_walks.values():
+                if w.shard in retired:
                     violations.append(
                         f"walk {w.wid} ({w.state}) resident on retired "
                         f"shard {w.shard}"

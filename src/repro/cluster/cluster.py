@@ -161,6 +161,9 @@ class ClusterService:
         )
         # -- run state (the auditor reads these) ---------------------------
         self.walks: dict[int, _Walk] = {}
+        #: The walks not yet done (a subset of ``walks``, which keeps
+        #: every walk for the report); ``_retire_walk`` removes each.
+        self.live_walks: dict[int, _Walk] = {}
         self.states: dict[int, _QueryState] = {}
         self.responses: list[QueryResult] = []
         self.now = 0.0
@@ -311,10 +314,7 @@ class ClusterService:
         its run report, and retire health/breaker/link state so nothing
         stale can reroute to or report for it."""
         sid = int(shard_id)
-        resident = [
-            w.wid for w in self.walks.values()
-            if w.state != "done" and w.shard == sid
-        ]
+        resident = [w.wid for w in self.live_walks.values() if w.shard == sid]
         if resident:
             raise SimulationError(
                 f"cannot retire shard {sid}: {len(resident)} walks resident"
@@ -559,7 +559,7 @@ class ClusterService:
         for v, owner in zip(starts.tolist(), owners.tolist()):
             wid = self.walks_created
             self.walks_created += 1
-            self.walks[wid] = _Walk(
+            self.walks[wid] = self.live_walks[wid] = _Walk(
                 wid, req.query_id, int(v), int(req.length), int(owner),
                 t_eligible,
             )
@@ -633,7 +633,7 @@ class ClusterService:
         suspects = self.health.suspect if hedge_on else None
         eligible = sorted(
             (
-                w for w in self.walks.values()
+                w for w in self.live_walks.values()
                 if w.state in ("queued", "migrating") and w.eligible_at <= T
             ),
             key=lambda w: (w.eligible_at, w.wid),
@@ -886,6 +886,7 @@ class ClusterService:
     def _retire_walk(self, w: _Walk, t: float, *, sacrificed: bool) -> None:
         """Mark ``w`` done at ``t`` and credit it to its query."""
         w.state = "done"
+        del self.live_walks[w.wid]
         self.walks_done += 1
         if sacrificed:
             self.walks_sacrificed += 1
@@ -953,7 +954,7 @@ class ClusterService:
             return False
         if self.resizer.active():
             return False
-        if any(w.state != "done" for w in self.walks.values()):
+        if self.live_walks:
             return False
         return all(st.responded for st in self.states.values())
 

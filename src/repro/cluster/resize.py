@@ -290,10 +290,8 @@ class ResizeController:
         target = self.target
         movable = []
         in_flight_wrong = 0
-        for wid in sorted(self.cl.walks):
-            w = self.cl.walks[wid]
-            if w.state == "done":
-                continue
+        for wid in sorted(self.cl.live_walks):
+            w = self.cl.live_walks[wid]
             dst = int(target.shard_of(np.int64(w.vertex)))
             if dst == w.shard:
                 continue

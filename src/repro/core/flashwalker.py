@@ -541,9 +541,6 @@ class FlashWalker:
             end = self._flush_to_flash(self.sim.now, tail)
         result = self.metrics.finalize(end, self.total_walks)
         if self.scheduler is not None:
-            result.counters["sched_score_cache_hits"] = float(
-                self.scheduler.score_cache_hits
-            )
             result.counters["sched_topn_refreshes"] = float(
                 self.scheduler.topn_refreshes
             )
@@ -1067,7 +1064,7 @@ class FlashWalker:
 
     def _kick_chips(self, t: float) -> None:
         for chip_idx in self.scheduler.chips_with_work():
-            chip = self.chips[int(chip_idx)]
+            chip = self.chips[chip_idx]
             if not chip.busy:
                 self._start_load(chip, t)
 

@@ -18,6 +18,12 @@ amortization).  A refresh scans only the chip's own blocks, kept in a
 per-chip index that is rebuilt whenever block ownership changes.  With
 scheduling disabled (Fig. 9 baseline) the scheduler degrades to
 most-buffered-walks order, GraphWalker's policy.
+
+A chip owns a few dozen blocks at most and a board insert touches a
+handful, so the state is plain Python ints and lists: a NumPy call per
+update would cost more than the update.  Running pending counts per
+chip and in total answer ``chips_with_work`` and ``total_pending``
+without a scan.
 """
 
 from __future__ import annotations
@@ -58,15 +64,20 @@ class SubgraphScheduler:
         # A copy, never a view: the engine remaps its own ``block_chip``
         # on chip failure and then reports the move through
         # reassign_blocks(), which must still see the old owners.
-        self.block_chip = np.array(
+        self.block_chip: list[int] = np.asarray(
             block_chip[first_block : last_block + 1], dtype=np.int64
-        )
-        self.is_dense = np.asarray(
-            is_dense_block[first_block : last_block + 1], dtype=bool
-        )
+        ).tolist()
+        bad = [c for c in self.block_chip if not 0 <= c < n_chips]
+        if bad:
+            raise SchedulingError(
+                f"block owner {bad[0]} out of range [0, {n_chips})"
+            )
         # Eq. 1's per-block factor: 1 for dense blocks, beta otherwise
-        # (x * 1 == x exactly, so scores() matches the two-branch form).
-        self._score_factor = np.where(self.is_dense, 1, beta)
+        # (x * 1 == x exactly, so score() matches the two-branch form).
+        self._score_factor = [
+            1 if d else beta
+            for d in np.asarray(is_dense_block[first_block : last_block + 1]).tolist()
+        ]
         self.n_chips = n_chips
         self.alpha = alpha
         self.beta = beta
@@ -74,21 +85,20 @@ class SubgraphScheduler:
         self.update_period_m = update_period_m
         self.use_scores = use_scores
         # Per-block state (local indices 0..n_blocks-1).
-        self.pwb = np.zeros(self.n_blocks, dtype=np.int64)
-        self.fl = np.zeros(self.n_blocks, dtype=np.int64)
-        self._inserts_since_update = np.zeros(self.n_blocks, dtype=np.int64)
-        # scores()/walk_counts() are recomputed only after a scoreboard
-        # mutation; next_subgraph() and _refresh_top() otherwise share
-        # the cached arrays (an event-loop hotspot).
-        self._scores_cache: np.ndarray | None = None
-        self._counts_cache: np.ndarray | None = None
-        #: Times scores()/walk_counts() served the cached array.
-        self.score_cache_hits = 0
+        self.pwb = [0] * self.n_blocks
+        self.fl = [0] * self.n_blocks
+        self._inserts_since_update = [0] * self.n_blocks
         #: Per chip, its local block indices in ascending order.
-        self._chip_blocks: list[np.ndarray] = []
-        self.index_chips()
+        self._chip_blocks: list[list[int]] = []
+        #: Per chip, walks pending on its blocks; their sum; and the
+        #: chips whose count is non-zero.
+        self._chip_pending: list[int] = []
+        self._total = 0
+        self._working: set[int] = set()
+        self._reindex()
         # Per-chip topN caches: local block indices, lazily refreshed.
-        self._top: dict[int, list[int]] = {c: [] for c in range(n_chips)}
+        # A refresh replaces a chip's list and never edits it in place.
+        self._top: list[list[int]] = [[] for _ in range(n_chips)]
         self._dirty: set[int] = set(range(n_chips))
         self.topn_refreshes = 0
         self.topn_updates_deferred = 0
@@ -107,19 +117,18 @@ class SubgraphScheduler:
             )
         return idx
 
-    def index_chips(self) -> None:
-        """Rebuild the per-chip block index from ``block_chip``; call it
-        after every write to ``block_chip``."""
-        order = np.argsort(self.block_chip, kind="stable")
-        ends = np.cumsum(np.bincount(self.block_chip, minlength=self.n_chips))
-        self._chip_blocks = np.split(order, ends[:-1])
+    def _reindex(self) -> None:
+        """Rebuild the per-chip block index and pending counts from the
+        per-block state; run after every write to ``block_chip``."""
+        self._chip_blocks = [[] for _ in range(self.n_chips)]
+        self._chip_pending = [0] * self.n_chips
+        for idx, chip in enumerate(self.block_chip):
+            self._chip_blocks[chip].append(idx)
+            self._chip_pending[chip] += self.pwb[idx] + self.fl[idx]
+        self._total = sum(self._chip_pending)
+        self._working = {c for c, n in enumerate(self._chip_pending) if n}
 
     # -- scoreboard updates ---------------------------------------------------------
-
-    def _touch(self) -> None:
-        """Invalidate derived-array caches after a scoreboard mutation."""
-        self._scores_cache = None
-        self._counts_cache = None
 
     def add_buffered(self, block_ids, counts=1) -> None:
         """Walks inserted into the partition walk buffer.
@@ -129,32 +138,50 @@ class SubgraphScheduler:
         The same as one scalar call per block: the blocks are distinct,
         so their updates do not interact.
         """
-        idx = np.atleast_1d(np.asarray(block_ids, dtype=np.int64)) - self.first_block
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim and counts.shape != idx.shape:
-            raise SchedulingError(f"{counts.size} counts for {idx.size} blocks")
-        if idx.size == 0:
+        ids = block_ids.tolist() if hasattr(block_ids, "tolist") else block_ids
+        if not isinstance(ids, (list, tuple)):
+            ids = [ids]
+        n = len(ids)
+        counts = counts.tolist() if hasattr(counts, "tolist") else counts
+        if not isinstance(counts, (list, tuple)):
+            counts = [counts] * n
+        elif len(counts) != n:
+            raise SchedulingError(f"{len(counts)} counts for {n} blocks")
+        if n == 0:
             return
-        if counts.min() < 0:
-            raise SchedulingError(f"negative count {int(counts.min())}")
-        if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
-            raise SchedulingError("add_buffered blocks must be ascending and distinct")
-        self._local(int(idx[0]) + self.first_block)
-        self._local(int(idx[-1]) + self.first_block)
-        self._touch()
-        self.pwb[idx] += counts
-        inserts = self._inserts_since_update[idx] + counts
-        # Amortized topN maintenance: only mark dirty every M insertions.
-        due = inserts >= self.update_period_m
-        inserts[due] = 0
-        self._inserts_since_update[idx] = inserts
-        n_due = int(np.count_nonzero(due))
-        if n_due:
-            self._dirty.update(self.block_chip[idx[due]].tolist())
-        self.topn_updates_deferred += idx.size - n_due
+        if min(counts) < 0:
+            raise SchedulingError(f"negative count {min(counts)}")
+        for a, b in zip(ids, ids[1:]):
+            if a >= b:
+                raise SchedulingError(
+                    "add_buffered blocks must be ascending and distinct"
+                )
+        self._local(ids[0])
+        self._local(ids[-1])
+        first, m = self.first_block, self.update_period_m
+        pwb, inserts = self.pwb, self._inserts_since_update
+        owner, pending = self.block_chip, self._chip_pending
+        n_due = 0
+        for block, c in zip(ids, counts):
+            idx = block - first
+            pwb[idx] += c
+            if c:
+                pending[owner[idx]] += c
+                self._working.add(owner[idx])
+            # Amortized topN maintenance: only mark dirty every M insertions.
+            k = inserts[idx] + c
+            if k >= m:
+                inserts[idx] = 0
+                n_due += 1
+                self._dirty.add(owner[idx])
+            else:
+                inserts[idx] = k
+        self._total += sum(counts)
+        self.topn_updates_deferred += n - n_due
 
     def add_spilled(self, block_id: int, count: int = 1) -> None:
         """Walks spilled from the buffer entry to flash."""
+        count = int(count)
         if count < 0:
             raise SchedulingError(f"negative count {count}")
         idx = self._local(block_id)
@@ -162,71 +189,61 @@ class SubgraphScheduler:
             raise SchedulingError(
                 f"spilling {count} walks but only {self.pwb[idx]} buffered"
             )
-        self._touch()
         self.pwb[idx] -= count
         self.fl[idx] += count
-        self._dirty.add(int(self.block_chip[idx]))
+        self._dirty.add(self.block_chip[idx])
 
     def take_walks(self, block_id: int) -> tuple[int, int]:
         """Claim all of a block's walks for loading; returns (pwb, fl)."""
         idx = self._local(block_id)
-        pwb, fl = int(self.pwb[idx]), int(self.fl[idx])
-        self._touch()
-        self.pwb[idx] = 0
-        self.fl[idx] = 0
-        self._inserts_since_update[idx] = 0
-        self._dirty.add(int(self.block_chip[idx]))
+        pwb, fl = self.pwb[idx], self.fl[idx]
+        self.pwb[idx] = self.fl[idx] = self._inserts_since_update[idx] = 0
+        chip = self.block_chip[idx]
+        self._chip_pending[chip] -= pwb + fl
+        if not self._chip_pending[chip]:
+            self._working.discard(chip)
+        self._total -= pwb + fl
+        self._dirty.add(chip)
         return pwb, fl
 
     # -- scores ---------------------------------------------------------------------
 
-    def scores(self) -> np.ndarray:
-        """Eq. 1 over all blocks of the partition (vectorized).
+    def score(self, block_id: int) -> float:
+        """Eq. 1 for one block of the partition."""
+        return self._score(self._local(block_id))
 
-        The returned array is cached until the next scoreboard mutation;
-        callers must treat it as read-only.
-        """
-        if self._scores_cache is None:
-            self._scores_cache = (self.pwb * self.alpha + self.fl) * self._score_factor
-        else:
-            self.score_cache_hits += 1
-        return self._scores_cache
-
-    def walk_counts(self) -> np.ndarray:
-        """Pending walks per block (cached; treat as read-only)."""
-        if self._counts_cache is None:
-            self._counts_cache = self.pwb + self.fl
-        else:
-            self.score_cache_hits += 1
-        return self._counts_cache
+    def _score(self, idx: int) -> float:
+        # Same IEEE operations, in the same order, as the array form
+        # (pwb * alpha + fl) * factor.
+        return (self.pwb[idx] * self.alpha + self.fl[idx]) * self._score_factor[idx]
 
     @property
     def total_pending(self) -> int:
-        return int(self.pwb.sum() + self.fl.sum())
+        return self._total
 
     # -- selection ----------------------------------------------------------------------
 
     def _refresh_top(self, chip: int) -> None:
-        counts = self.walk_counts()
-        mine = self._chip_blocks[chip]
-        candidates = mine[counts[mine] > 0]
-        if candidates.size == 0:
-            self._top[chip] = []
-        else:
-            key = self.scores() if self.use_scores else counts
-            # Stable sort on the negated key: descending by score, ties
-            # broken by *lowest* local block ID.  (A reversed ascending
-            # stable sort would break ties by highest index, making topN
-            # order depend on candidate layout rather than block ID.)
-            order = np.argsort(-key[candidates], kind="stable")
-            self._top[chip] = candidates[order][: self.top_n].tolist()
+        pwb, fl = self.pwb, self.fl
+        top = [idx for idx in self._chip_blocks[chip] if pwb[idx] or fl[idx]]
+        if len(top) > 1:
+            # Descending by key, ties broken by *lowest* local block ID:
+            # the index ascends and a reverse sort keeps equal keys in
+            # their original order, like a stable sort on the negated
+            # key.  Without SS the key is the raw walk count.
+            if self.use_scores:
+                top.sort(key=self._score, reverse=True)
+            else:
+                top.sort(key=lambda idx: pwb[idx] + fl[idx], reverse=True)
+            del top[self.top_n :]
+        self._top[chip] = top
         self.topn_refreshes += 1
         self._dirty.discard(chip)
         tr = self.tracer
         if tr is not None:
             tr.instant(
                 "sched", _PID_BOARD, chip, "topn_refresh",
-                args={"entries": len(self._top[chip])},
+                args={"entries": len(top)},
             )
 
     def next_subgraph(self, chip: int, exclude: set[int] | None = None) -> int | None:
@@ -238,14 +255,13 @@ class SubgraphScheduler:
         """
         if not 0 <= chip < self.n_chips:
             raise SchedulingError(f"chip {chip} out of range [0, {self.n_chips})")
-        exclude = exclude or set()
-        counts = self.walk_counts()
+        pwb, fl, first = self.pwb, self.fl, self.first_block
         for _ in range(2):
             if chip in self._dirty or not self._top[chip]:
                 self._refresh_top(chip)
             for idx in self._top[chip]:
-                if counts[idx] > 0 and (idx + self.first_block) not in exclude:
-                    return idx + self.first_block
+                if (pwb[idx] or fl[idx]) and not (exclude and idx + first in exclude):
+                    return idx + first
             # topN stale (all consumed): force one refresh, then give up.
             if chip not in self._dirty:
                 self._dirty.add(chip)
@@ -258,36 +274,66 @@ class SubgraphScheduler:
 
         Used when a chip fails and its subgraphs are relocated onto the
         survivors: both the old and new owners' topN caches are marked
-        dirty so future :meth:`next_subgraph` calls rebuild them.
+        dirty so future :meth:`next_subgraph` calls rebuild them.  Every
+        pair is checked before any moves, so a bad one changes nothing.
         """
-        moved = False
+        moves = []
         for bid, chip in zip(block_ids, new_chips):
             if not 0 <= chip < self.n_chips:
                 raise SchedulingError(
                     f"chip {chip} out of range [0, {self.n_chips})"
                 )
-            idx = self._local(int(bid))
-            old = int(self.block_chip[idx])
+            moves.append((self._local(int(bid)), int(chip)))
+        moved = False
+        for idx, chip in moves:
+            old = self.block_chip[idx]
             if old == chip:
                 continue
             self.block_chip[idx] = chip
             moved = True
             self._dirty.add(old)
-            self._dirty.add(int(chip))
+            self._dirty.add(chip)
             tr = self.tracer
             if tr is not None:
                 tr.instant(
-                    "sched", _PID_BOARD, int(chip), "block_reassigned",
-                    args={"block": int(bid), "from_chip": old},
+                    "sched", _PID_BOARD, chip, "block_reassigned",
+                    args={"block": idx + self.first_block, "from_chip": old},
                 )
         if moved:
-            self.index_chips()
+            self._reindex()
 
-    def chips_with_work(self) -> np.ndarray:
-        """Chip indices that currently own blocks with pending walks."""
-        counts = self.walk_counts()
-        owners = np.bincount(self.block_chip[counts > 0], minlength=self.n_chips)
-        return np.flatnonzero(owners)
+    def chips_with_work(self) -> list[int]:
+        """Ascending chip indices that own blocks with pending walks."""
+        return sorted(self._working)
+
+    # -- checkpoints ------------------------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """Copies of the scoreboard, placement and topN state
+        (checkpoint capture)."""
+        return {
+            "pwb": self.pwb.copy(),
+            "fl": self.fl.copy(),
+            "inserts": self._inserts_since_update.copy(),
+            "block_chip": self.block_chip.copy(),
+            # topN lists are replaced on refresh, never edited: shared
+            "top": self._top.copy(),
+            "dirty": set(self._dirty),
+            "refreshes": self.topn_refreshes,
+            "deferred": self.topn_updates_deferred,
+        }
+
+    def restore(self, state: dict) -> None:
+        """Take on the state ``snapshot`` captured (the same partition)."""
+        self.pwb = list(state["pwb"])
+        self.fl = list(state["fl"])
+        self._inserts_since_update = list(state["inserts"])
+        self.block_chip = list(state["block_chip"])
+        self._top = list(state["top"])
+        self._dirty = set(state["dirty"])
+        self.topn_refreshes = state["refreshes"]
+        self.topn_updates_deferred = state["deferred"]
+        self._reindex()
 
     def consistency_errors(self, pwb_buffer) -> list[str]:
         """Scoreboard-vs-buffer divergences, one message per bad block.
@@ -298,18 +344,44 @@ class SubgraphScheduler:
         ``slab[spilled:fill]`` of its slab in the buffer's pool, and
         ``fl`` its spilled prefix, ``slab[:spilled]`` (``_start_load``
         enforces the same on the drain path).  Checks every block either
-        side counts walks for.  Used by the service layer's invariant
-        auditor.
+        side counts walks for, and the running per-chip and total
+        pending counts against the per-block sums.  Used by the service
+        layer's invariant auditor.
         """
         errors = []
-        if int(self.pwb.min(initial=0)) < 0 or int(self.fl.min(initial=0)) < 0:
+        pwb, fl, first = self.pwb, self.fl, self.first_block
+        if min(pwb, default=0) < 0 or min(fl, default=0) < 0:
             errors.append("scheduler scoreboard has negative counts")
-        nonzero = np.flatnonzero((self.pwb != 0) | (self.fl != 0))
-        blocks = set((nonzero + self.first_block).tolist())
-        blocks.update(pwb_buffer.blocks_with_walks())
-        for block in sorted(blocks):
-            idx = block - self.first_block
-            sb, sf = int(self.pwb[idx]), int(self.fl[idx])
+        sums = [0] * self.n_chips
+        held = set()
+        for idx, chip in enumerate(self.block_chip):
+            if pwb[idx] or fl[idx]:
+                sums[chip] += pwb[idx] + fl[idx]
+                held.add(idx + first)
+        if sums != self._chip_pending:
+            errors.append(
+                f"scheduler per-chip pending {self._chip_pending} "
+                f"vs per-block sums {sums}"
+            )
+        working = [c for c, n in enumerate(sums) if n]
+        if sorted(self._working) != working:
+            errors.append(
+                f"scheduler chips with work {sorted(self._working)} "
+                f"vs per-block sums {working}"
+            )
+        if self._total != sum(sums):
+            errors.append(
+                f"scheduler total pending {self._total} "
+                f"vs per-block sum {sum(sums)}"
+            )
+        for block in sorted(held.union(pwb_buffer.blocks_with_walks())):
+            if not first <= block <= self.last_block:
+                errors.append(
+                    f"buffer block {block} outside partition "
+                    f"[{first}, {self.last_block}]"
+                )
+                continue
+            sb, sf = pwb[block - first], fl[block - first]
             bb, bf = pwb_buffer.counts(block)
             if (sb, sf) != (bb, bf):
                 errors.append(

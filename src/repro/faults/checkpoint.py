@@ -358,23 +358,7 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
         ),
     }
     if fw.scheduler is not None:
-        sc = fw.scheduler
-        data["scheduler"] = {
-            "pwb": sc.pwb.copy(),
-            "fl": sc.fl.copy(),
-            "inserts": sc._inserts_since_update.copy(),
-            "block_chip": sc.block_chip.copy(),
-            # topN lists are replaced on refresh, never mutated: shared
-            "top": dict(sc._top),
-            "dirty": set(sc._dirty),
-            "refreshes": sc.topn_refreshes,
-            "deferred": sc.topn_updates_deferred,
-            "score_hits": sc.score_cache_hits,
-            # Cache warmth matters for replay parity: a restored-cold
-            # cache would miss where the original timeline hit.
-            "scores_warm": sc._scores_cache is not None,
-            "counts_warm": sc._counts_cache is not None,
-        }
+        data["scheduler"] = fw.scheduler.snapshot()
     if fw.pwb is not None:
         data["pwb"] = fw.pwb.snapshot()
     return Checkpoint(time=t, data=data)
@@ -489,25 +473,7 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
             use_scores=fw.cfg.opt_subgraph_scheduling,
         )
         fw.scheduler.tracer = fw.tracer
-        sc = fw.scheduler
-        sc.pwb[:] = sd["pwb"]
-        sc.fl[:] = sd["fl"]
-        sc._inserts_since_update[:] = sd["inserts"]
-        sc.block_chip[:] = sd["block_chip"]
-        sc.index_chips()
-        sc._top = dict(sd["top"])
-        sc._dirty = set(sd["dirty"])
-        sc.topn_refreshes = sd["refreshes"]
-        sc.topn_updates_deferred = sd["deferred"]
-        sc.score_cache_hits = sd["score_hits"]
-        # Re-warm the derived-array caches the snapshot saw as warm
-        # (recomputed from the restored scoreboard, not stored): the
-        # first post-restore scores()/walk_counts() call then hits or
-        # misses exactly as the original timeline did.
-        if sd["scores_warm"]:
-            sc.scores()
-        if sd["counts_warm"]:
-            sc.walk_counts()
+        fw.scheduler.restore(sd)
     if d["pwb"] is not None:
         fw.pwb = PartitionWalkBuffer(
             first,

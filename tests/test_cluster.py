@@ -457,6 +457,14 @@ class TestClusterService:
         assert any("done" in v for v in exc.violations)
         assert exc.state["walks_created"] == 64
 
+    def test_auditor_flags_live_table_drift(self, graph):
+        svc, _ = run_cluster(graph)
+        w = svc.walks[0]
+        svc.live_walks[w.wid] = w  # a done walk back among the live ones
+        with pytest.raises(InvariantViolation) as exc_info:
+            svc.auditor.audit()
+        assert any("live walk table" in v for v in exc_info.value.violations)
+
     def test_range_placement_runs_clean(self, graph):
         ccfg = cluster_cfg(placement="range")
         _, out = run_cluster(graph, ccfg)

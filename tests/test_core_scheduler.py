@@ -41,26 +41,25 @@ class TestScoreboard:
         s.add_buffered(0, 10)
         s.add_spilled(0, 4)
         # score = (pwb * alpha + fl) * beta for non-dense
-        assert s.scores()[0] == pytest.approx((6 * 1.2 + 4) * 1.5)
+        assert s.score(0) == pytest.approx((6 * 1.2 + 4) * 1.5)
 
     def test_eq1_dense_no_beta(self):
         s = make_scheduler(dense={1}, alpha=1.2, beta=1.5)
         s.add_buffered(1, 10)
-        assert s.scores()[1] == pytest.approx(10 * 1.2)
+        assert s.score(1) == pytest.approx(10 * 1.2)
 
     def test_beta_prioritizes_nondense_at_equal_load(self):
         s = make_scheduler(dense={1})
         s.add_buffered(0, 10)
         s.add_buffered(1, 10)
-        scores = s.scores()
-        assert scores[0] > scores[1]
+        assert s.score(0) > s.score(1)
 
     def test_alpha_weighs_buffered_over_spilled(self):
         s = make_scheduler(alpha=2.0)
         s.add_buffered(0, 10)
         s.add_buffered(2, 10)
         s.add_spilled(2, 10)  # block 2: all spilled
-        assert s.scores()[0] > s.scores()[2]
+        assert s.score(0) > s.score(2)
 
     def test_take_walks_resets(self):
         s = make_scheduler()
@@ -123,7 +122,7 @@ class TestSelection:
         s = make_scheduler(n_blocks=8, n_chips=4)
         s.add_buffered(0, 1)  # chip 0
         s.add_buffered(5, 1)  # chip 1
-        np.testing.assert_array_equal(s.chips_with_work(), [0, 1])
+        assert s.chips_with_work() == [0, 1]
 
     def test_bad_chip_rejected(self):
         s = make_scheduler()
@@ -217,40 +216,13 @@ class TestTopNAmortization:
             assert build() == first
 
 
-class TestScoreCache:
-    def test_scores_cached_between_mutations(self):
-        s = make_scheduler()
-        s.add_buffered(0, 3)
-        a = s.scores()
-        b = s.scores()
-        assert a is b  # same array object until the scoreboard changes
-        assert s.score_cache_hits >= 1
-
-    def test_mutation_invalidates(self):
-        s = make_scheduler()
-        s.add_buffered(0, 4)
-        a = s.scores()
-        s.add_spilled(0, 2)
-        b = s.scores()
-        assert a is not b
-        assert b[0] != a[0]
-
-    def test_take_walks_invalidates(self):
-        s = make_scheduler()
-        s.add_buffered(0, 4)
-        assert s.scores()[0] > 0
-        s.take_walks(0)
-        assert s.scores()[0] == 0
-        assert s.walk_counts()[0] == 0
-
-
 def assert_chip_index_matches_scan(s):
     """The per-chip index equals a brute-force ``block_chip == chip``
     scan for every chip."""
     assert len(s._chip_blocks) >= s.n_chips
     for chip in range(s.n_chips):
         np.testing.assert_array_equal(
-            s._chip_blocks[chip], np.flatnonzero(s.block_chip == chip)
+            s._chip_blocks[chip], np.flatnonzero(np.asarray(s.block_chip) == chip)
         )
 
 
@@ -260,8 +232,8 @@ class TestBatchedInsert:
 
     def state(self, s):
         return (
-            s.pwb.tolist(),
-            s._inserts_since_update.tolist(),
+            list(s.pwb),
+            list(s._inserts_since_update),
             set(s._dirty),
             s.topn_updates_deferred,
         )
@@ -286,7 +258,9 @@ class TestBatchedInsert:
             if step % 7 == 0:
                 b = int(rng.integers(0, 24))
                 assert batched.take_walks(b) == scalar.take_walks(b)
-        np.testing.assert_array_equal(batched.scores(), scalar.scores())
+        assert [batched.score(b) for b in range(24)] == [
+            scalar.score(b) for b in range(24)
+        ]
 
     def test_scalar_count_broadcasts(self):
         a = make_scheduler(m=2)
@@ -298,10 +272,10 @@ class TestBatchedInsert:
 
     def test_empty_array_is_a_no_op(self):
         s = make_scheduler()
-        s.scores()
+        before = self.state(s)
         s.add_buffered(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         assert s.total_pending == 0
-        assert s._scores_cache is not None  # nothing was touched
+        assert self.state(s) == before
 
     @pytest.mark.parametrize(
         "blocks, counts",
@@ -342,19 +316,19 @@ class TestChipIndex:
         s.add_buffered(np.arange(32), rng.integers(0, 9, size=32))
         for chip in range(4):
             s._refresh_top(chip)
-            counts = s.walk_counts()
-            cand = np.flatnonzero((s.block_chip == chip) & (counts > 0))
-            order = np.argsort(-s.scores()[cand], kind="stable")
+            counts = np.add(s.pwb, s.fl)
+            scores = np.array([s.score(b) for b in range(32)])
+            cand = np.flatnonzero((np.asarray(s.block_chip) == chip) & (counts > 0))
+            order = np.argsort(-scores[cand], kind="stable")
             assert s._top[chip] == cand[order][:5].tolist()
 
     def test_chips_with_work_matches_unique(self):
         rng = np.random.default_rng(9)
         s = make_scheduler(n_blocks=32, n_chips=6)
         s.add_buffered(np.flatnonzero(rng.random(32) < 0.3), 2)
-        got = s.chips_with_work()
-        want = np.unique(s.block_chip[s.walk_counts() > 0])
-        np.testing.assert_array_equal(got, want)
-        assert got.dtype == want.dtype
+        counts = np.add(s.pwb, s.fl)
+        want = np.unique(np.asarray(s.block_chip)[counts > 0]).tolist()
+        assert s.chips_with_work() == want
 
 
 class TestPlacementCopy:
@@ -373,9 +347,142 @@ class TestPlacementCopy:
             top_n=4,
             update_period_m=4,
         )
-        assert not np.shares_memory(s.block_chip, placement)
         s._dirty.clear()
         placement[[0, 2]] = 1
+        assert s.block_chip[0] == s.block_chip[2] == 0
         s.reassign_blocks([0, 2], placement[[0, 2]])
         assert s._dirty == {0, 1}
         assert_chip_index_matches_scan(s)
+
+
+class TestOwnership:
+    @pytest.mark.parametrize(
+        "owners, n_chips", [([0, 1, 2, 3], 3), ([0, -1], 2)]
+    )
+    def test_owner_outside_chip_range_rejected(self, owners, n_chips):
+        """An owner with no chip would leave its walks pending forever."""
+        with pytest.raises(SchedulingError):
+            SubgraphScheduler(
+                block_chip=np.array(owners),
+                is_dense_block=np.zeros(len(owners), dtype=bool),
+                first_block=0,
+                last_block=len(owners) - 1,
+                n_chips=n_chips,
+                alpha=1.2,
+                beta=1.5,
+                top_n=4,
+                update_period_m=4,
+            )
+
+    def test_failed_reassign_changes_nothing(self):
+        """A bad pair anywhere in the call leaves every block where it
+        was, including the valid pairs before it."""
+        s = make_scheduler(n_blocks=8, n_chips=2)
+        s.add_buffered(np.array([0, 1, 2]), np.array([3, 4, 5]))
+        s.next_subgraph(0)
+        s.next_subgraph(1)
+
+        def state():
+            return (
+                list(s.block_chip),
+                [list(b) for b in s._chip_blocks],
+                set(s._dirty),
+                list(s.chips_with_work()),
+            )
+
+        before = state()
+        with pytest.raises(SchedulingError):
+            s.reassign_blocks([0, 1], [1, 7])
+        with pytest.raises(SchedulingError):
+            s.reassign_blocks([0, 99], [1, 1])
+        assert state() == before
+        assert s.next_subgraph(0) == 2
+
+    def test_reassign_moves_pending_counts(self):
+        s = make_scheduler(n_blocks=8, n_chips=4)
+        s.add_buffered(np.array([0, 1]), np.array([3, 4]))
+        s.reassign_blocks([0], [2])
+        assert s._chip_pending == [0, 4, 3, 0]
+        assert s.chips_with_work() == [1, 2]
+        assert s.next_subgraph(2) == 0
+        assert s.next_subgraph(0) is None
+
+
+class StubBuffer:
+    """The two buffer reads ``consistency_errors`` makes, from a dict of
+    ``block -> (buffered, spilled)``."""
+
+    def __init__(self, counts):
+        self._counts = counts
+
+    def blocks_with_walks(self):
+        return sorted(self._counts)
+
+    def counts(self, block):
+        return self._counts.get(block, (0, 0))
+
+
+class TestConsistencyErrors:
+    def consistent(self):
+        s = make_scheduler(n_blocks=8, n_chips=2)
+        s.add_buffered(np.array([1, 2]), np.array([4, 6]))
+        s.add_spilled(2, 2)
+        return s, StubBuffer({1: (4, 0), 2: (4, 2)})
+
+    def test_consistent_state_reports_nothing(self):
+        s, buf = self.consistent()
+        assert s.consistency_errors(buf) == []
+
+    def test_per_chip_count_drift_reported(self):
+        s, buf = self.consistent()
+        s._chip_pending[0] += 1
+        s._chip_pending[1] -= 1
+        errors = s.consistency_errors(buf)
+        assert len(errors) == 1 and "per-chip pending" in errors[0]
+
+    def test_total_drift_reported(self):
+        s, buf = self.consistent()
+        s._total += 3
+        errors = s.consistency_errors(buf)
+        assert len(errors) == 1 and "total pending" in errors[0]
+
+    def test_chips_with_work_drift_reported(self):
+        s, buf = self.consistent()
+        s._working.discard(1)
+        errors = s.consistency_errors(buf)
+        assert len(errors) == 1 and "chips with work" in errors[0]
+
+    def test_buffer_block_outside_partition_reported(self):
+        s, _ = self.consistent()
+        errors = s.consistency_errors(
+            StubBuffer({1: (4, 0), 2: (4, 2), 8: (1, 0), -1: (2, 0)})
+        )
+        assert errors == [
+            "buffer block -1 outside partition [0, 7]",
+            "buffer block 8 outside partition [0, 7]",
+        ]
+
+    def test_block_divergence_reported(self):
+        s, buf = self.consistent()
+        s.pwb[1] += 5
+        errors = s.consistency_errors(buf)
+        assert "block 1: scheduler (9,0) vs buffer (4,0)" in errors
+        assert any("per-chip pending" in e for e in errors)
+
+
+class TestSnapshotRestore:
+    def test_round_trip_on_a_fresh_scheduler(self):
+        s = make_scheduler(n_blocks=8, n_chips=2, m=2)
+        s.add_buffered(np.array([0, 3, 4]), np.array([2, 5, 1]))
+        s.add_spilled(3, 2)
+        s.next_subgraph(1)
+        s.reassign_blocks([4], [1])
+        snap = s.snapshot()
+        s.take_walks(3)  # later history must not leak into the snapshot
+        fresh = make_scheduler(n_blocks=8, n_chips=2, m=2)
+        fresh.restore(snap)
+        assert fresh.snapshot() == snap
+        assert fresh.total_pending == 8
+        assert fresh.chips_with_work() == [0, 1]
+        assert_chip_index_matches_scan(fresh)
+        assert fresh.next_subgraph(1) == 3

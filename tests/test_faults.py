@@ -403,7 +403,7 @@ class TestCheckpointResume:
         for cut in (20, 60, 130, 180, 200, fw.sim.events_executed - 5):
             crashed = self.crash(graph, cfg, cut)
             ckpt = crashed.latest_checkpoint
-            resumed_spilled += int(ckpt.data["scheduler"]["fl"].sum() > 0)
+            resumed_spilled += int(sum(ckpt.data["scheduler"]["fl"]) > 0)
             fresh = FlashWalker(graph, cfg, seed=9)
             resumed = fresh.resume(checkpoint=ckpt)
             assert result_key(resumed) == result_key(full), cut
@@ -516,7 +516,7 @@ class TestFailoverReassignment:
         fw.start_session(expected_walks=100)
         sc = fw.scheduler
         victim = int(sc.block_chip[0])
-        moved = np.flatnonzero(sc.block_chip == victim) + sc.first_block
+        moved = np.flatnonzero(np.asarray(sc.block_chip) == victim) + sc.first_block
         sc._dirty.clear()
         fw._fail_chip(victim)
         new_owners = set(fw.block_chip[moved].tolist())
@@ -548,7 +548,8 @@ class TestFailoverReassignment:
         np.testing.assert_array_equal(sc.block_chip, failed)
         for chip in range(sc.n_chips):
             np.testing.assert_array_equal(
-                sc._chip_blocks[chip], np.flatnonzero(sc.block_chip == chip)
+                sc._chip_blocks[chip],
+                np.flatnonzero(np.asarray(sc.block_chip) == chip),
             )
 
     def test_traced_failure_run_emits_reassignments(self, graph):

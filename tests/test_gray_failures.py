@@ -675,10 +675,10 @@ class TestGoldenGuards:
     change, paste the digest the failure prints."""
 
     FAILOVER_SHA = (
-        "06015f85cd427276631bcf5bd6792d8cde2e7d40bd0ace9fff60d9d791d9639f"
+        "200e74bc41aa5a5fda989f7e920cacec5af8efea013ae81fb0802dbcf1e45a34"
     )
     RESIZE_SHA = (
-        "eb400f217216acf777ca213dd2dd4cf687abb1ee335dfa0490c302084d404f1e"
+        "8306f1b9ab38a84a99bb8077bf8b4e46a701b61cacf387eb2d44758e9dc8bb18"
     )
 
     def check(self, report, name):

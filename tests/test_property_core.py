@@ -1,5 +1,7 @@
 """Property-based tests for core data structures and invariants."""
 
+import copy
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,6 +193,163 @@ class TestQueryCacheProperties:
         assert c.misses == len(set(blocks))
 
 
+class RefScheduler:
+    """The NumPy scoreboard the scheduler used to be, kept as the
+    oracle: whole-partition arrays, Eq. 1 recomputed per refresh, a
+    stable argsort on the negated key, ``np.bincount`` owners."""
+
+    def __init__(self, block_chip, is_dense_block, first_block, last_block,
+                 n_chips, alpha, beta, top_n, update_period_m, use_scores):
+        self.first_block = first_block
+        self.n_blocks = last_block - first_block + 1
+        self.block_chip = np.array(
+            block_chip[first_block : last_block + 1], dtype=np.int64
+        )
+        is_dense = np.asarray(is_dense_block[first_block : last_block + 1], dtype=bool)
+        self.factor = np.where(is_dense, 1, beta)
+        self.n_chips = n_chips
+        self.alpha = alpha
+        self.top_n = top_n
+        self.m = update_period_m
+        self.use_scores = use_scores
+        self.pwb = np.zeros(self.n_blocks, dtype=np.int64)
+        self.fl = np.zeros(self.n_blocks, dtype=np.int64)
+        self.inserts = np.zeros(self.n_blocks, dtype=np.int64)
+        self.index_chips()
+        self._top = {c: [] for c in range(n_chips)}
+        self._dirty = set(range(n_chips))
+        self.topn_refreshes = 0
+        self.topn_updates_deferred = 0
+
+    def index_chips(self):
+        order = np.argsort(self.block_chip, kind="stable")
+        ends = np.cumsum(np.bincount(self.block_chip, minlength=self.n_chips))
+        self.chip_blocks = np.split(order, ends[:-1])
+
+    def add_buffered(self, block_ids, counts=1):
+        idx = np.atleast_1d(np.asarray(block_ids, dtype=np.int64)) - self.first_block
+        counts = np.asarray(counts, dtype=np.int64)
+        if idx.size == 0:
+            return
+        self.pwb[idx] += counts
+        inserts = self.inserts[idx] + counts
+        due = inserts >= self.m
+        inserts[due] = 0
+        self.inserts[idx] = inserts
+        n_due = int(np.count_nonzero(due))
+        if n_due:
+            self._dirty.update(self.block_chip[idx[due]].tolist())
+        self.topn_updates_deferred += idx.size - n_due
+
+    def add_spilled(self, block_id, count):
+        idx = block_id - self.first_block
+        self.pwb[idx] -= count
+        self.fl[idx] += count
+        self._dirty.add(int(self.block_chip[idx]))
+
+    def take_walks(self, block_id):
+        idx = block_id - self.first_block
+        pwb, fl = int(self.pwb[idx]), int(self.fl[idx])
+        self.pwb[idx] = self.fl[idx] = self.inserts[idx] = 0
+        self._dirty.add(int(self.block_chip[idx]))
+        return pwb, fl
+
+    @property
+    def total_pending(self):
+        return int(self.pwb.sum() + self.fl.sum())
+
+    def _refresh_top(self, chip):
+        counts = self.pwb + self.fl
+        mine = self.chip_blocks[chip]
+        candidates = mine[counts[mine] > 0]
+        if candidates.size == 0:
+            self._top[chip] = []
+        else:
+            scores = (self.pwb * self.alpha + self.fl) * self.factor
+            key = scores if self.use_scores else counts
+            order = np.argsort(-key[candidates], kind="stable")
+            self._top[chip] = candidates[order][: self.top_n].tolist()
+        self.topn_refreshes += 1
+        self._dirty.discard(chip)
+
+    def next_subgraph(self, chip, exclude=None):
+        exclude = exclude or set()
+        counts = self.pwb + self.fl
+        for _ in range(2):
+            if chip in self._dirty or not self._top[chip]:
+                self._refresh_top(chip)
+            for idx in self._top[chip]:
+                if counts[idx] > 0 and (idx + self.first_block) not in exclude:
+                    return idx + self.first_block
+            if chip not in self._dirty:
+                self._dirty.add(chip)
+            else:
+                break
+        return None
+
+    def reassign_blocks(self, block_ids, new_chips):
+        moved = False
+        for bid, chip in zip(block_ids, new_chips):
+            idx = int(bid) - self.first_block
+            old = int(self.block_chip[idx])
+            if old == chip:
+                continue
+            self.block_chip[idx] = chip
+            moved = True
+            self._dirty.add(old)
+            self._dirty.add(int(chip))
+        if moved:
+            self.index_chips()
+
+    def chips_with_work(self):
+        owners = np.bincount(
+            self.block_chip[(self.pwb + self.fl) > 0], minlength=self.n_chips
+        )
+        return np.flatnonzero(owners)
+
+
+@st.composite
+def scheduler_runs(draw):
+    """A partition (owners, dense flags, Eq. 1 weights, SS on or off)
+    and a random sequence of scheduler operations on it."""
+    n_chips = draw(st.integers(1, 4))
+    first = draw(st.integers(0, 3))
+    n_blocks = draw(st.integers(1, 10))
+    last = first + n_blocks - 1
+    owners = draw(st.lists(st.integers(0, n_chips - 1),
+                           min_size=last + 1, max_size=last + 1))
+    dense = draw(st.lists(st.booleans(), min_size=last + 1, max_size=last + 1))
+    params = dict(
+        block_chip=np.array(owners, dtype=np.int64),
+        is_dense_block=np.array(dense),
+        first_block=first,
+        last_block=last,
+        n_chips=n_chips,
+        # Weights that round (0.1, 0.3) and weights that tie (1.0).
+        alpha=draw(st.sampled_from([0.1, 0.4, 1.0, 1.2, 3.0])),
+        beta=draw(st.sampled_from([0.3, 1.0, 1.5, 2.0])),
+        top_n=draw(st.integers(1, 4)),
+        update_period_m=draw(st.integers(1, 4)),
+        use_scores=draw(st.booleans()),
+    )
+    block = st.integers(first, last)
+    chip = st.integers(0, n_chips - 1)
+    ops = st.one_of(
+        st.tuples(st.just("add"), block, st.integers(0, 6)),
+        st.tuples(st.just("add_many"),
+                  st.lists(st.tuples(block, st.integers(0, 6)), max_size=6),
+                  st.booleans()),
+        st.tuples(st.just("spill"), block, st.integers(0, 6)),
+        st.tuples(st.just("take"), block),
+        st.tuples(st.just("next"), chip, st.frozensets(block, max_size=3)),
+        st.tuples(st.just("reassign"),
+                  st.lists(st.tuples(block, chip), max_size=4)),
+        st.tuples(st.just("snapshot")),
+        st.tuples(st.just("restore")),
+    )
+    return params, draw(st.lists(ops, min_size=20, max_size=80))
+
+
 class TestSchedulerProperties:
     @given(
         st.lists(
@@ -246,7 +405,61 @@ class TestSchedulerProperties:
         )
         s.add_buffered(0, buffered)
         s.add_spilled(0, spilled)
-        assert (s.scores() >= 0).all()
+        assert all(s.score(b) >= 0 for b in range(4))
+
+    @given(scheduler_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_array_oracle(self, run):
+        """The plain-int scheduler answers every call as the NumPy one
+        did: same picks, topN lists, dirty chips and counters."""
+        params, ops = run
+        s, ref = SubgraphScheduler(**params), RefScheduler(**params)
+        saved = None
+        for op in ops:
+            kind = op[0]
+            if kind == "add":
+                s.add_buffered(op[1], op[2])
+                ref.add_buffered(op[1], op[2])
+            elif kind == "add_many":
+                pairs = sorted(dict(op[1]).items())
+                blocks = np.array([b for b, _ in pairs], dtype=np.int64)
+                counts = np.array([c for _, c in pairs], dtype=np.int64)
+                if op[2] and pairs:
+                    counts = pairs[0][1]  # one count for every block
+                s.add_buffered(blocks, counts)
+                ref.add_buffered(blocks, counts)
+            elif kind == "spill":
+                n = min(op[2], int(ref.pwb[op[1] - ref.first_block]))
+                s.add_spilled(op[1], n)
+                ref.add_spilled(op[1], n)
+            elif kind == "take":
+                assert s.take_walks(op[1]) == ref.take_walks(op[1])
+            elif kind == "next":
+                exclude = set(op[2]) or None
+                assert s.next_subgraph(op[1], exclude) == ref.next_subgraph(
+                    op[1], exclude
+                )
+            elif kind == "reassign":
+                blocks = [b for b, _ in op[1]]
+                chips = [c for _, c in op[1]]
+                s.reassign_blocks(np.array(blocks, dtype=np.int64), chips)
+                ref.reassign_blocks(blocks, chips)
+            elif kind == "snapshot":
+                saved = (s.snapshot(), copy.deepcopy(ref))
+            elif saved is not None:
+                # Restore into a new scheduler, as a checkpoint restore
+                # does; a snapshot may be restored more than once.
+                s = SubgraphScheduler(**params)
+                s.restore(saved[0])
+                ref = copy.deepcopy(saved[1])
+            assert s._top == [ref._top[c] for c in range(ref.n_chips)], op
+            assert s._dirty == ref._dirty, op
+            assert s.chips_with_work() == ref.chips_with_work().tolist(), op
+            assert s.total_pending == ref.total_pending, op
+            assert s.topn_refreshes == ref.topn_refreshes, op
+            assert s.topn_updates_deferred == ref.topn_updates_deferred, op
+            assert s.pwb == ref.pwb.tolist() and s.fl == ref.fl.tolist(), op
+            assert s._inserts_since_update == ref.inserts.tolist(), op
 
 
 class _FifoEntries:

@@ -433,7 +433,6 @@ class TestAuditor:
         fw = svc.fw
         fw.start_session(expected_walks=64)
         fw.scheduler.pwb[0] += 5
-        fw.scheduler._touch()
         with pytest.raises(InvariantViolation) as exc_info:
             svc.auditor.audit(final=True)
         assert any("scheduler" in v for v in exc_info.value.violations)
