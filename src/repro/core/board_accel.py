@@ -87,9 +87,9 @@ class BoardAccelerator:
         return t
 
     def query_and_direct(
-        self, block_ids: np.ndarray, scoped: bool
+        self, block_ids: np.ndarray | list[int], scoped: bool
     ) -> tuple[float, int, int, int]:
-        """Cost of resolving ``block_ids.size`` walk queries.
+        """Cost of resolving ``len(block_ids)`` walk queries.
 
         ``scoped`` means the walks arrived tagged by the channel's
         approximate search, so a miss searches only ``range_subgraphs``
@@ -100,7 +100,7 @@ class BoardAccelerator:
         """
         if self.mapping is None:
             raise ReproError("board mapping table not installed")
-        n = int(block_ids.size)
+        n = len(block_ids)
         if n == 0:
             return 0.0, 0, 0, 0
         scope = (

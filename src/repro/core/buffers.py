@@ -151,8 +151,8 @@ class PartitionWalkBuffer:
 
     def push(
         self,
-        blocks: np.ndarray,
-        counts: np.ndarray,
+        blocks: np.ndarray | list[int],
+        counts: np.ndarray | list[int],
         walks: WalkSet,
         pre_edge: np.ndarray | None = None,
     ) -> list[tuple[int, int]]:
@@ -162,12 +162,17 @@ class PartitionWalkBuffer:
         parallel ``pre_edge``) holds the groups back to back in that
         order.  Each group is one push.  Entries pushed past capacity
         spill their oldest whole pushes; returns ``(block, walks
-        spilled)`` for each of them, in ascending block order.
+        spilled)`` for each of them, in ascending block order.  Blocks
+        and counts are int arrays or lists of ints; with no groups (and
+        no walks) nothing happens.
         """
-        block_list, count_list = blocks.tolist(), counts.tolist()
+        block_list = blocks if type(blocks) is list else blocks.tolist()
+        count_list = counts if type(counts) is list else counts.tolist()
         n = walks.src.size
         if sum(count_list) != n:
             raise ReproError(f"group counts sum to {sum(count_list)}, not {n}")
+        if not block_list:
+            return []
         # Blocks ascend, so checking the last one first leaves the buffer
         # untouched when any block lies past the partition.
         self._local(block_list[-1])
@@ -208,6 +213,7 @@ class PartitionWalkBuffer:
         else:
             # Walk j of group i lands at pos[i] + j - (group i's first walk).
             pos = np.array(pos)
+            counts = np.asarray(counts)
             ends = counts.cumsum()
             dest = np.repeat(pos - ends + counts, counts) + np.arange(n)
             self._src[dest] = walks.src

@@ -9,8 +9,6 @@ and chip accelerators.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..common.config import AcceleratorConfig
 from ..common.errors import ReproError
 from .advance import AdvanceResult
@@ -28,8 +26,6 @@ class ChannelAccelerator:
         self.walk_bytes = walk_bytes
         #: Hot (top in-degree) blocks resident here; set per run.
         self.hot_blocks: list[int] = []
-        #: Sorted copy for binary-search membership on the collect path.
-        self.hot_blocks_sorted = np.zeros(0, dtype=np.int64)
         #: The partition's subgraph-range table (set at partition start).
         self.range_table: RangeTable | None = None
         self.collect_scheduled = False
@@ -42,7 +38,6 @@ class ChannelAccelerator:
 
     def set_hot_blocks(self, blocks: list[int]) -> None:
         self.hot_blocks = list(blocks)
-        self.hot_blocks_sorted = np.sort(np.asarray(self.hot_blocks, dtype=np.int64))
 
     def set_range_table(self, table: RangeTable | None) -> None:
         self.range_table = table

@@ -77,14 +77,17 @@ class DenseVertexTable:
     def num_dense(self) -> int:
         return len(self.meta)
 
-    def classify(self, v: np.ndarray) -> np.ndarray:
+    def classify(self, v: np.ndarray | list[int]) -> np.ndarray | list[bool]:
         """Mask of vertices that are dense, via bloom + hash confirm.
 
         Bloom false positives are counted (they cost a hash probe) but
         corrected by the hash-table miss, so the result is exact.  The
         counters count every query, repeats included, as if each one
-        went through the filter.
+        went through the filter.  A list of ints gets a list of bools,
+        computed on Python ints; anything else a bool array.
         """
+        if type(v) is list:
+            return self._classify_list(v)
         v = np.asarray(v, dtype=np.int64)
         if v.size == 0:
             return np.zeros(0, dtype=bool)
@@ -110,6 +113,33 @@ class DenseVertexTable:
         self.hash_probes += n_maybe
         self.false_positives += n_maybe - int(np.count_nonzero(confirmed))
         return confirmed
+
+    def _classify_list(self, v: list[int]) -> list[bool]:
+        """:meth:`classify` one vertex at a time: the same memo, the
+        same answers and the same counter increments."""
+        memo = self._memo
+        size = memo.size
+        asked = memo.item
+        dense = self._dense.item
+        out = []
+        n_maybe = 0
+        for x in v:
+            if not 0 <= x < size:
+                raise ReproError(f"vertex out of range [0, {size})")
+            m = asked(x)
+            if m < 0:
+                m = memo[x] = self.bloom.contains_key(x)
+            if m:
+                n_maybe += 1
+                out.append(dense(x))
+            else:
+                out.append(False)
+        self.bloom_queries += len(v)
+        self.bloom_positives += n_maybe
+        if n_maybe:
+            self.hash_probes += n_maybe
+            self.false_positives += n_maybe - sum(out)
+        return out
 
     def pre_walk(self, v: np.ndarray, rng: np.random.Generator) -> PreWalkResult:
         """Pre-walk a batch of dense walks sitting at dense vertices ``v``.

@@ -28,6 +28,7 @@ from ..common.config import FlashWalkerConfig
 from ..common.errors import (
     ConfigError,
     InvariantViolation,
+    PartitionError,
     PowerLossError,
     SimulationError,
 )
@@ -58,7 +59,7 @@ from ..sim.resources import FcfsResource
 from ..walks.sampling import make_sampler
 from ..walks.spec import WalkSpec, start_vertices
 from ..walks.state import WalkSet
-from .advance import AdvanceContext, advance_batch, in_sorted
+from .advance import SMALL_BATCH, AdvanceContext, advance_batch, in_sorted
 from .board_accel import BoardAccelerator
 from .buffers import ForeignerStore, PartitionWalkBuffer, WalkBatch
 from .channel_accel import ChannelAccelerator
@@ -85,6 +86,11 @@ _PRIO_FTL_GC = -5
 #: Fixed ``le`` bounds of the sink-flush page-count histogram
 #: (telemetry only; power-of-two spacing covers group commits).
 _FLUSH_PAGE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
+
+#: ``_hot_home`` entries of a block not resident anywhere and of a
+#: board-hot block; a channel-hot block holds its channel id (>= 0).
+_HOT_NONE = -2
+_HOT_BOARD = -1
 
 
 class FlashWalker:
@@ -221,18 +227,21 @@ class FlashWalker:
             )
         else:
             self._hot_dense_verts = np.zeros(0, dtype=np.int64)
+        # Where each block is hot: nowhere, at the board, or at the
+        # channel whose id it holds.  Set once; the direct and collect
+        # paths test a walk's block with one lookup.
+        home = np.full(self.part.num_blocks, _HOT_NONE, dtype=np.int64)
+        self._hot_home = home
         if not self.cfg.opt_hot_subgraphs:
             self.board.set_hot_blocks([])
             for ch in self.channels:
                 ch.set_hot_blocks([])
-            self._board_hot = np.zeros(0, dtype=np.int64)
             return
         k_board = min(self.cfg.board_hot_subgraphs, self.part.num_blocks)
         order = np.argsort(blk_indeg, kind="stable")[::-1]
         board_hot = [int(b) for b in order[:k_board] if blk_indeg[b] > 0]
         self.board.set_hot_blocks(board_hot)
-        # Sorted: membership checks on the direct path use binary search.
-        self._board_hot = np.sort(np.asarray(board_hot, dtype=np.int64))
+        home[board_hot] = _HOT_BOARD
         cpc = self.cfg.ssd.chips_per_channel
         block_channel = self.block_chip // cpc
         taken = set(board_hot)
@@ -248,6 +257,13 @@ class FlashWalker:
                 if blk_indeg[b] > 0 and int(b) not in taken
             ][: self.cfg.channel_hot_subgraphs]
             ch.set_hot_blocks(hot)
+            home[hot] = ch.channel_id
+        # A walk at a dense vertex must pre-walk, never update in a hot
+        # block.  The lookup needs no dense test for that: a dense
+        # vertex's block is one of its own dense blocks, and those have
+        # in-degree -1 above, so none is hot.
+        if self.part.is_dense_block[home != _HOT_NONE].any():
+            raise InvariantViolation("a dense block was chosen as hot")
 
     def _reset_run_state(self) -> None:
         self.sim = Simulator()
@@ -690,13 +706,28 @@ class FlashWalker:
     # ------------------------------------------------------------ board level
 
     def _board_direct(self, walks: WalkSet, scoped: bool) -> None:
-        """Direct a batch of roving/new walks at the board level."""
+        """Direct a batch of roving/new walks at the board level.
+
+        Batches of at most :data:`~repro.core.advance.SMALL_BATCH` walks
+        go to :meth:`_board_direct_scalar`, larger ones to
+        :meth:`_board_direct_vector`.  Both take the same RNG draws, add
+        the same ``busy`` terms in the same order and raise the same
+        events in the same order, so the choice never changes a
+        simulated result.
+        """
         t = self.sim.now
         if len(walks) == 0:
             self._service_barriers(t)
             return
+        if len(walks) <= SMALL_BATCH:
+            busy = self._board_direct_scalar(t, walks, scoped)
+        else:
+            busy = self._board_direct_vector(t, walks, scoped)
+        self._finish_board_batch(t, busy)
+
+    def _board_direct_vector(self, t: float, walks: WalkSet, scoped: bool) -> float:
+        """Direct a batch as walk arrays with NumPy; returns its busy time."""
         busy = 0.0
-        m = self.metrics
         normal_parts: list[WalkSet] = []
         # Walks may loop through the board pipeline: a hot-subgraph update
         # or a hot-dense-vertex resolution moves them to a new vertex that
@@ -706,26 +737,15 @@ class FlashWalker:
             if len(walks) == 0:
                 break
             # 1. Update walks landing in board-resident hot subgraphs.
-            if self.cfg.opt_hot_subgraphs and self._board_hot.size:
-                in_hot = in_sorted(
-                    self._board_hot, self.part.block_of_vertex(walks.cur)
-                ) & ~self.ctx.is_dense_vertex[walks.cur]
+            if self.board.hot_blocks:
+                in_hot = (
+                    self._hot_home[self.part.block_of_vertex(walks.cur)]
+                    == _HOT_BOARD
+                )
                 if in_hot.any():
                     hot_walks, walks = walks.split(in_hot)
-                    res = advance_batch(
-                        self.ctx,
-                        WalkBatch(hot_walks),
-                        self.board.hot_blocks,
-                        self.rngs.stream("board"),
-                    )
-                    busy += self.board.batch_time(res)
-                    m.hops.add(res.hops)
-                    m.hot_hits_board.add(len(hot_walks))
-                    if res.n_completed:
-                        self._complete_walks(
-                            t, res.n_completed, sink="board", walks=res.completed
-                        )
-                    walks = WalkSet.concat([walks, res.roving])
+                    roving, busy = self._board_hot_update(t, hot_walks, busy)
+                    walks = WalkSet.concat([walks, roving])
             if len(walks) == 0:
                 break
             # 2. Dense-vertex classification (bloom + hash).
@@ -739,110 +759,213 @@ class FlashWalker:
             walks = WalkSet.empty()
             # 3. Pre-walk dense walks to a specific graph block.
             if len(dense_walks):
-                pw = self.dense_table.pre_walk(
-                    dense_walks.cur, self.rngs.stream("prewalk")
-                )
-                m.pre_walks.add(len(dense_walks))
-                # 3a. Hot dense vertices: every slice is board-resident,
-                # so the pre-walked hop resolves right here.
-                if self._hot_dense_verts.size:
-                    at_hot = in_sorted(self._hot_dense_verts, dense_walks.cur)
-                else:
-                    at_hot = np.zeros(len(dense_walks), dtype=bool)
-                if at_hot.any():
-                    hw = dense_walks.select(at_hot)
-                    edge_idx = (
-                        self.graph.offsets[hw.cur]
-                        + pw.edge_offset[at_hot]
-                        + self.part.block_edge_lo[pw.block[at_hot]]
-                    )
-                    nxt = self.graph.edges[edge_idx]
-                    hop = hw.hop - 1
-                    acc = self.cfg.levels.board
-                    busy += (
-                        len(hw) * acc.updater_ops_per_hop * acc.updater_cycle
-                        / acc.n_updaters
-                    )
-                    m.hops.add(len(hw))
-                    m.hot_hits_board.add(len(hw))
-                    done = hop == 0
-                    if self.spec.stop_probability > 0:
-                        stop = self.spec.apply_stop_probability(
-                            hop, self.rngs.stream("board")
-                        )
-                        done |= stop
-                    n_done = int(done.sum())
-                    if n_done:
-                        self._complete_walks(
-                            t,
-                            n_done,
-                            sink="board",
-                            walks=WalkSet(hw.src[done], nxt[done], hop[done]),
-                        )
-                    survivors = WalkSet(hw.src[~done], nxt[~done], hop[~done])
-                    walks = WalkSet.concat([walks, survivors])
-                    dense_walks = dense_walks.select(~at_hot)
-                    pw_block = pw.block[~at_hot]
-                    pw_edge = pw.edge_offset[~at_hot]
-                else:
-                    pw_block = pw.block
-                    pw_edge = pw.edge_offset
-                in_part = (pw_block >= self.mapping.first_block) & (
-                    pw_block <= self.mapping.last_block
-                )
-                if in_part.any():
-                    self._insert_pwb(
-                        t,
-                        dense_walks.select(in_part),
-                        pw_block[in_part],
-                        pre_edge=pw_edge[in_part]
-                        + self.part.block_edge_lo[pw_block[in_part]],
-                    )
-                if (~in_part).any():
-                    # Dense walk bound for another partition: store as a
-                    # plain foreigner (re-pre-walked there — an identical
-                    # uniform redraw).
-                    self._store_foreigners(
-                        t,
-                        dense_walks.select(~in_part),
-                        target_blocks=pw_block[~in_part],
-                    )
+                walks, busy = self._pre_walk(t, dense_walks, busy)
         normal = WalkSet.concat(normal_parts)
         # 4. Foreigner detection for normal walks.
         inside = self.mapping.contains_vertices(normal.cur)
         if (~inside).any():
             foreign_walks = normal.select(~inside)
-            # Locating the destination partition costs a global range
-            # search (the coarse table spans the whole graph).
-            steps = binary_search_steps(
-                max(1, -(-self.part.num_blocks // self.cfg.range_subgraphs))
-            )
-            busy += (
-                len(foreign_walks)
-                * steps
-                * self.cfg.levels.board.guider_cycle
-                / self.cfg.levels.board.n_guiders
-            )
+            busy += self._foreign_search_time(len(foreign_walks))
             self._store_foreigners(t, foreign_walks, target_blocks=None)
             normal = normal.select(inside)
         # 5. Walk query for the rest + insert into the partition buffer.
         if len(normal):
-            blocks, _ = self.mapping.lookup(
-                normal.cur,
-                scope_entries=self.cfg.range_subgraphs
-                if (scoped and self.cfg.opt_walk_query)
-                else None,
-            )
-            qtime, hits, misses, steps_total = self.board.query_and_direct(
-                blocks, scoped and self.cfg.opt_walk_query
-            )
-            busy += qtime
-            m.queries.add(len(normal))
-            m.query_steps.add(steps_total)
-            m.cache_hits.add(hits)
-            m.cache_misses.add(misses)
+            blocks, busy = self._walk_query(normal.cur, scoped, busy)
             self._insert_pwb(t, normal, blocks, pre_edge=None)
-        self._finish_board_batch(t, busy)
+        return busy
+
+    def _board_direct_scalar(self, t: float, walks: WalkSet, scoped: bool) -> float:
+        """:meth:`_board_direct_vector` on ``(src, cur, hop)`` records of
+        Python ints: the hot-block test, the dense split, the partition
+        span check, the block lookup and the buffer's group-by-block are
+        loops over the records.  The hot update, the pre-walk, the
+        foreigner store and the buffer push are the shared code, called
+        in the same order on the same walks."""
+        busy = 0.0
+        recs = walks.records()
+        normal: list[tuple[int, int, int]] = []  # every pass's, in order
+        for _ in range(self.spec.length + 2):
+            if not recs:
+                break
+            if self.board.hot_blocks:
+                in_hot = self._hot_mask([r[1] for r in recs], _HOT_BOARD)
+                if True in in_hot:
+                    hot = [r for r, x in zip(recs, in_hot) if x]
+                    roving, busy = self._board_hot_update(
+                        t, WalkSet.from_records(hot), busy
+                    )
+                    recs = [r for r, x in zip(recs, in_hot) if not x]
+                    recs += roving.records()
+            if not recs:
+                break
+            probes_before = self.dense_table.hash_probes
+            is_dense = self.dense_table.classify([r[1] for r in recs])
+            busy += self.board.dense_check_time(
+                len(recs), self.dense_table.hash_probes - probes_before
+            )
+            dense = []
+            for r, d in zip(recs, is_dense):
+                (dense if d else normal).append(r)
+            recs = []
+            if dense:
+                rest, busy = self._pre_walk(t, WalkSet.from_records(dense), busy)
+                recs = rest.records()
+        lo, hi = self.mapping.vertex_lo, self.mapping.vertex_hi
+        inside = [lo <= r[1] <= hi for r in normal]
+        if False in inside:
+            foreign = [r for r, x in zip(normal, inside) if not x]
+            busy += self._foreign_search_time(len(foreign))
+            self._store_foreigners(
+                t, WalkSet.from_records(foreign), target_blocks=None
+            )
+            normal = [r for r, x in zip(normal, inside) if x]
+        if normal:
+            blocks, busy = self._walk_query([r[1] for r in normal], scoped, busy)
+            self._insert_pwb_scalar(t, normal, blocks)
+        return busy
+
+    def _hot_mask(self, cur: list[int], home: int) -> list[bool]:
+        """Which vertices of ``cur`` lie in a block hot at ``home``: the
+        ``_hot_home`` gather on Python ints, with the same range check
+        and error as :meth:`GraphPartitioning.block_of_vertex`."""
+        nv = self.graph.num_vertices
+        block_of = self.part.vertex_block.item
+        where = self._hot_home.item
+        mask = []
+        for v in cur:
+            if not 0 <= v < nv:
+                raise PartitionError(f"vertex out of range [0, {nv})")
+            mask.append(where(block_of(v)) == home)
+        return mask
+
+    def _board_hot_update(
+        self, t: float, hot_walks: WalkSet, busy: float
+    ) -> tuple[WalkSet, float]:
+        """Advance walks in board-hot blocks (step 1); returns the walks
+        that leave them and ``busy`` plus the update time."""
+        m = self.metrics
+        res = advance_batch(
+            self.ctx,
+            WalkBatch(hot_walks),
+            self.board.hot_blocks,
+            self.rngs.stream("board"),
+        )
+        busy += self.board.batch_time(res)
+        m.hops.add(res.hops)
+        m.hot_hits_board.add(len(hot_walks))
+        if res.n_completed:
+            self._complete_walks(t, res.n_completed, sink="board", walks=res.completed)
+        return res.roving, busy
+
+    def _pre_walk(
+        self, t: float, dense_walks: WalkSet, busy: float
+    ) -> tuple[WalkSet, float]:
+        """Pre-walk dense walks to a graph block (step 3).
+
+        Walks at hot dense vertices take their hop here; the others go
+        to their block's buffer entry, or to the foreigner store when
+        the block lies past the partition.  Returns the walks that hop
+        on and ``busy`` plus the board time.
+        """
+        m = self.metrics
+        survivors = WalkSet.empty()
+        pw = self.dense_table.pre_walk(dense_walks.cur, self.rngs.stream("prewalk"))
+        m.pre_walks.add(len(dense_walks))
+        # 3a. Hot dense vertices: every slice is board-resident, so the
+        # pre-walked hop resolves right here.
+        if self._hot_dense_verts.size:
+            at_hot = in_sorted(self._hot_dense_verts, dense_walks.cur)
+        else:
+            at_hot = np.zeros(len(dense_walks), dtype=bool)
+        if at_hot.any():
+            hw = dense_walks.select(at_hot)
+            edge_idx = (
+                self.graph.offsets[hw.cur]
+                + pw.edge_offset[at_hot]
+                + self.part.block_edge_lo[pw.block[at_hot]]
+            )
+            nxt = self.graph.edges[edge_idx]
+            hop = hw.hop - 1
+            acc = self.cfg.levels.board
+            busy += (
+                len(hw) * acc.updater_ops_per_hop * acc.updater_cycle
+                / acc.n_updaters
+            )
+            m.hops.add(len(hw))
+            m.hot_hits_board.add(len(hw))
+            done = hop == 0
+            if self.spec.stop_probability > 0:
+                stop = self.spec.apply_stop_probability(
+                    hop, self.rngs.stream("board")
+                )
+                done |= stop
+            n_done = int(done.sum())
+            if n_done:
+                self._complete_walks(
+                    t,
+                    n_done,
+                    sink="board",
+                    walks=WalkSet(hw.src[done], nxt[done], hop[done]),
+                )
+            survivors = WalkSet(hw.src[~done], nxt[~done], hop[~done])
+            dense_walks = dense_walks.select(~at_hot)
+            pw_block = pw.block[~at_hot]
+            pw_edge = pw.edge_offset[~at_hot]
+        else:
+            pw_block = pw.block
+            pw_edge = pw.edge_offset
+        in_part = (pw_block >= self.mapping.first_block) & (
+            pw_block <= self.mapping.last_block
+        )
+        if in_part.any():
+            self._insert_pwb(
+                t,
+                dense_walks.select(in_part),
+                pw_block[in_part],
+                pre_edge=pw_edge[in_part]
+                + self.part.block_edge_lo[pw_block[in_part]],
+            )
+        if (~in_part).any():
+            # Dense walk bound for another partition: store as a plain
+            # foreigner (re-pre-walked there — an identical uniform
+            # redraw).
+            self._store_foreigners(
+                t,
+                dense_walks.select(~in_part),
+                target_blocks=pw_block[~in_part],
+            )
+        return survivors, busy
+
+    def _foreign_search_time(self, n_walks: int) -> float:
+        """Board time to locate ``n_walks`` foreigners' partitions: a
+        global range search (the coarse table spans the whole graph)."""
+        steps = binary_search_steps(
+            max(1, -(-self.part.num_blocks // self.cfg.range_subgraphs))
+        )
+        return (
+            n_walks
+            * steps
+            * self.cfg.levels.board.guider_cycle
+            / self.cfg.levels.board.n_guiders
+        )
+
+    def _walk_query(self, cur, scoped: bool, busy: float):
+        """Resolve the walks at ``cur`` (an array or a list) to their
+        blocks through the mapping table and query caches (step 5).
+        Returns the blocks, of ``cur``'s kind, and ``busy`` plus the
+        query time."""
+        m = self.metrics
+        wq = scoped and self.cfg.opt_walk_query
+        blocks, _ = self.mapping.lookup(
+            cur, scope_entries=self.cfg.range_subgraphs if wq else None
+        )
+        qtime, hits, misses, steps_total = self.board.query_and_direct(blocks, wq)
+        busy += qtime
+        m.queries.add(len(cur))
+        m.query_steps.add(steps_total)
+        m.cache_hits.add(hits)
+        m.cache_misses.add(misses)
+        return blocks, busy
 
     def _finish_board_batch(self, t: float, busy: float) -> None:
         m = self.metrics
@@ -897,6 +1020,34 @@ class FlashWalker:
             starts = np.concatenate(([0], bounds))
             counts = np.concatenate((bounds, [n])) - starts
             group_blocks = sblocks[starts]
+        self._push_groups(t, group_blocks, counts, walks, pre_edge)
+
+    def _insert_pwb_scalar(
+        self, t: float, recs: list[tuple[int, int, int]], blocks: list[int]
+    ) -> None:
+        """:meth:`_insert_pwb` of walk records with no pre-walked edges:
+        a stable group-by-block in Python."""
+        n = len(blocks)
+        nbytes = n * self.cfg.walk_bytes
+        self.ssd.dram.write(t, nbytes)
+        self.metrics.record_dram(t, nbytes)
+        group_blocks = sorted(set(blocks))
+        counts = [blocks.count(b) for b in group_blocks]
+        if len(group_blocks) > 1:
+            order = sorted(range(n), key=blocks.__getitem__)  # stable
+            recs = [recs[i] for i in order]
+        self._push_groups(t, group_blocks, counts, WalkSet.from_records(recs), None)
+
+    def _push_groups(
+        self,
+        t: float,
+        group_blocks: np.ndarray | list[int],
+        counts: np.ndarray | list[int],
+        walks: WalkSet,
+        pre_edge: np.ndarray | None,
+    ) -> None:
+        """Buffer walks grouped by ascending distinct block, ``counts``
+        walks per block."""
         # One scoreboard update and one buffer push for every block of
         # the insert; spills follow per block, in ascending block order.
         self.scheduler.add_buffered(group_blocks, counts)
@@ -908,7 +1059,7 @@ class FlashWalker:
         tr = self.tracer
         if tr is not None:
             tr.highwater("buf.pwb_pending_walks", self.scheduler.total_pending)
-        self.in_transit -= n
+        self.in_transit -= len(walks)
 
     def _spill_write(self, t: float, block: int, n_walks: int) -> None:
         """Write an overflowed buffer entry to the block's chip."""
@@ -1264,11 +1415,17 @@ class FlashWalker:
         n_collected = len(walks)
         busy = 0.0
         # Hot-subgraph updates at the channel level.
-        if self.cfg.opt_hot_subgraphs and ch.hot_blocks:
-            in_hot = in_sorted(
-                ch.hot_blocks_sorted, self.part.block_of_vertex(walks.cur)
-            ) & ~self.ctx.is_dense_vertex[walks.cur]
-            if in_hot.any():
+        if ch.hot_blocks:
+            if n_collected <= SMALL_BATCH:
+                in_hot = self._hot_mask(walks.cur.tolist(), channel_id)
+                hit = True in in_hot
+            else:
+                in_hot = (
+                    self._hot_home[self.part.block_of_vertex(walks.cur)]
+                    == channel_id
+                )
+                hit = in_hot.any()
+            if hit:
                 hot_walks, walks = walks.split(in_hot)
                 res = advance_batch(
                     self.ctx,

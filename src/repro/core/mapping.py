@@ -71,22 +71,33 @@ class SubgraphMappingTable:
         return (v >= self.vertex_lo) & (v <= self.vertex_hi)
 
     def lookup(
-        self, v: np.ndarray, scope_entries: int | None = None
-    ) -> tuple[np.ndarray, int]:
+        self, v: np.ndarray | list[int], scope_entries: int | None = None
+    ) -> tuple[np.ndarray | list[int], int]:
         """Resolve vertices to *global* block IDs.
 
         ``scope_entries`` narrows the modeled search scope (the
         approximate walk search tags walks with a range, so the board
         guider only searches ``range_subgraphs`` entries).  Returns
-        (block_ids, per-walk search step count).  Callers must ensure all
-        ``v`` are within the partition (check :meth:`contains_vertices`).
+        (block_ids, per-walk search step count), the block IDs a list
+        when ``v`` is a list of ints.  Callers must ensure all ``v`` are
+        within the partition (check :meth:`contains_vertices`).
         """
-        v = np.asarray(v, dtype=np.int64)
-        if v.size == 0:
-            return np.zeros(0, dtype=np.int64), 0
-        if (v < self.vertex_lo).any() or (v > self.vertex_hi).any():
-            raise ReproError("lookup of vertex outside partition span")
-        blocks = self.partitioning.vertex_block[v]
+        lo, hi = self.vertex_lo, self.vertex_hi
+        if type(v) is list:
+            if not v:
+                return [], 0
+            for x in v:
+                if not lo <= x <= hi:
+                    raise ReproError("lookup of vertex outside partition span")
+            block_of = self.partitioning.vertex_block.item
+            blocks = [block_of(x) for x in v]
+        else:
+            v = np.asarray(v, dtype=np.int64)
+            if v.size == 0:
+                return np.zeros(0, dtype=np.int64), 0
+            if (v < lo).any() or (v > hi).any():
+                raise ReproError("lookup of vertex outside partition span")
+            blocks = self.partitioning.vertex_block[v]
         # Clamp the modeled scope to [1, n_entries]: a range tag can name
         # an empty scope (0 subgraphs beyond the first), but the guider
         # still performs at least one comparison to confirm the entry.
@@ -94,8 +105,8 @@ class SubgraphMappingTable:
             1, min(scope_entries, self.n_entries)
         )
         steps = binary_search_steps(scope)
-        self.lookups += v.size
-        self.search_steps_total += steps * v.size
+        self.lookups += len(blocks)
+        self.search_steps_total += steps * len(blocks)
         return blocks, steps
 
 

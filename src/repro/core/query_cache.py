@@ -31,6 +31,13 @@ __all__ = ["WalkQueryCache", "QueryCacheArray"]
 _MISSING = object()
 
 
+def _int_list(block_ids) -> list[int]:
+    """``block_ids`` (a list of ints or an int array) as a list."""
+    if type(block_ids) is list:
+        return block_ids
+    return np.asarray(block_ids, dtype=np.int64).tolist()
+
+
 class WalkQueryCache:
     """One LRU cache of subgraph mapping entries."""
 
@@ -60,7 +67,7 @@ class WalkQueryCache:
         Literally ``for b in block_ids: self.probe(b)``: the sequential
         probe is its own oracle.
         """
-        blocks = np.asarray(block_ids, dtype=np.int64).tolist()
+        blocks = _int_list(block_ids)
         hits = sum(map(self.probe, blocks))
         return hits, len(blocks) - hits
 
@@ -114,7 +121,7 @@ class QueryCacheArray:
         (hits, misses)."""
         caches = self.caches
         k = len(caches)
-        blocks = np.asarray(block_ids, dtype=np.int64).tolist()
+        blocks = _int_list(block_ids)
         hits = 0
         for b in blocks:
             hits += caches[b % k].probe(b)

@@ -4,14 +4,12 @@ from .algorithms import (
     deepwalk_corpus,
     node2vec_corpus,
     personalized_pagerank,
-    personalized_pagerank_in_storage,
     random_walk_sample,
     simrank_sampled,
 )
 from .reference import reference_walks, visit_counts
 from .sampling import (
     AliasSampler,
-    its_next_single,
     its_search_steps,
     make_sampler,
     uniform_next,
@@ -23,13 +21,11 @@ __all__ = [
     "deepwalk_corpus",
     "node2vec_corpus",
     "personalized_pagerank",
-    "personalized_pagerank_in_storage",
     "random_walk_sample",
     "simrank_sampled",
     "reference_walks",
     "visit_counts",
     "AliasSampler",
-    "its_next_single",
     "its_search_steps",
     "make_sampler",
     "uniform_next",

@@ -20,7 +20,6 @@ from .spec import WalkSpec, start_vertices
 __all__ = [
     "deepwalk_corpus",
     "personalized_pagerank",
-    "personalized_pagerank_in_storage",
     "node2vec_corpus",
     "simrank_sampled",
     "random_walk_sample",
@@ -72,40 +71,6 @@ def personalized_pagerank(
     res = reference_walks(graph, starts, spec, rng)
     counts = np.bincount(res["final"], minlength=graph.num_vertices)
     return counts / counts.sum()
-
-
-def personalized_pagerank_in_storage(
-    engine,
-    source: int,
-    num_walks: int = 10_000,
-    stop_probability: float = 0.15,
-    max_length: int = 64,
-):
-    """PPR executed *on the FlashWalker engine* (Section I's use case).
-
-    Runs the restart-walk workload through the in-storage simulator with
-    final-position recording and derives the endpoint estimator from the
-    completed walk records.  Returns ``(scores, run_result)`` so callers
-    get both the ranking and the execution profile.
-
-    ``engine`` is a :class:`repro.core.FlashWalker` (typed loosely to
-    avoid a layering cycle).
-    """
-    graph = engine.graph
-    if not 0 <= source < graph.num_vertices:
-        raise WalkError(f"source {source} out of range")
-    if num_walks < 1:
-        raise WalkError(f"num_walks must be >= 1, got {num_walks}")
-    starts = np.full(num_walks, source, dtype=np.int64)
-    res = engine.run(
-        starts=starts,
-        spec=WalkSpec(
-            length=max_length, stop_probability=stop_probability
-        ).validate(graph),
-        record_finals=True,
-    )
-    counts = np.bincount(res.finals.cur, minlength=graph.num_vertices)
-    return counts / counts.sum(), res
 
 
 def node2vec_corpus(

@@ -20,7 +20,6 @@ from ..graph.csr import CSRGraph
 
 __all__ = [
     "uniform_next",
-    "its_next_single",
     "its_search_steps",
     "AliasSampler",
     "make_sampler",
@@ -55,28 +54,6 @@ def uniform_next(
         np.minimum(rnd1, degs[alive] - 1, out=rnd1)
         out[alive] = graph.edges[starts[alive] + rnd1]
     return out
-
-
-def its_next_single(graph: CSRGraph, v: int, rng: np.random.Generator) -> int:
-    """One biased next-hop via Inverse Transform Sampling (Section III-B).
-
-    Generates ``rnd`` in [0, sumWeight) and binary-searches the vertex's
-    cumulative list CL for the first entry exceeding it.  Reference
-    implementation used by tests and by the timing model.
-    """
-    if graph.weights is None:
-        raise GraphError("ITS requires a weighted graph")
-    if not 0 <= v < graph.num_vertices:
-        raise WalkError(f"vertex {v} out of range")
-    lo, hi = int(graph.offsets[v]), int(graph.offsets[v + 1])
-    if lo == hi:
-        return -1
-    cl = graph.cumulative_weights()[lo:hi]
-    rnd = rng.random() * cl[-1]
-    idx = int(np.searchsorted(cl, rnd, side="right"))
-    if idx >= cl.size:  # rnd == total weight edge case
-        idx = cl.size - 1
-    return int(graph.edges[lo + idx])
 
 
 def its_search_steps(out_degree: np.ndarray | int) -> np.ndarray | int:

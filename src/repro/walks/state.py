@@ -57,6 +57,13 @@ class WalkSet:
         return ws
 
     @classmethod
+    def from_records(cls, records: list[tuple[int, int, int]]) -> "WalkSet":
+        """Wrap ``(src, cur, hop)`` tuples of Python ints taken from
+        valid walk records (trusted like :meth:`wrap`)."""
+        cols = np.array(records, dtype=np.int64).reshape(-1, 3).T.copy()
+        return cls.wrap(cols[0], cols[1], cols[2])
+
+    @classmethod
     def empty(cls) -> "WalkSet":
         z = np.zeros(0, dtype=np.int64)
         return cls.wrap(z, z.copy(), z.copy())
@@ -106,6 +113,10 @@ class WalkSet:
                 f"mask shape {mask.shape} != walk count {self.src.shape}"
             )
         return self.select(mask), self.select(~mask)
+
+    def records(self) -> list[tuple[int, int, int]]:
+        """The walks as ``(src, cur, hop)`` tuples of Python ints."""
+        return list(zip(self.src.tolist(), self.cur.tolist(), self.hop.tolist()))
 
     def copy(self) -> "WalkSet":
         return WalkSet(self.src.copy(), self.cur.copy(), self.hop.copy())

@@ -238,6 +238,29 @@ class TestPartitionWalkBuffer:
                 np.array([5, 1, 2, 3, 4]), np.ones(5, dtype=np.int64), walks(5)
             )
 
+    def test_push_with_no_groups_changes_nothing(self):
+        pwb = make()
+        push(pwb, 2, walks(3))
+        none = np.zeros(0, dtype=np.int64)
+        assert pwb.push(none, none, WalkSet.empty()) == []
+        assert pwb.push([], [], WalkSet.empty()) == []
+        assert pwb.counts(2) == (3, 0)
+        assert pwb.total_walks == 3
+        with pytest.raises(ReproError):
+            pwb.push(none, none, walks(1))
+
+    def test_list_push_matches_array_push(self):
+        a, b = make(cap=3), make(cap=3)
+        ws = walks(7)
+        blocks, counts = [1, 3, 4], [2, 4, 1]
+        assert a.push(np.array(blocks), np.array(counts), ws) == b.push(
+            blocks, counts, ws
+        )
+        for block in blocks:
+            (wa, na, sa), (wb, nb, sb) = a.drain(block), b.drain(block)
+            assert (na, sa) == (nb, sb)
+            np.testing.assert_array_equal(wa.walks.src, wb.walks.src)
+
 
 class TestForeignerStore:
     def test_push_and_drain(self):

@@ -1,21 +1,26 @@
 """Property-based tests for core data structures and invariants."""
 
 import copy
+import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common import FlashWalkerConfig, PartitionError, ReproError, RngRegistry
 from repro.core import (
     BloomFilter,
     DenseVertexTable,
+    FlashWalker,
     PartitionWalkBuffer,
     SubgraphScheduler,
     WalkQueryCache,
 )
-from repro.graph import CSRGraph, partition_graph
+from repro.core.advance import SMALL_BATCH
+from repro.graph import CSRGraph, partition_graph, rmat
 from repro.sim import BandwidthLink, FcfsResource, Simulator
-from repro.walks import WalkSet
+from repro.walks import WalkSet, WalkSpec
 
 _MIX_1 = np.uint64(0xFF51AFD7ED558CCD)
 _MIX_2 = np.uint64(0xC4CEB9FE1A85EC53)
@@ -154,6 +159,24 @@ class TestDenseClassifyProperties:
         masks, counters = self.reference(table, calls)
         assert got == masks
         assert self.counters(table) == counters
+
+    @given(dense_classify_cases(), st.lists(st.booleans(), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_list_calls_match_array_calls(self, case, as_list):
+        """A list of ints gets the array call's mask as a list of bools
+        and the same counter increments, calls of both kinds mixed."""
+        part, bits_per_item, calls = case
+        lists = DenseVertexTable(part, bits_per_item)
+        arrays = DenseVertexTable(part, bits_per_item)
+        for c, use_list in zip(calls, as_list + [True] * len(calls)):
+            want = arrays.classify(np.array(c, dtype=np.int64)).tolist()
+            got = lists.classify(list(c) if use_list else np.array(c, dtype=np.int64))
+            assert (got if use_list else got.tolist()) == want
+            assert self.counters(lists) == self.counters(arrays)
+        with pytest.raises(ReproError):
+            lists.classify([0, part.graph.num_vertices])
+        with pytest.raises(ReproError):
+            lists.classify([-1])
 
     @given(dense_classify_cases())
     @settings(max_examples=50, deadline=None)
@@ -530,12 +553,14 @@ class TestBufferProperties:
         st.lists(st.one_of(_push_op, _push_op, _drain_op), min_size=1, max_size=40),
         st.integers(1, 6),
         st.integers(1, 10),
+        st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_pool_matches_list_fifo_model(self, ops, cap, dense_cap):
-        """Multi-group pushes (both the per-group and the scatter path),
-        spills at tiny capacities, slab growth and reuse, and drains give
-        exactly what a list-of-batches FIFO gives."""
+    def test_pool_matches_list_fifo_model(self, ops, cap, dense_cap, as_lists):
+        """Multi-group pushes (both the per-group and the scatter path,
+        blocks and counts as arrays or lists), spills at tiny
+        capacities, slab growth and reuse, and drains give exactly what
+        a list-of-batches FIFO gives."""
         is_dense = np.zeros(LAST + 1, dtype=bool)
         is_dense[[FIRST, 6]] = True
         pwb = PartitionWalkBuffer(FIRST, LAST, cap, dense_cap, is_dense)
@@ -561,6 +586,8 @@ class TestBufferProperties:
                     if moved:
                         expected.append((b, moved))
                     s += k
+                if as_lists:
+                    blocks, counts = blocks.tolist(), counts.tolist()
                 assert pwb.push(blocks, counts, ws, pre) == expected
             else:
                 batch, nb, ns = pwb.drain(arg)
@@ -634,3 +661,182 @@ class TestSimulatorProperties:
         sim.run()
         assert fired == sorted(times)
         assert sim.events_executed == len(times)
+
+
+# Board direction: the scalar path (batches of at most SMALL_BATCH walks)
+# against the vector path, from the same engine state.
+
+_DIRECT_LENGTH = 4
+
+
+@functools.lru_cache(maxsize=None)
+def _direct_graph():
+    """A 256-vertex RMAT graph that 256-byte blocks cut into 50 blocks,
+    7 of its vertices dense."""
+    return rmat(8, 8, RngRegistry(5).fresh("g"))
+
+
+def _direct_engine(hs: bool, wq: bool, stop: float) -> FlashWalker:
+    """An engine with two partitions, board- and channel-hot blocks, one
+    hot dense vertex, two-walk buffer entries (so inserts spill) and two
+    two-entry query caches (so probe order shows), its session
+    started."""
+    g = _direct_graph()
+    cfg = FlashWalkerConfig().replace(
+        subgraph_bytes=256,
+        partition_subgraphs=25,
+        board_hot_subgraphs=2,
+        channel_hot_subgraphs=1,
+        board_hot_dense_vertices=1,
+        pwb_entry_walks=2,
+        range_subgraphs=4,
+        n_query_caches=2,
+        query_cache_bytes=32,
+        opt_hot_subgraphs=hs,
+        opt_walk_query=wq,
+    )
+    fw = FlashWalker(g, cfg, seed=1)
+    fw.start_session(WalkSpec(length=_DIRECT_LENGTH, stop_probability=stop))
+    fw.completions = []
+    fw._on_completed = lambda t, w: fw.completions.append(
+        (t, w.src.tolist(), w.cur.tolist(), w.hop.tolist())
+    )
+    return fw
+
+
+@functools.lru_cache(maxsize=None)
+def _direct_vertices() -> tuple[int, ...]:
+    """Vertices that reach each branch of the board path: dense ones
+    (one of them hot), ones in board- and channel-hot blocks and ones
+    in the second partition (foreigners), and the two vertices either
+    side of the partitions' boundary."""
+    fw = _direct_engine(True, True, 0.0)
+    part = fw.part
+    picked = set(part.dense_meta)
+    hot = list(fw.board.hot_blocks) + [b for ch in fw.channels for b in ch.hot_blocks]
+    for b in hot + [30, 40]:
+        picked.update(range(int(part.block_lo[b]), int(part.block_hi[b]) + 1))
+    # The partitions' boundary.
+    picked.update((int(part.block_hi[24]), int(part.block_lo[25])))
+    return tuple(sorted(picked))
+
+
+@st.composite
+def direct_batches(draw, min_size=1):
+    nv = _direct_graph().num_vertices
+    n = draw(st.integers(min_size, SMALL_BATCH))
+    vertex = st.sampled_from(_direct_vertices()) | st.integers(0, nv - 1)
+    cols = [
+        draw(st.lists(st.integers(0, nv - 1), min_size=n, max_size=n)),
+        draw(st.lists(vertex, min_size=n, max_size=n)),
+        draw(st.lists(st.integers(1, _DIRECT_LENGTH), min_size=n, max_size=n)),
+    ]
+    return WalkSet(*(np.array(c, dtype=np.int64) for c in cols))
+
+
+def _direct_state(fw: FlashWalker) -> dict:
+    """Everything a board batch can change, as plain values (drains the
+    walk buffer and the foreigner store)."""
+    stream_names = ["board", "prewalk"] + [f"channel{c}" for c in range(len(fw.channels))]
+    caches = fw.board.caches
+    pwb = []
+    for block in range(fw.pwb.first_block, fw.pwb.last_block + 1):
+        batch, nb, ns = fw.pwb.drain(block)
+        w = batch.walks
+        pre = None if batch.pre_edge is None else batch.pre_edge.tolist()
+        pwb.append((w.src.tolist(), w.cur.tolist(), w.hop.tolist(), pre, nb, ns))
+    foreign = []
+    for pid in range(fw.n_partitions):
+        w = fw.foreign.drain(pid)
+        foreign.append((w.src.tolist(), w.cur.tolist(), w.hop.tolist()))
+    dense = fw.dense_table
+    board = fw.board
+    return {
+        "pwb": pwb,
+        "scheduler": fw.scheduler.snapshot(),
+        "foreign": foreign,
+        "counters": fw.metrics.stats.snapshot(),
+        "dense": (dense.bloom_queries, dense.bloom_positives,
+                  dense.false_positives, dense.hash_probes),
+        "mapping": (fw.mapping.lookups, fw.mapping.search_steps_total),
+        "board": (board.batches, board.hops, board.directed_walks,
+                  board.completed_flushes, board.foreigner_flushes,
+                  board.completed_pending_bytes, board.foreigner_pending_bytes),
+        "caches": None if caches is None else [
+            (c.hits, c.misses, c.entries()) for c in caches.caches
+        ],
+        "rng": [fw.rngs.stream(name).bit_generator.state for name in stream_names],
+        "in_transit": fw.in_transit,
+        "completed": (fw.completed_walks, fw.completions),
+        "events": sorted(e[:3] for e in fw.sim._queue if not e[3].cancelled),
+    }
+
+
+class TestBoardDirectPaths:
+    @given(
+        warm=st.none() | direct_batches(),
+        batch=direct_batches(),
+        hs=st.booleans(),
+        wq=st.booleans(),
+        scoped=st.booleans(),
+        stop=st.sampled_from([0.0, 0.3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_path_matches_vector_path(self, warm, batch, hs, wq, scoped, stop):
+        """The same batch of 1-16 walks, from the same engine state,
+        leaves the same buffers, scheduler, foreigners, counters, caches,
+        RNG streams, completions and pending events down both paths."""
+        engines = _direct_engine(hs, wq, stop), _direct_engine(hs, wq, stop)
+        busy = []
+        for fw, direct in zip(
+            engines, ("_board_direct_scalar", "_board_direct_vector")
+        ):
+            if warm is not None:
+                fw.inject_walks(warm)
+            fw.in_transit += len(batch)
+            t = fw.sim.now
+            busy.append(getattr(fw, direct)(t, batch, scoped))
+            fw._finish_board_batch(t, busy[-1])
+        assert busy[0] == busy[1]
+        assert _direct_state(engines[0]) == _direct_state(engines[1])
+
+    @given(st.lists(st.integers(-3, 300), max_size=SMALL_BATCH), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_hot_mask_matches_gather(self, cur, hs):
+        """``_hot_mask`` answers the residency gather for the board and
+        every channel, and rejects the same out-of-range vertices."""
+        fw = _direct_engine(hs, True, 0.0)
+        nv = fw.graph.num_vertices
+        for home in [-1] + list(range(len(fw.channels))):
+            if all(0 <= v < nv for v in cur):
+                want = fw._hot_home[fw.part.block_of_vertex(np.array(cur, dtype=np.int64))]
+                assert fw._hot_mask(cur, home) == (want == home).tolist()
+            else:
+                with pytest.raises(PartitionError):
+                    fw.part.block_of_vertex(np.array(cur, dtype=np.int64))
+                with pytest.raises(PartitionError):
+                    fw._hot_mask(cur, home)
+        for v in cur:
+            if not 0 <= v < nv:
+                with pytest.raises(PartitionError):
+                    fw._hot_mask([v], -1)
+
+
+class TestHotResidency:
+    @pytest.mark.parametrize("hs", [True, False])
+    def test_table_matches_hot_lists_without_dense_vertices(self, hs):
+        """A vertex is board- (channel-) hot by the table exactly when
+        its block is on the board's (channel's) hot list and the vertex
+        is not dense: the dense test the lookup dropped never fires."""
+        fw = _direct_engine(hs, True, 0.0)
+        vb = fw.part.vertex_block
+        home = fw._hot_home[vb]
+        dense = fw.part.dense_vertex_mask
+        assert np.isin(vb, fw.board.hot_blocks).any() == hs
+        np.testing.assert_array_equal(
+            home == -1, np.isin(vb, fw.board.hot_blocks) & ~dense
+        )
+        for ch in fw.channels:
+            np.testing.assert_array_equal(
+                home == ch.channel_id, np.isin(vb, ch.hot_blocks) & ~dense
+            )

@@ -8,7 +8,6 @@ from repro.graph import CSRGraph, add_random_weights, path_graph, ring_graph
 from repro.walks import (
     AliasSampler,
     WalkSet,
-    its_next_single,
     its_search_steps,
     make_sampler,
     uniform_next,
@@ -88,6 +87,16 @@ class TestWalkSet:
         c.cur[0] = 42
         assert w.cur[0] == 1
 
+    def test_records_round_trip(self):
+        w = WalkSet(np.array([1, 2]), np.array([3, 4]), np.array([5, 0]))
+        assert w.records() == [(1, 3, 5), (2, 4, 0)]
+        back = WalkSet.from_records(w.records())
+        for got, want in zip((back.src, back.cur, back.hop), (w.src, w.cur, w.hop)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+        empty = WalkSet.from_records([])
+        assert len(empty) == 0 and empty.cur.shape == (0,)
+
 
 class TestUniformNext:
     def test_ring_is_deterministic(self, rng):
@@ -119,25 +128,6 @@ class TestUniformNext:
 
 
 class TestITS:
-    def test_requires_weights(self, rng):
-        with pytest.raises(GraphError):
-            its_next_single(ring_graph(4), 0, rng)
-
-    def test_dead_end(self, rng):
-        g = path_graph(3).with_uniform_weights()
-        assert its_next_single(g, 2, rng) == -1
-
-    def test_weighted_distribution(self, rng):
-        # vertex 0 -> 1 (weight 9), 0 -> 2 (weight 1)
-        g = CSRGraph(
-            np.array([0, 2, 2, 2]),
-            np.array([1, 2]),
-            np.array([9.0, 1.0]),
-        )
-        hits = np.array([its_next_single(g, 0, rng) for _ in range(5000)])
-        frac1 = np.mean(hits == 1)
-        assert 0.87 < frac1 < 0.93
-
     def test_search_steps_scalar_and_vector(self):
         assert its_search_steps(1) == 1
         assert its_search_steps(2) == 1
