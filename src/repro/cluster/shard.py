@@ -33,7 +33,7 @@ import numpy as np
 
 from ..common.errors import PowerLossError, SimulationError
 from ..walks.spec import WalkSpec
-from ..walks.state import WalkSet
+from ..walks.state import WalkSet, as_walkset
 
 __all__ = ["ShardStepCommand", "ShardStepResult", "ShardRuntime"]
 
@@ -108,8 +108,9 @@ class ShardRuntime:
         self.fw._on_completed = self._collect
         return t0
 
-    def _collect(self, t: float, walks: WalkSet) -> None:
+    def _collect(self, t: float, walks: WalkSet | list) -> None:
         if len(walks):
+            walks = as_walkset(walks)
             self._completions.append(
                 (float(t), walks.src.copy(), walks.cur.copy())
             )

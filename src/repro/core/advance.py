@@ -10,11 +10,14 @@ timing).
 
 Two kernels do the work and :func:`advance_batch` picks one per call.
 :func:`advance_vector` advances the *whole batch* per iteration with
-NumPy.  :func:`advance_scalar` walks a small batch one walk at a time in
-plain Python, for the paper's walk only (unbiased, fixed length): most
-chip batches hold 1-3 walks, where NumPy's fixed cost per call dominates.
-Both take the same RNG draws in the same order and return the same
-walks, so the choice never changes a simulated result.
+NumPy.  :func:`advance_scalar` walks a batch of records one walk at a
+time in plain Python, for the paper's walk only (unbiased, fixed
+length): most chip batches hold 1-3 walks, where NumPy's fixed cost per
+call dominates.  Both take the same RNG draws in the same order and
+return the same walks, so the choice never changes a simulated result.
+A batch comes out in the form it went in: records (at most
+:data:`~repro.walks.state.SMALL_BATCH` walks) give records, a WalkSet
+gives WalkSets.
 
 Dense-vertex rules (Section III-D): a walk *landing on* a dense vertex
 always exits as roving — it needs board-level pre-walking.  A walk
@@ -33,15 +36,12 @@ from ..graph.csr import CSRGraph
 from ..graph.partition import GraphPartitioning
 from ..walks.sampling import its_search_steps
 from ..walks.spec import WalkSpec
-from ..walks.state import WalkSet
+from ..walks.state import SMALL_BATCH, WalkSet
 from .buffers import WalkBatch
 
-__all__ = ["AdvanceContext", "AdvanceResult", "advance_batch", "in_sorted"]
-
-#: Largest batch :func:`advance_batch` hands to :func:`advance_scalar`.
-#: Measured on batch-skewed hops/s: 4, 16 and 64 walks gave 184k, 201k
-#: and 197k.
-SMALL_BATCH = 16
+__all__ = [
+    "AdvanceContext", "AdvanceResult", "SMALL_BATCH", "advance_batch", "in_sorted",
+]
 
 
 def in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -80,8 +80,8 @@ class AdvanceContext:
 class AdvanceResult:
     """Outcome of draining one batch against a loaded subgraph set."""
 
-    completed: WalkSet
-    roving: WalkSet
+    completed: WalkSet | list[tuple[int, int, int]]
+    roving: WalkSet | list[tuple[int, int, int]]
     hops: int
     guide_ops: int
     bias_steps: int
@@ -101,18 +101,35 @@ def advance_batch(
 
     ``batch.pre_edge`` entries >= 0 are resolved on the first iteration
     (their dense block must be in ``loaded_blocks``).  Returns completed
-    and roving walk sets plus the operation counts for timing.  Batches
-    of at most :data:`SMALL_BATCH` walks of an unbiased, fixed-length
-    spec go to :func:`advance_scalar`, all others to
-    :func:`advance_vector`; both give the same result.
+    and roving walks, in the batch's form, plus the operation counts for
+    timing.  Walks of an unbiased, fixed-length spec go to
+    :func:`advance_scalar` when they are records or a WalkSet of at most
+    :data:`SMALL_BATCH` walks, all others to :func:`advance_vector`;
+    both give the same result.
     """
     spec = ctx.spec
-    if (
-        len(batch.walks) <= SMALL_BATCH
-        and not spec.biased
-        and spec.stop_probability == 0
-    ):
-        return advance_scalar(ctx, batch, loaded_blocks, rng)
+    scalar = not spec.biased and spec.stop_probability == 0
+    walks, pre = batch.walks, batch.pre_edge
+    if type(walks) is list:
+        if scalar:
+            return advance_scalar(ctx, batch, loaded_blocks, rng)
+        if pre is not None:
+            pre = np.array(pre, dtype=np.int64)
+        res = advance_vector(
+            ctx, WalkBatch(WalkSet.from_records(walks), pre), loaded_blocks, rng
+        )
+        res.completed = res.completed.records()
+        res.roving = res.roving.records()
+        return res
+    if scalar and len(walks) <= SMALL_BATCH:
+        if pre is not None:
+            pre = pre.tolist()
+        res = advance_scalar(
+            ctx, WalkBatch(walks.records(), pre), loaded_blocks, rng
+        )
+        res.completed = WalkSet.from_records(res.completed)
+        res.roving = WalkSet.from_records(res.roving)
+        return res
     return advance_vector(ctx, batch, loaded_blocks, rng)
 
 
@@ -123,7 +140,8 @@ def advance_scalar(
     rng: np.random.Generator,
 ) -> AdvanceResult:
     """:func:`advance_vector` for an unbiased, fixed-length spec, one
-    walk at a time in plain Python.
+    walk at a time in plain Python, on a batch of records (with a list
+    ``pre_edge``); its completed and roving walks are records.
 
     Iteration by iteration over the still-active walks, in batch order,
     it takes the draws :func:`~repro.walks.sampling.uniform_next` takes
@@ -132,10 +150,9 @@ def advance_scalar(
     calls).  Completed and roving walks come out in the vector kernel's
     order, and it raises the same errors.
     """
-    walks = batch.walks
-    src = walks.src.tolist()
-    cur = walks.cur.tolist()
-    hop = walks.hop.tolist()
+    recs = batch.walks
+    cur = [r[1] for r in recs]
+    hop = [r[2] for r in recs]
     loaded = set(loaded_blocks)
     n_cmp = max(1, len(loaded))  # guider compares against each loaded range
     num_vertices = ctx.graph.num_vertices
@@ -147,9 +164,8 @@ def advance_scalar(
 
     # Pre-walked dense hops are resolved on the first iteration only,
     # after every one is checked and before any draw.
-    pre = None
-    if batch.pre_edge is not None:
-        pre = batch.pre_edge.tolist()
+    pre = batch.pre_edge
+    if pre is not None:
         for v, e in zip(cur, pre):
             if e >= 0 and e >= offset(v + 1) - offset(v):
                 raise ReproError("pre-walked edge index beyond vertex degree")
@@ -158,7 +174,7 @@ def advance_scalar(
     roving: list[int] = []
     hops = 0
     guide_ops = 0
-    active = range(len(src))
+    active = range(len(recs))
     while active:
         guide_ops += len(active) * n_cmp
         cont = []
@@ -195,17 +211,9 @@ def advance_scalar(
         active = cont
         pre = None
 
-    # One array holds both outputs: src, cur and hop of the completed
-    # walks then the roving ones, each output a slice per column.
-    out = completed + roving
-    n, d = len(out), len(completed)
-    cols = np.array(
-        [src[i] for i in out] + [cur[i] for i in out] + [hop[i] for i in out],
-        dtype=np.int64,
-    )
     return AdvanceResult(
-        completed=WalkSet.wrap(cols[:d], cols[n : n + d], cols[2 * n : 2 * n + d]),
-        roving=WalkSet.wrap(cols[d:n], cols[n + d : 2 * n], cols[2 * n + d :]),
+        completed=[(recs[i][0], cur[i], hop[i]) for i in completed],
+        roving=[(recs[i][0], cur[i], hop[i]) for i in roving],
         hops=hops,
         guide_ops=guide_ops,
         bias_steps=0,

@@ -27,6 +27,13 @@ are always the prefix ``slab[:spilled]`` and its buffered walks the
 rest, ``slab[spilled:fill]``.  The push-start markers are read only to
 find where a spill ends.  A drain returns the buffered walks, then the
 spilled ones, each in push order.
+
+An entry holding at most :data:`~repro.walks.state.SMALL_BATCH` walks
+drains as ``(src, cur, hop)`` records (and a list of pre-walked edges),
+and a push takes records as well as a :class:`WalkSet`: a small batch
+stays records from the drain that starts its trip through the chip,
+channel and board levels to the push that ends it.  Either form lands
+in the same pool.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import BufferOverflowError, ReproError
-from ..walks.state import WalkSet
+from ..walks.state import SMALL_BATCH, WalkSet
 
 __all__ = ["WalkBatch", "PartitionWalkBuffer", "ForeignerStore"]
 
@@ -43,14 +50,23 @@ _FIRST_SLAB = 8
 
 
 class WalkBatch:
-    """A WalkSet plus optional parallel pre-walked edge indices."""
+    """A batch of walks plus optional parallel pre-walked edge indices:
+    a WalkSet with an int array, or records with a list of ints."""
 
     __slots__ = ("walks", "pre_edge")
 
-    def __init__(self, walks: WalkSet, pre_edge: np.ndarray | None = None):
+    def __init__(
+        self,
+        walks: WalkSet | list[tuple[int, int, int]],
+        pre_edge: np.ndarray | list[int] | None = None,
+    ):
         if pre_edge is not None:
-            pre_edge = np.asarray(pre_edge, dtype=np.int64)
-            if pre_edge.shape != walks.src.shape:
+            if type(walks) is not list:
+                pre_edge = np.asarray(pre_edge, dtype=np.int64)
+                ok = pre_edge.shape == walks.src.shape
+            else:
+                ok = len(pre_edge) == len(walks)
+            if not ok:
                 raise ReproError("pre_edge must align with the walk set")
         self.walks = walks
         self.pre_edge = pre_edge
@@ -153,8 +169,8 @@ class PartitionWalkBuffer:
         self,
         blocks: np.ndarray | list[int],
         counts: np.ndarray | list[int],
-        walks: WalkSet,
-        pre_edge: np.ndarray | None = None,
+        walks: WalkSet | list[tuple[int, int, int]],
+        pre_edge: np.ndarray | list[int] | None = None,
     ) -> list[tuple[int, int]]:
         """Append ``counts[i]`` walks to the entry of ``blocks[i]``.
 
@@ -164,11 +180,12 @@ class PartitionWalkBuffer:
         spill their oldest whole pushes; returns ``(block, walks
         spilled)`` for each of them, in ascending block order.  Blocks
         and counts are int arrays or lists of ints; with no groups (and
-        no walks) nothing happens.
+        no walks) nothing happens.  ``walks`` is a WalkSet with an int
+        array ``pre_edge``, or records with a list of ints.
         """
         block_list = blocks if type(blocks) is list else blocks.tolist()
         count_list = counts if type(counts) is list else counts.tolist()
-        n = walks.src.size
+        n = len(walks)
         if sum(count_list) != n:
             raise ReproError(f"group counts sum to {sum(count_list)}, not {n}")
         if not block_list:
@@ -199,9 +216,20 @@ class PartitionWalkBuffer:
                 over.append((block, idx))
             if pre_edge is not None:
                 self._pre_walked[idx] = True
-        pre = -1 if pre_edge is None else pre_edge
         head = self._head
-        if len(pos) == 1:
+        pre = -1 if pre_edge is None else pre_edge
+        if type(walks) is list:
+            # Records: slot by slot, group after group.
+            src, cur, hop, pre_col = self._src, self._cur, self._hop, self._pre
+            j = 0
+            for p, k in zip(pos, count_list):
+                for q in range(p, p + k):
+                    src[q], cur[q], hop[q] = walks[j]
+                    pre_col[q] = pre if pre_edge is None else pre_edge[j]
+                    head[q] = False
+                    j += 1
+                head[p] = True
+        elif len(pos) == 1:
             p = pos[0]
             q = p + n
             self._src[p:q] = walks.src
@@ -228,13 +256,28 @@ class PartitionWalkBuffer:
         """Take all walks waiting for ``block_id``: (batch, n_buffered,
         n_spilled), buffered walks first, each side in push order.  The
         batch's ``pre_edge`` is None unless a push to the entry carried
-        pre-walked edges."""
+        pre-walked edges.  An entry of at most :data:`SMALL_BATCH` walks
+        drains as records, with a list ``pre_edge``."""
         idx = self._local(block_id)
         f = self._fill[idx]
         if not f:
-            return WalkBatch(WalkSet.empty()), 0, 0
+            return WalkBatch([]), 0, 0
         b, ns = self._base[idx], self._spilled[idx]
         pool = self._pool
+        if f <= SMALL_BATCH:
+            src, cur, hop, pre = pool[:, b : b + f].tolist()
+            if ns:
+                src = src[ns:] + src[:ns]
+                cur = cur[ns:] + cur[:ns]
+                hop = hop[ns:] + hop[:ns]
+                pre = pre[ns:] + pre[:ns]
+                self._spilled[idx] = 0
+            self._fill[idx] = 0
+            if self._pre_walked[idx]:
+                self._pre_walked[idx] = False
+            else:
+                pre = None
+            return WalkBatch(list(zip(src, cur, hop)), pre), f - ns, ns
         if ns:
             cols = np.concatenate(
                 (pool[:, b + ns : b + f], pool[:, b : b + ns]), axis=1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ..common.config import AcceleratorConfig
 from ..common.errors import ReproError
-from ..walks.state import WalkSet
+from ..walks.state import WalkSet, concat_walks
 from .advance import AdvanceResult
 
 __all__ = ["ChipAccelerator"]
@@ -47,8 +47,9 @@ class ChipAccelerator:
         #: Set when the underlying flash chip is declared dead: the
         #: scheduler stops targeting it and in-flight walks are rerouted.
         self.failed = False
-        #: Roving walks awaiting the channel accelerator's collection.
-        self.pending_rove: list[WalkSet] = []
+        #: Roving walks awaiting the channel accelerator's collection:
+        #: one batch (records or a WalkSet) per chip batch.
+        self.pending_rove: list = []
         self.pending_rove_count = 0
         #: Completed walks awaiting write-back (count only: the record
         #: content no longer matters, just the flush traffic).
@@ -78,7 +79,7 @@ class ChipAccelerator:
 
     # -- roving buffer ------------------------------------------------------------
 
-    def push_roving(self, walks: WalkSet) -> None:
+    def push_roving(self, walks: WalkSet | list[tuple[int, int, int]]) -> None:
         if len(walks):
             self.pending_rove.append(walks)
             self.pending_rove_count += len(walks)
@@ -88,8 +89,10 @@ class ChipAccelerator:
                     "buf.roving_bytes", self.pending_rove_count * self.walk_bytes
                 )
 
-    def take_roving(self) -> WalkSet:
-        walks = WalkSet.concat(self.pending_rove)
+    def take_roving(self) -> WalkSet | list[tuple[int, int, int]]:
+        """All pending roving walks, in push order (records when they
+        are few enough; see :func:`~repro.walks.state.concat_walks`)."""
+        walks = concat_walks(self.pending_rove)
         self.pending_rove = []
         self.pending_rove_count = 0
         return walks

@@ -26,11 +26,14 @@ __all__ = ["DenseVertexTable", "PreWalkResult"]
 
 
 class PreWalkResult:
-    """Outcome of pre-walking a batch: target block + in-block edge offset."""
+    """Outcome of pre-walking a batch: target block + in-block edge
+    offset, as int arrays or, for a list of vertices, lists of ints."""
 
     __slots__ = ("block", "edge_offset")
 
-    def __init__(self, block: np.ndarray, edge_offset: np.ndarray):
+    def __init__(
+        self, block: np.ndarray | list[int], edge_offset: np.ndarray | list[int]
+    ):
         self.block = block
         self.edge_offset = edge_offset
 
@@ -141,12 +144,19 @@ class DenseVertexTable:
             self.false_positives += n_maybe - sum(out)
         return out
 
-    def pre_walk(self, v: np.ndarray, rng: np.random.Generator) -> PreWalkResult:
+    def pre_walk(
+        self, v: np.ndarray | list[int], rng: np.random.Generator
+    ) -> PreWalkResult:
         """Pre-walk a batch of dense walks sitting at dense vertices ``v``.
 
         Draws the uniform edge index now and splits it into (target
-        block, in-block offset).  All ``v`` must be dense.
+        block, in-block offset).  All ``v`` must be dense.  A list of
+        ints gets lists of ints, from the same draws and the same
+        integer arithmetic (``Generator.random(n)`` yields the doubles
+        of ``n`` scalar calls).
         """
+        if type(v) is list:
+            return self._pre_walk_list(v, rng)
         v = np.asarray(v, dtype=np.int64)
         if v.size == 0:
             return PreWalkResult(
@@ -164,6 +174,24 @@ class DenseVertexTable:
         np.minimum(rnd, deg - 1, out=rnd)
         block = self._first[pos] + rnd // self._per_block[pos]
         return PreWalkResult(block, rnd % self._per_block[pos])
+
+    def _pre_walk_list(self, v: list[int], rng: np.random.Generator) -> PreWalkResult:
+        """:meth:`pre_walk` on Python ints."""
+        meta = self.meta
+        rows = []
+        for x in v:
+            m = meta.get(x)
+            if m is None:
+                raise ReproError("pre_walk called with a non-dense vertex")
+            rows.append((int(m.first_block), int(m.out_degree), int(m.edges_per_block)))
+        block: list[int] = []
+        offset: list[int] = []
+        if rows:
+            for (first, deg, per), u in zip(rows, rng.random(len(rows)).tolist()):
+                rnd = min(int(u * deg), deg - 1)
+                block.append(first + rnd // per)
+                offset.append(rnd % per)
+        return PreWalkResult(block, offset)
 
     @property
     def measured_fpr(self) -> float:

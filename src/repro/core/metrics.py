@@ -131,7 +131,8 @@ class RunResult:
     dram_bytes: int
     hops: int
     counters: dict[str, float] = field(default_factory=dict)
-    metrics: RunMetrics | None = None
+    #: Out of the repr, which would otherwise name its memory address.
+    metrics: RunMetrics | None = field(default=None, repr=False)
     #: Completed walks' (src, cur=final, hop) records; populated only
     #: when the engine ran with ``record_finals=True``.
     finals: object | None = None

@@ -7,7 +7,6 @@ from .ftl import FTL, FlashAddress
 from .hostif import NVME_COMMAND_OVERHEAD, HostInterface
 from .nand import Die, FlashChip, Plane
 from .ssd import SSD
-from .tsu import Transaction, TransactionScheduler, TransactionType
 
 __all__ = [
     "ONFI_COMMAND_BYTES",
@@ -23,7 +22,4 @@ __all__ = [
     "FlashChip",
     "Plane",
     "SSD",
-    "Transaction",
-    "TransactionScheduler",
-    "TransactionType",
 ]

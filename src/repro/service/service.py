@@ -529,8 +529,9 @@ class WalkQueryService:
 
     # ---------------------------------------------------------- completions
 
-    def _on_completed(self, t: float, walks: WalkSet) -> None:
-        """Engine hook: credit finished walks back to their queries.
+    def _on_completed(self, t: float, walks: WalkSet | list) -> None:
+        """Engine hook: credit finished walks (records or a WalkSet) back
+        to their queries, in ascending query id order.
 
         ``t`` may lie slightly ahead of ``sim.now`` (chip batches charge
         their full busy span up front), so a completion past the
@@ -539,8 +540,10 @@ class WalkQueryService:
         """
         if not len(walks):
             return
-        ids, counts = np.unique(walks.src, return_counts=True)
-        for qid, n in zip(ids.tolist(), counts.tolist()):
+        tally: dict[int, int] = {}
+        for qid in [r[0] for r in walks] if type(walks) is list else walks.src.tolist():
+            tally[qid] = tally.get(qid, 0) + 1
+        for qid, n in sorted(tally.items()):
             st = self.states[qid]
             st.walks_done += n
             if st.responded:

@@ -18,6 +18,12 @@ def push(pwb, block, ws, pre_edge=None):
     return pwb.push(np.array([block]), np.array([len(ws)]), ws, pre_edge)
 
 
+def srcs(batch):
+    """Origins of a drained batch of records, in order."""
+    assert type(batch.walks) is list
+    return [r[0] for r in batch.walks]
+
+
 def make(cap=8, dense_cap=12, n_blocks=10, first=0):
     is_dense = np.zeros(first + n_blocks, dtype=bool)
     is_dense[first + 3] = True
@@ -48,7 +54,7 @@ class TestBlockEntry:
         push(pwb, 4, walks(2, 10))
         batch, nb, ns = pwb.drain(4)
         assert (nb, ns) == (6, 0)
-        np.testing.assert_array_equal(batch.walks.src, [0, 1, 2, 3, 10, 11])
+        assert srcs(batch) == [0, 1, 2, 3, 10, 11]
         assert pwb.counts(4) == (0, 0)
 
     def test_spill_overflow_fifo(self):
@@ -69,9 +75,7 @@ class TestBlockEntry:
         batch, nb, ns = pwb.drain(4)
         assert (nb, ns) == (4, 4)
         # Buffered walks first, then the spilled ones.
-        np.testing.assert_array_equal(
-            batch.walks.src, [10, 11, 12, 13, 0, 1, 2, 3]
-        )
+        assert srcs(batch) == [10, 11, 12, 13, 0, 1, 2, 3]
 
     def test_negative_capacity(self):
         with pytest.raises(BufferOverflowError):
@@ -141,8 +145,18 @@ class TestPartitionWalkBuffer:
         push(pwb, 2, walks(2))
         push(pwb, 2, walks(1, 10), np.array([4]))
         batch, _, _ = pwb.drain(2)
-        np.testing.assert_array_equal(batch.walks.src, [0, 1, 10])
-        np.testing.assert_array_equal(batch.pre_edge, [-1, -1, 4])
+        assert srcs(batch) == [0, 1, 10]
+        assert batch.pre_edge == [-1, -1, 4]
+
+    def test_drain_form_follows_the_cut(self):
+        # At most SMALL_BATCH (16) walks drain as records, more as a WalkSet.
+        pwb = make(cap=100)
+        push(pwb, 2, walks(16))
+        push(pwb, 5, walks(17, 100))
+        assert srcs(pwb.drain(2)[0]) == list(range(16))
+        big = pwb.drain(5)[0].walks
+        assert type(big) is WalkSet
+        np.testing.assert_array_equal(big.src, np.arange(100, 117))
 
     def test_drain_empty_entry(self):
         pwb = make()
@@ -160,8 +174,8 @@ class TestPartitionWalkBuffer:
         assert [pwb.counts(b) for b in blocks] == [
             (1, 0), (2, 0), (3, 0), (0, 4), (1, 0), (2, 0)
         ]
-        np.testing.assert_array_equal(pwb.drain(4)[0].walks.src, [6, 7, 8, 9])
-        np.testing.assert_array_equal(pwb.drain(6)[0].walks.src, [11, 12])
+        assert srcs(pwb.drain(4)[0]) == [6, 7, 8, 9]
+        assert srcs(pwb.drain(6)[0]) == [11, 12]
 
     def test_slab_grows_and_is_reused(self):
         pwb = make(cap=1000)
@@ -173,8 +187,8 @@ class TestPartitionWalkBuffer:
         base = int(pwb._base[5])
         push(pwb, 5, walks(3, 200))
         assert int(pwb._base[5]) == base  # the drained slab is reused
-        np.testing.assert_array_equal(pwb.drain(5)[0].walks.src, [200, 201, 202])
-        np.testing.assert_array_equal(pwb.drain(6)[0].walks.src, [100, 101])
+        assert srcs(pwb.drain(5)[0]) == [200, 201, 202]
+        assert srcs(pwb.drain(6)[0]) == [100, 101]
 
     def test_reused_slab_forgets_old_push_starts(self):
         pwb = make(cap=3)
@@ -191,7 +205,7 @@ class TestPartitionWalkBuffer:
         push(pwb, 2, walks(3))
         batch, _, _ = pwb.drain(2)
         push(pwb, 2, walks(3, 50))
-        np.testing.assert_array_equal(batch.walks.src, [0, 1, 2])
+        assert srcs(batch) == [0, 1, 2]
 
     def test_snapshot_restores_entries_and_spill_order(self):
         pwb = make(cap=4)
@@ -207,8 +221,8 @@ class TestPartitionWalkBuffer:
             assert (fresh.spill_events, fresh.walks_spilled) == (2, 23)
             batch, nb, ns = fresh.drain(2)
             assert (nb, ns) == (3, 3)
-            np.testing.assert_array_equal(batch.walks.src, [10, 11, 12, 0, 1, 2])
-            np.testing.assert_array_equal(batch.pre_edge, [7, 8, 9, -1, -1, -1])
+            assert srcs(batch) == [10, 11, 12, 0, 1, 2]
+            assert batch.pre_edge == [7, 8, 9, -1, -1, -1]
             push(fresh, 5, walks(1, 900))
             assert fresh.counts(5) == (1, 20)
             np.testing.assert_array_equal(
@@ -259,7 +273,7 @@ class TestPartitionWalkBuffer:
         for block in blocks:
             (wa, na, sa), (wb, nb, sb) = a.drain(block), b.drain(block)
             assert (na, sa) == (nb, sb)
-            np.testing.assert_array_equal(wa.walks.src, wb.walks.src)
+            assert wa.walks == wb.walks
 
 
 class TestForeignerStore:

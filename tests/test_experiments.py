@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import fig1, fig5, fig6, fig7, fig8, fig9, tables
 from repro.experiments.harness import ExperimentContext, format_table
+from repro.obs.report import _jsonable
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,12 @@ class TestDrivers:
     def test_fig8_series_structure(self, tiny_ctx):
         curves = fig8.series(tiny_ctx, "TT", rebins=10)
         assert set(curves) >= {"flash_read", "flash_write", "channel", "progress"}
+
+    def test_fig8_series_renders_reproducibly(self, tiny_ctx):
+        """Two identical runs render the same artifact rows (the run
+        result's repr names no memory address)."""
+        a, b = (_jsonable(fig8.series(tiny_ctx, "TT", rebins=10)) for _ in range(2))
+        assert a == b
 
     def test_fig9_stages(self, tiny_ctx):
         rows = fig9.run(tiny_ctx, datasets=["TT"], n_seeds=1)

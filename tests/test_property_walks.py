@@ -101,11 +101,18 @@ def advance_cases(draw):
     return g, part, loaded, rng
 
 
+def as_records(batch):
+    """``batch`` (a WalkSet and an optional pre_edge array) as records
+    and a list, the form the scalar kernel takes."""
+    pre = None if batch.pre_edge is None else batch.pre_edge.tolist()
+    return WalkBatch(batch.walks.records(), pre)
+
+
 def run_both(ctx, batch, loaded, seed):
     """(scalar result, vector result, their generators afterwards)."""
     rs, rv = np.random.default_rng(seed), np.random.default_rng(seed)
     return (
-        advance_scalar(ctx, batch, loaded, rs),
+        advance_scalar(ctx, as_records(batch), loaded, rs),
         advance_vector(ctx, batch, loaded, rv),
         rs,
         rv,
@@ -133,16 +140,39 @@ class TestKernelsAgree:
             for batch in (WalkBatch(ws), WalkBatch(ws, pre)):
                 s, v, rs, rv = run_both(ctx, batch, loaded, seed + size)
                 for a, b in ((s.completed, v.completed), (s.roving, v.roving)):
-                    assert_revalidates(a)
+                    assert all(type(x) is int for r in a for x in r)
                     assert_revalidates(b)
-                    for col in ("src", "cur", "hop"):
-                        np.testing.assert_array_equal(
-                            getattr(a, col), getattr(b, col)
-                        )
+                    assert a == b.records()
                 assert (s.hops, s.guide_ops, s.bias_steps) == (
                     v.hops, v.guide_ops, v.bias_steps
                 )
                 assert rs.bit_generator.state == rv.bit_generator.state
+
+    @given(advance_cases(), st.integers(0, 2**20))
+    @settings(max_examples=30, deadline=None)
+    def test_records_of_a_refused_spec_take_the_vector_kernel(self, case, seed):
+        """Records of a spec the scalar kernel refuses (stop probability)
+        go through the vector kernel, pre-walked edges included, and
+        come back as records."""
+        g, part, loaded, rng = case
+        ctx = AdvanceContext.build(
+            g, part, WalkSpec(length=6, stop_probability=0.3), make_sampler(g)
+        )
+        deg = g.out_degrees()
+        for size in (1, 5, SMALL_BATCH):
+            cur = rng.integers(0, g.num_vertices, size=size)
+            ws = WalkSet(cur.copy(), cur, rng.integers(1, 7, size=size))
+            pre = np.where(
+                deg[cur] > 0, (rng.random(size) * deg[cur]).astype(np.int64), -1
+            )
+            batch = WalkBatch(ws, pre)
+            rs, rv = np.random.default_rng(seed), np.random.default_rng(seed)
+            s = advance_batch(ctx, as_records(batch), loaded, rs)
+            v = advance_vector(ctx, batch, loaded, rv)
+            assert s.completed == v.completed.records()
+            assert s.roving == v.roving.records()
+            assert (s.hops, s.guide_ops) == (v.hops, v.guide_ops)
+            assert rs.bit_generator.state == rv.bit_generator.state
 
     @pytest.mark.parametrize(
         "cur, pre, error",
@@ -159,9 +189,9 @@ class TestKernelsAgree:
         ws = WalkSet(np.array(cur), np.array(cur), np.array([3, 3]))
         batch = WalkBatch(ws, None if pre is None else np.array(pre))
         raised = []
-        for kernel in (advance_scalar, advance_vector):
+        for kernel, arg in ((advance_scalar, as_records(batch)), (advance_vector, batch)):
             with pytest.raises(error) as info:
-                kernel(ctx, batch, [0], np.random.default_rng(0))
+                kernel(ctx, arg, [0], np.random.default_rng(0))
             raised.append(type(info.value))
         assert raised == [error, error]
 

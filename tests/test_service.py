@@ -22,6 +22,8 @@ from repro.service import (
     WalkQueryService,
     open_loop_requests,
 )
+from repro.service.service import _QueryState
+from repro.walks import WalkSet
 
 #: Force walks through the chip path so completions take real simulated
 #: time (a fully board-hot graph would finish queries synchronously at
@@ -240,6 +242,24 @@ class TestServiceHappyPath:
         )
         with pytest.raises(ConfigError):
             svc.run([req])
+
+
+class TestCompletionHook:
+    @pytest.mark.parametrize("as_records", [True, False])
+    def test_credits_queries_in_ascending_id_order(self, graph, as_records):
+        """One completion batch finishing several queries answers them
+        in ascending query id order, whatever order the walks come in
+        and whichever form (records or a WalkSet) the batch has."""
+        svc = make_service(graph)
+        for qid in (2, 5, 9):
+            req = QueryRequest(
+                query_id=qid, arrival=0.0, num_walks=2, length=6, deadline=1e-3
+            )
+            svc.states[qid] = _QueryState(req, 0.0, 1e-3)
+        walks = [(9, 4, 0), (5, 1, 0), (2, 7, 0), (9, 3, 0), (2, 0, 0)]
+        svc._on_completed(1e-4, walks if as_records else WalkSet.from_records(walks))
+        assert [r.query_id for r in svc.responses] == [2, 9]
+        assert [svc.states[q].walks_done for q in (2, 5, 9)] == [2, 1, 2]
 
 
 class TestDeadlines:
