@@ -54,7 +54,7 @@ from ..obs.tracer import (
     TraceConfig,
     Tracer,
 )
-from ..sim.engine import Simulator
+from ..sim.engine import Event, Simulator
 from ..sim.resources import FcfsResource
 from ..walks.sampling import make_sampler
 from ..walks.spec import WalkSpec, start_vertices
@@ -71,17 +71,9 @@ from .scheduler import SubgraphScheduler
 
 __all__ = ["FlashWalker"]
 
-# Event priorities of the durability layer (lower runs first at equal
-# times).  Negative so durability events at time t always precede the
-# engine's priority-0 events in BOTH the original and a resumed
-# timeline — their re-armed event sequence numbers differ after a
-# restore, so cross-type ordering must never fall back to seq.  The
-# distinct values also order the durability events among themselves.
+# A power cut runs before every other event at its time (the recurring
+# background events' priorities are in _reset_run_state).
 _PRIO_POWER_LOSS = -100
-_PRIO_JOURNAL = -20
-_PRIO_CORRUPT = -15
-_PRIO_SCRUB = -10
-_PRIO_FTL_GC = -5
 
 #: Fixed ``le`` bounds of the sink-flush page-count histogram
 #: (telemetry only; power-of-two spacing covers group commits).
@@ -91,6 +83,12 @@ _FLUSH_PAGE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 #: board-hot block; a channel-hot block holds its channel id (>= 0).
 _HOT_NONE = -2
 _HOT_BOARD = -1
+
+
+def _grid(interval: float):
+    """First-fire rule of a recurring event on the absolute grid: the
+    k-th fire lands at ``k * interval``."""
+    return lambda t: (math.floor(t / interval) + 1) * interval
 
 
 class FlashWalker:
@@ -359,28 +357,50 @@ class FlashWalker:
             self.journal = None
             self.integrity = None
             self.ssd.attach_integrity(None)
-        # Next absolute fire times of the recurring durability events;
-        # None = not yet drawn/derived (restore overwrites with the
-        # snapshot's stored times).
-        self._next_journal_flush: float | None = None
-        self._next_scrub: float | None = None
-        self._next_corruption: float | None = None
-        self._dur_events: dict[str, object] = {}
-        # Background FTL GC (DFTL layer): scheduled on the same absolute
-        # grid as the durability events, but independent of them — the
-        # device housekeeps whether or not the journal/scrub stack is on.
-        self._next_ftl_gc: float | None = None
-        self._restored_ftlgc_armed: bool | None = None
+        # Recurring background events by name: (priority, first-fire
+        # rule, pass).  ``first(t)`` gives the first fire time when none
+        # is stored (None: do not arm); a pass at ``t`` returns its next
+        # fire time (None: stop).  Journal flushes and FTL GC run on an
+        # absolute grid, so an uninterrupted run and a resumed one share
+        # fire times.  The priorities are negative so these events
+        # precede the engine's priority-0 events at equal times in both
+        # the original and a resumed timeline (re-armed sequence numbers
+        # differ after a restore, so cross-type order must never fall
+        # back to seq); distinct values order them among themselves.
+        # FTL GC belongs to the DFTL layer: the device housekeeps
+        # whether or not the journal/scrub stack is on.
+        recurring = {}
+        if dcfg.enabled:
+            if self.journal is not None:
+                recurring["journal"] = (
+                    -20, _grid(dcfg.journal_interval), self._journal_flush
+                )
+            if dcfg.silent_corruption_rate > 0:
+                recurring["corrupt"] = (
+                    -15, self._corruption_due, self._corruption_arrival
+                )
+            if dcfg.scrub_interval > 0:
+                recurring["scrub"] = (
+                    -10, lambda t: t + dcfg.scrub_interval, self._scrub_pass
+                )
         if self.ssd.dftl is not None:
             self.ssd.dftl.telemetry = self.telemetry
+            if self.ssd.ftl.background_gc:
+                recurring["ftlgc"] = (
+                    -5, _grid(self.cfg.ssd.ftl.gc_interval), self._ftl_gc_pass
+                )
+        self._recurring = recurring
+        # Next absolute fire time per recurring event (a restore
+        # overwrites them with the snapshot's) and the armed events;
+        # power cuts are keyed by their index in power_loss_times.
+        self._fire_times: dict[str, float | None] = {}
+        self._armed: dict[str, Event] = {}
+        self._power_cuts: dict[int, Event] = {}
         # Extra-state hook pair for layers above the engine (the query
         # service): _checkpoint_extra() is packed into snapshots, and a
         # restore leaves the packed dict in _restored_extra.
         self._checkpoint_extra = None
         self._restored_extra = None
-        # Which recurring durability events the restored snapshot had
-        # armed (None = no restore: arm everything).
-        self._restored_dur_armed: set[str] | None = None
         self._ckpt_interval = (
             fcfg.checkpoint_interval if (fcfg.enabled or dcfg.enabled) else 0.0
         )
@@ -417,13 +437,6 @@ class FlashWalker:
         the raw material of PPR and endpoint-sampling applications.
         Returns a :class:`RunResult`.
         """
-        self.spec = (spec or WalkSpec()).validate(self.graph)
-        self._reset_run_state()
-        self._checkpoints.clear()
-        self._crashes_fired = 0
-        self._last_power_loss = None
-        if record_finals:
-            self._finals = []
         if starts is None:
             if num_walks is None or num_walks < 1:
                 raise SimulationError("need num_walks >= 1 or explicit starts")
@@ -434,56 +447,22 @@ class FlashWalker:
             starts = np.asarray(starts, dtype=np.int64)
             if starts.size == 0:
                 raise SimulationError("empty starts array")
-        self.total_walks = int(starts.size)
-        self.in_transit = self.total_walks
-        sampler = make_sampler(self.graph, self.spec.biased)
-        self.ctx = AdvanceContext.build(self.graph, self.part, self.spec, sampler)
-        # Size partition-walk-buffer entries: a few times the mean walks
-        # per subgraph, so only hot entries overflow (paper regime).
-        if self.cfg.pwb_entry_walks > 0:
-            self.entry_capacity = self.cfg.pwb_entry_walks
-        else:
-            # The paper's DRAM budget gives each entry several times the
-            # mean walks per subgraph of headroom; 16x keeps overflow an
-            # event of the hottest entries only, matching Fig. 8's
-            # near-zero write curve.
-            mean = self.total_walks / max(1, self.part.num_blocks)
-            self.entry_capacity = max(16, math.ceil(16 * mean))
-        self.dense_entry_capacity = max(
-            self.entry_capacity + 1, math.ceil(self.entry_capacity * self.cfg.beta)
-        )
-
-        # Preload hot subgraphs (flash reads + channel transfers).
-        t0 = self._preload_hot_blocks(0.0)
-        self._install_partition(0, t0)
-        walks = WalkSet.start(starts, self.spec.length)
-        self.sim.at(t0, lambda: self._board_direct(walks, scoped=False))
-        if self.fault_model is not None:
-            for t_fail, chip_flat in self.cfg.faults.chip_failures:
-                self.sim.at(
-                    float(t_fail),
-                    lambda c=int(chip_flat): self._fail_chip(c),
-                )
-        self._arm_durability()
-        self._arm_ftl_gc()
+        self._open_session(spec, int(starts.size), starts)
+        if record_finals:
+            self._finals = []
         self.sim.run(max_events=max_events)
         return self._finalize_run()
 
-    # ------------------------------------------------------- service sessions
-
-    def start_session(
-        self, spec: WalkSpec | None = None, *, expected_walks: int = 0
+    def _open_session(
+        self, spec: WalkSpec | None, n_walks: int, starts: np.ndarray | None = None
     ) -> float:
-        """Prepare the engine for an *open-ended* walk session.
+        """The one setup path of :meth:`run` and :meth:`start_session`.
 
-        Mirrors :meth:`run`'s setup — state reset, entry-capacity
-        sizing, hot-block preload, first partition install, scheduled
-        chip failures — but boards no walks: the service layer
-        (:mod:`repro.service`) injects them over time with
-        :meth:`inject_walks` while driving ``self.sim`` itself.
-        ``expected_walks`` sizes the partition-walk-buffer entries the
-        way a batch run's ``num_walks`` would.  Returns the simulated
-        time at which the system is ready (hot blocks preloaded).
+        Resets the run state, sizes the partition-walk-buffer entries
+        for ``n_walks`` walks, preloads the hot blocks, installs
+        partition 0, boards ``starts`` (if given) and arms the scheduled
+        chip failures and background events.  Returns the simulated
+        time at which the system is ready.
         """
         self.spec = (spec or WalkSpec()).validate(self.graph)
         self._reset_run_state()
@@ -495,22 +474,45 @@ class FlashWalker:
         if self.cfg.pwb_entry_walks > 0:
             self.entry_capacity = self.cfg.pwb_entry_walks
         else:
-            mean = max(1, int(expected_walks)) / max(1, self.part.num_blocks)
+            # The paper's DRAM budget gives each entry several times the
+            # mean walks per subgraph of headroom; 16x keeps overflow an
+            # event of the hottest entries only, matching Fig. 8's
+            # near-zero write curve.
+            mean = max(1, n_walks) / max(1, self.part.num_blocks)
             self.entry_capacity = max(16, math.ceil(16 * mean))
         self.dense_entry_capacity = max(
             self.entry_capacity + 1, math.ceil(self.entry_capacity * self.cfg.beta)
         )
+        # Preload hot subgraphs (flash reads + channel transfers).
         t0 = self._preload_hot_blocks(0.0)
         self._install_partition(0, t0)
-        if self.fault_model is not None:
-            for t_fail, chip_flat in self.cfg.faults.chip_failures:
-                self.sim.at(
-                    float(t_fail),
-                    lambda c=int(chip_flat): self._fail_chip(c),
-                )
-        self._arm_durability()
-        self._arm_ftl_gc()
+        if starts is not None:
+            self.total_walks = self.in_transit = int(starts.size)
+            walks = WalkSet.start(starts, self.spec.length)
+            # Queued ahead of the chip failures: equal-time events run
+            # in the order they were queued.
+            self.sim.at(t0, lambda: self._board_direct(walks, scoped=False))
+        self._arm_chip_failures()
+        self._arm_background()
         return t0
+
+    # ------------------------------------------------------- service sessions
+
+    def start_session(
+        self, spec: WalkSpec | None = None, *, expected_walks: int = 0
+    ) -> float:
+        """Prepare the engine for an *open-ended* walk session.
+
+        The same setup as :meth:`run` — state reset, entry-capacity
+        sizing, hot-block preload, first partition install, scheduled
+        chip failures — but boards no walks: the service layer
+        (:mod:`repro.service`) injects them over time with
+        :meth:`inject_walks` while driving ``self.sim`` itself.
+        ``expected_walks`` sizes the partition-walk-buffer entries the
+        way a batch run's ``num_walks`` would.  Returns the simulated
+        time at which the system is ready (hot blocks preloaded).
+        """
+        return self._open_session(spec, int(expected_walks))
 
     def inject_walks(self, walks: WalkSet) -> None:
         """Board new walks mid-session at the current simulated time.
@@ -530,17 +532,9 @@ class FlashWalker:
         self.total_walks += n
         self.in_transit += n
         self._done = False
-        # Recurring durability events were cancelled when the session
-        # last went idle (_done); new work re-arms them.  An armed
-        # power loss is not recurring work — it must not keep the
-        # journal/scrub events from re-arming, or the epoch it is
-        # armed in runs with journal flushes silently off.
-        if all(
-            k.startswith("powerloss") or k == "ftlgc" for k in self._dur_events
-        ):
-            self._arm_durability()
-        if "ftlgc" not in self._dur_events:
-            self._arm_ftl_gc()
+        # Background events were cancelled when the session last went
+        # idle (_done); new work re-arms them.
+        self._arm_background()
         self._board_direct(walks, scoped=False)
 
     def _finalize_run(self) -> RunResult:
@@ -629,19 +623,38 @@ class FlashWalker:
     def _install_partition(self, pid: int, t: float) -> None:
         if not 0 <= pid < self.n_partitions:
             raise SimulationError(f"partition {pid} out of range")
+        first, last = self._build_partition(pid)
+        tr = self.tracer
+        if tr is not None:
+            tr.instant("run", PID_RUN, 0, "install_partition", t,
+                       args={"partition": pid, "first_block": first,
+                             "last_block": last})
+        # Mapping entries stream from DRAM into the board SRAM.
+        entry_bytes = self.mapping.n_entries * self.cfg.mapping_entry_bytes
+        self.ssd.dram.read(t, entry_bytes)
+        self.metrics.record_dram(t, entry_bytes)
+
+    def _build_partition(self, pid: int) -> tuple[int, int]:
+        """Build partition ``pid``'s mapping table, range tables, empty
+        scheduler and empty walk buffer; returns its block range.
+
+        Charges nothing: :meth:`_install_partition` adds the DRAM
+        mapping stream, and a checkpoint restore fills the scheduler
+        and buffer from the snapshot.
+        """
         self.current_partition = pid
         first, last = self.part.partition_block_range(
             pid, self.cfg.partition_subgraphs
         )
         self.mapping = SubgraphMappingTable(self.part, first, last)
         self.board.set_mapping(self.mapping)
-        if self.cfg.opt_walk_query:
-            table = RangeTable(self.part, first, last, self.cfg.range_subgraphs)
-            for ch in self.channels:
-                ch.set_range_table(table)
-        else:
-            for ch in self.channels:
-                ch.set_range_table(None)
+        table = (
+            RangeTable(self.part, first, last, self.cfg.range_subgraphs)
+            if self.cfg.opt_walk_query
+            else None
+        )
+        for ch in self.channels:
+            ch.set_range_table(table)
         self.scheduler = SubgraphScheduler(
             block_chip=self.block_chip,
             is_dense_block=self.part.is_dense_block,
@@ -655,11 +668,6 @@ class FlashWalker:
             use_scores=self.cfg.opt_subgraph_scheduling,
         )
         self.scheduler.tracer = self.tracer
-        tr = self.tracer
-        if tr is not None:
-            tr.instant("run", PID_RUN, 0, "install_partition", t,
-                       args={"partition": pid, "first_block": first,
-                             "last_block": last})
         self.pwb = PartitionWalkBuffer(
             first,
             last,
@@ -667,10 +675,7 @@ class FlashWalker:
             self.dense_entry_capacity,
             self.part.is_dense_block,
         )
-        # Mapping entries stream from DRAM into the board SRAM.
-        entry_bytes = self.mapping.n_entries * self.cfg.mapping_entry_bytes
-        self.ssd.dram.read(t, entry_bytes)
-        self.metrics.record_dram(t, entry_bytes)
+        return first, last
 
     def _switch_partition(self, t: float) -> None:
         """Move to the next partition holding foreigner walks."""
@@ -1467,6 +1472,18 @@ class FlashWalker:
 
     # ------------------------------------------------------------- resilience
 
+    def _arm_chip_failures(self) -> None:
+        """Schedule each configured chip failure still to come."""
+        fm = self.fault_model
+        if fm is None:
+            return
+        for t_fail, chip_flat in self.cfg.faults.chip_failures:
+            if float(t_fail) >= self.sim.now and not fm.is_failed(int(chip_flat)):
+                self.sim.at(
+                    float(t_fail),
+                    lambda c=int(chip_flat): self._fail_chip(c),
+                )
+
     def _fail_chip(self, chip_flat: int) -> None:
         """Declare a whole chip dead and migrate its responsibilities.
 
@@ -1628,23 +1645,24 @@ class FlashWalker:
             raise SimulationError(
                 f"cannot arm power loss in the past: t={t} < now={self.sim.now}"
             )
-        pending = self._dur_events.pop("powerloss0", None)
-        if pending is not None:
+        for pending in self._power_cuts.values():
             pending.cancel()
         self.power_loss_times = (float(t),)
         self._crashes_fired = 0
-        # Schedule only the power-loss event itself.  Running the full
-        # _arm_durability here would arm the journal/scrub events *now*
+        # Schedule only the power cut itself.  Running the full
+        # _arm_background here would arm the journal/scrub events *now*
         # rather than at the next injection (where an unkilled run arms
         # them), shifting their fire phase — and with it the engine's
         # flush contention — so a killed timeline would diverge from
         # its uninterrupted baseline even before the crash fires.
-        self._dur_events["powerloss0"] = self.sim.at(
-            float(t), lambda: self._power_loss(0), priority=_PRIO_POWER_LOSS
-        )
+        self._power_cuts = {
+            0: self.sim.at(
+                float(t), lambda: self._power_loss(0), priority=_PRIO_POWER_LOSS
+            )
+        }
 
     def restore_for_resume(self, checkpoint=None):
-        """Restore state from a checkpoint and re-arm scheduled events.
+        """Restore state and scheduled events from a checkpoint.
 
         The restore half of :meth:`resume`, split out so layers above
         the engine (the query service) can interpose their own state
@@ -1657,31 +1675,6 @@ class FlashWalker:
         if snap is None:
             raise SimulationError("no checkpoint available to resume from")
         restore_checkpoint(self, snap)
-        if self.fault_model is not None:
-            for t_fail, chip_flat in self.cfg.faults.chip_failures:
-                if float(t_fail) >= self.sim.now and not self.fault_model.is_failed(
-                    int(chip_flat)
-                ):
-                    self.sim.at(
-                        float(t_fail),
-                        lambda c=int(chip_flat): self._fail_chip(c),
-                    )
-        self._arm_durability()
-        self._arm_ftl_gc()
-        # Restore the armed-event *set* as of capture: a snapshot taken
-        # at a drained rest point (cluster epoch boundary) had no
-        # recurring events armed — the resumed timeline must re-arm
-        # them lazily at its next injection, exactly as the original
-        # timeline did, or the flush/scrub phase diverges from it.
-        armed = self._restored_dur_armed
-        if armed is not None:
-            for key in list(self._dur_events):
-                if not key.startswith("powerloss") and key not in armed:
-                    self._dur_events.pop(key).cancel()
-        # Same lazy-re-arm contract for the FTL GC event, which exists
-        # with or without the durability layer's armed-set machinery.
-        if self._restored_ftlgc_armed is False and "ftlgc" in self._dur_events:
-            self._dur_events.pop("ftlgc").cancel()
         return snap
 
     def resume(
@@ -1718,71 +1711,64 @@ class FlashWalker:
         """
         self.power_loss_times = tuple(sorted(float(t) for t in times))
 
-    def _arm_durability(self) -> None:
-        """(Re-)schedule the recurring durability events from now.
+    def _arm_background(self, names: set[str] | None = None) -> None:
+        """Arm each recurring background event that is not armed yet
+        (only those in ``names`` when given) and each pending power cut.
 
-        Called at run/session start (fresh grid/draws) and after a
-        checkpoint restore (stored absolute fire times, which the
-        negative event priorities guarantee are strictly in the
-        future at capture).
+        An event fires first at its stored next time (after a restore,
+        the snapshot's) or, with none stored, by its first-fire rule;
+        never before now.  A restore passes the snapshot's armed set: a
+        snapshot taken at a drained rest point (cluster epoch boundary)
+        had none armed, and the resumed timeline must arm them at its
+        next injection, exactly as the original did, or the flush,
+        scrub and GC phases diverge from it.
         """
-        dcfg = self.cfg.durability
-        if not dcfg.enabled:
-            return
         t = self.sim.now
-        ev = self._dur_events
-        if self.journal is not None and "journal" not in ev:
-            if self._next_journal_flush is None:
-                # Absolute grid: flush k lands at k * interval, so an
-                # uninterrupted run and a resumed one share fire times.
-                self._next_journal_flush = (
-                    math.floor(t / dcfg.journal_interval) + 1
-                ) * dcfg.journal_interval
-            self._next_journal_flush = max(self._next_journal_flush, t)
-            ev["journal"] = self.sim.at(
-                self._next_journal_flush, self._journal_flush,
-                priority=_PRIO_JOURNAL,
-            )
-        it = self.integrity
-        if it is not None and it.rng is not None and "corrupt" not in ev:
-            cap = dcfg.max_corruption_events
-            if cap == 0 or it.injected < cap:
-                if self._next_corruption is None:
-                    self._next_corruption = t + float(
-                        it.rng.exponential(1.0 / dcfg.silent_corruption_rate)
-                    )
-                self._next_corruption = max(self._next_corruption, t)
-                ev["corrupt"] = self.sim.at(
-                    self._next_corruption, self._corruption_arrival,
-                    priority=_PRIO_CORRUPT,
-                )
-        if it is not None and dcfg.scrub_interval > 0 and "scrub" not in ev:
-            if self._next_scrub is None:
-                self._next_scrub = t + dcfg.scrub_interval
-            self._next_scrub = max(self._next_scrub, t)
-            ev["scrub"] = self.sim.at(
-                self._next_scrub, self._scrub_pass, priority=_PRIO_SCRUB
-            )
-        for i, tp in enumerate(self.power_loss_times):
-            key = f"powerloss{i}"
-            if i < self._crashes_fired or key in ev or float(tp) < t:
+        for name, (prio, first, _) in self._recurring.items():
+            if name in self._armed or (names is not None and name not in names):
                 continue
-            ev[key] = self.sim.at(
+            nxt = self._fire_times.get(name)
+            if nxt is None:
+                nxt = first(t)
+                if nxt is None:
+                    continue
+            nxt = self._fire_times[name] = max(nxt, t)
+            self._armed[name] = self.sim.at(
+                nxt, lambda n=name: self._fire_background(n), priority=prio
+            )
+        if not self.cfg.durability.enabled:
+            return
+        for i, tp in enumerate(self.power_loss_times):
+            if i < self._crashes_fired or i in self._power_cuts or float(tp) < t:
+                continue
+            self._power_cuts[i] = self.sim.at(
                 float(tp),
                 lambda i=i: self._power_loss(i),
                 priority=_PRIO_POWER_LOSS,
             )
 
-    def _cancel_durability_events(self) -> None:
-        """Cancel recurring/pending durability events so the run can end."""
-        for pending in self._dur_events.values():
-            pending.cancel()
-        self._dur_events.clear()
+    def _fire_background(self, name: str) -> None:
+        """Run one pass of a recurring event and re-arm it at the time
+        the pass returns, unless the event stopped or the run is done."""
+        prio, _, fire = self._recurring[name]
+        nxt = self._fire_times[name] = fire(self.sim.now)
+        if nxt is None or self._done:
+            del self._armed[name]
+        else:
+            self._armed[name] = self.sim.at(
+                nxt, lambda: self._fire_background(name), priority=prio
+            )
 
-    def _journal_flush(self) -> None:
-        """Group-commit event: pending journal records become durable."""
-        t = self.sim.now
-        self._next_journal_flush = t + self.cfg.durability.journal_interval
+    def _cancel_background(self) -> None:
+        """Cancel the armed background events and power cuts so the run
+        can end."""
+        for pending in (*self._armed.values(), *self._power_cuts.values()):
+            pending.cancel()
+        self._armed.clear()
+        self._power_cuts.clear()
+
+    def _journal_flush(self, t: float) -> float:
+        """Group-commit pass: pending journal records become durable."""
         j = self.journal
         nbytes = j.pending_bytes
         if nbytes > 0:
@@ -1797,37 +1783,25 @@ class FlashWalker:
                 mx.counter("durability_journal_flushes").inc(1.0, t)
                 mx.counter("durability_journal_flushed_bytes").inc(nbytes, t)
                 mx.gauge("durability_journal_pending_records").set(0.0, t)
-        if not self._done:
-            self._dur_events["journal"] = self.sim.at(
-                self._next_journal_flush, self._journal_flush,
-                priority=_PRIO_JOURNAL,
-            )
-        else:
-            self._dur_events.pop("journal", None)
+        return t + self.cfg.durability.journal_interval
 
-    def _corruption_arrival(self) -> None:
-        """Poisson arrival: a random plane develops silent corruption."""
-        t = self.sim.now
-        it = self.integrity
+    def _corruption_due(self, t: float) -> float | None:
+        """The next Poisson arrival after ``t`` (one exponential draw),
+        or None once ``max_corruption_events`` arrivals were injected."""
         dcfg = self.cfg.durability
-        it.inject(t)
+        it = self.integrity
         cap = dcfg.max_corruption_events
-        if cap == 0 or it.injected < cap:
-            self._next_corruption = t + float(
-                it.rng.exponential(1.0 / dcfg.silent_corruption_rate)
-            )
-            self._dur_events["corrupt"] = self.sim.at(
-                self._next_corruption, self._corruption_arrival,
-                priority=_PRIO_CORRUPT,
-            )
-        else:
-            self._next_corruption = None
-            self._dur_events.pop("corrupt", None)
+        if cap and it.injected >= cap:
+            return None
+        return t + float(it.rng.exponential(1.0 / dcfg.silent_corruption_rate))
 
-    def _scrub_pass(self) -> None:
-        """Background scrub event: verify the next planes at the cursor."""
-        t = self.sim.now
-        self._next_scrub = t + self.cfg.durability.scrub_interval
+    def _corruption_arrival(self, t: float) -> float | None:
+        """Poisson arrival: a random plane develops silent corruption."""
+        self.integrity.inject(t)
+        return self._corruption_due(t)
+
+    def _scrub_pass(self, t: float) -> float:
+        """Background scrub pass: verify the next planes at the cursor."""
         it = self.integrity
         pages_before = it.scrub_pages_read
         it.scrub_pass(t)
@@ -1837,44 +1811,16 @@ class FlashWalker:
             mx.counter("durability_scrub_pages").inc(
                 it.scrub_pages_read - pages_before, t
             )
-        if not self._done:
-            self._dur_events["scrub"] = self.sim.at(
-                self._next_scrub, self._scrub_pass, priority=_PRIO_SCRUB
-            )
-        else:
-            self._dur_events.pop("scrub", None)
+        return t + self.cfg.durability.scrub_interval
 
-    def _arm_ftl_gc(self) -> None:
-        """(Re-)schedule the background FTL-GC event from now.
-
-        Independent of the durability layer: an enabled DFTL housekeeps
-        even when journal/scrub are off.  Same absolute-grid discipline
-        as the durability events so an uninterrupted run and a resumed
-        one share fire times.
-        """
-        if self.ssd.dftl is None or not self.ssd.ftl.background_gc:
-            return
-        if "ftlgc" in self._dur_events:
-            return
-        interval = self.cfg.ssd.ftl.gc_interval
-        t = self.sim.now
-        if self._next_ftl_gc is None:
-            self._next_ftl_gc = (math.floor(t / interval) + 1) * interval
-        self._next_ftl_gc = max(self._next_ftl_gc, t)
-        self._dur_events["ftlgc"] = self.sim.at(
-            self._next_ftl_gc, self._ftl_gc_pass, priority=_PRIO_FTL_GC
-        )
-
-    def _ftl_gc_pass(self) -> None:
-        """Background-GC event: reclaim the neediest planes' worst blocks.
+    def _ftl_gc_pass(self, t: float) -> float:
+        """Background-GC pass: reclaim the neediest planes' worst blocks.
 
         Each pass collects at most ``gc_planes_per_pass`` planes whose
         free-block counts sit at/below the watermark; the migrations and
         erases occupy the owning chips' dispatchers, planes, and channel
         buses — the housekeeping traffic walks contend with.
         """
-        t = self.sim.now
-        self._next_ftl_gc = t + self.cfg.ssd.ftl.gc_interval
         ftl = self.ssd.ftl
         for flat in ftl.gc_candidates()[: self.cfg.ssd.ftl.gc_planes_per_pass]:
             self.ssd.ftl_gc_collect(t, flat)
@@ -1888,17 +1834,12 @@ class FlashWalker:
                 self.ssd.dftl.write_amplification(ftl), t
             )
             mx.gauge("ftl_cmt_hit_rate").set(self.ssd.dftl.cmt.hit_rate, t)
-        if not self._done:
-            self._dur_events["ftlgc"] = self.sim.at(
-                self._next_ftl_gc, self._ftl_gc_pass, priority=_PRIO_FTL_GC
-            )
-        else:
-            self._dur_events.pop("ftlgc", None)
+        return t + self.cfg.ssd.ftl.gc_interval
 
     def _power_loss(self, index: int) -> None:
         """Cut power: volatile state is lost, torn pages drawn, run aborts."""
         t = self.sim.now
-        self._dur_events.pop(f"powerloss{index}", None)
+        self._power_cuts.pop(index, None)
         self._crashes_fired = index + 1
         # Torn-page draw from a seed derived per crash, outside the
         # registry: the crash must not perturb any checkpointed stream
@@ -2072,9 +2013,9 @@ class FlashWalker:
             return
         if self.completed_walks >= self.total_walks:
             self._done = True
-            # Recurring durability events (and unfired power losses)
+            # Recurring background events (and unfired power losses)
             # would otherwise keep the event loop alive forever.
-            self._cancel_durability_events()
+            self._cancel_background()
             return
         if self.foreign.total == 0:  # pragma: no cover - consistency guard
             raise SimulationError(

@@ -2,7 +2,7 @@
 
 ::
 
-    python -m repro.durability --quick --seed 3 --crash-points 7 --configs 3
+    python -m repro.durability --quick --seed 3 --crash-points 7 --configs 4
     python -m repro.durability --crash-points 10 --out durability_report.json
 
 Runs each selected configuration's workload once uninterrupted, then
@@ -35,9 +35,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--crash-points", type=int, default=7,
                         help="seeded crash points per configuration "
                              "(default: 7)")
-    parser.add_argument("--configs", type=int, default=3,
+    parser.add_argument("--configs", type=int, default=4,
                         help="how many standard configurations to run "
-                             "(default: all 3)")
+                             "(default: all 4)")
     parser.add_argument("--quick", action="store_true",
                         help="scale the workload down (CI-sized run)")
     parser.add_argument("--out", default=None,

@@ -15,11 +15,16 @@ integrity primitives must not depend on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..common.config import DurabilityConfig, FaultConfig, FlashWalkerConfig
+from ..common.config import (
+    DurabilityConfig,
+    FaultConfig,
+    FlashWalkerConfig,
+    FTLConfig,
+)
 from ..common.errors import PowerLossError
 from ..common.rng import RngRegistry, derive_seed
 from ..obs.report import diff_reports
@@ -186,8 +191,9 @@ def standard_campaigns(*, quick: bool = False) -> list[dict]:
 
     Each entry carries a ``name``, a ``make_engine`` factory and a
     ``run_workload`` driver.  The pool spans the durability feature
-    matrix: journal-only, journal + silent corruption + scrubbing, and
-    checkpoint-only recovery (no journal) under read faults.
+    matrix: journal-only, journal + silent corruption + scrubbing,
+    checkpoint-only recovery (no journal) under read faults, and
+    journal + corruption + scrubbing over the DFTL with background GC.
     """
     from ..core.flashwalker import FlashWalker
     from ..graph.generators import rmat
@@ -195,7 +201,8 @@ def standard_campaigns(*, quick: bool = False) -> list[dict]:
     scale = 10 if quick else 11
     walks = 600 if quick else 1200
 
-    def make(name: str, dcfg: DurabilityConfig, fcfg: FaultConfig):
+    def make(name: str, dcfg: DurabilityConfig, fcfg: FaultConfig,
+             dftl: bool = False):
         def make_engine():
             g = rmat(scale, 8, RngRegistry(55).fresh("g"))
             cfg = FlashWalkerConfig(
@@ -205,6 +212,10 @@ def standard_campaigns(*, quick: bool = False) -> list[dict]:
                 durability=dcfg,
                 faults=fcfg,
             )
+            if dftl:
+                cfg = cfg.replace(
+                    ssd=replace(cfg.ssd, ftl=FTLConfig(enabled=True))
+                )
             return FlashWalker(g, cfg, seed=9)
 
         def run_workload(fw):
@@ -224,4 +235,5 @@ def standard_campaigns(*, quick: bool = False) -> list[dict]:
                 enabled=True, page_error_rate=0.05, checkpoint_interval=50e-6
             ),
         ),
+        make("journal+scrub+dftl", _dur(25e-6, 1500.0, 100e-6), ck, dftl=True),
     ]

@@ -248,10 +248,9 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
         },
         # metrics
         "metrics": _metrics_state(fw.metrics),
-        # scheduler scoreboard
-        "scheduler": None,
-        # partition walk buffer
-        "pwb": None,
+        # scheduler scoreboard + partition walk buffer
+        "scheduler": fw.scheduler.snapshot(),
+        "pwb": fw.pwb.snapshot(),
         # foreigner pools
         "foreign": {
             int(pid): [_pack_walks(w) for w in pool]
@@ -303,26 +302,16 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
         # CMT/translation counters — are snapshotted explicitly.
         "ftl_state": None if fw.ssd.dftl is None else fw.ssd.ftl.state(),
         "dftl_state": None if fw.ssd.dftl is None else fw.ssd.dftl.state(),
-        "next_ftl_gc": fw._next_ftl_gc,
-        "ftlgc_armed": "ftlgc" in fw._dur_events,
-        # durability layer: journal/integrity state + the recurring
-        # events' next absolute fire times (the negative durability
-        # event priorities guarantee these are strictly > ckpt.time)
+        # recurring background events: next absolute fire times (their
+        # negative priorities make these strictly > ckpt.time) and which
+        # were armed; a drained engine (cluster epoch boundary) has none
+        # armed, and the resumed run arms them at its next injection
+        "background": (dict(fw._fire_times), sorted(fw._armed)),
+        # durability layer: journal/integrity state
         "durability": (
             None
             if not fw.cfg.durability.enabled
             else {
-                "next_journal_flush": fw._next_journal_flush,
-                "next_scrub": fw._next_scrub,
-                "next_corruption": fw._next_corruption,
-                # Which recurring events were actually armed at capture:
-                # a drained engine (cluster epoch boundary) has none, and
-                # the resumed run must re-arm lazily at its next
-                # injection — exactly as the uninterrupted run does — or
-                # the journal-flush phase diverges.
-                "armed": sorted(
-                    k for k in fw._dur_events if not k.startswith("powerloss")
-                ),
                 "journal": (
                     None if fw.journal is None else fw.journal.state()
                 ),
@@ -357,10 +346,6 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
             None if fw.slow_model is None else fw.slow_model.snapshot()
         ),
     }
-    if fw.scheduler is not None:
-        data["scheduler"] = fw.scheduler.snapshot()
-    if fw.pwb is not None:
-        data["pwb"] = fw.pwb.snapshot()
     return Checkpoint(time=t, data=data)
 
 
@@ -368,12 +353,10 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
 
 
 def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
-    """Rebuild ``fw``'s run state from ``ckpt``; the caller re-arms the
-    event loop (kick chips + barrier check) and calls ``sim.run()``."""
+    """Rebuild ``fw``'s run state and scheduled events from ``ckpt``;
+    the caller restarts the event loop (kick chips + barrier check) and
+    calls ``sim.run()``."""
     from ..core.advance import AdvanceContext
-    from ..core.buffers import PartitionWalkBuffer
-    from ..core.mapping import RangeTable, SubgraphMappingTable
-    from ..core.scheduler import SubgraphScheduler
     from ..walks.sampling import make_sampler
 
     d = ckpt.data
@@ -444,45 +427,9 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
     _set_metrics(fw.metrics, d["metrics"])
     # partition structures — rebuilt without re-charging the DRAM mapping
     # stream (that traffic is already inside the restored metrics)
-    pid = d["current_partition"]
-    fw.current_partition = pid
-    first, last = fw.part.partition_block_range(
-        pid, fw.cfg.partition_subgraphs
-    )
-    fw.mapping = SubgraphMappingTable(fw.part, first, last)
-    fw.board.set_mapping(fw.mapping)
-    if fw.cfg.opt_walk_query:
-        table = RangeTable(fw.part, first, last, fw.cfg.range_subgraphs)
-        for ch in fw.channels:
-            ch.set_range_table(table)
-    else:
-        for ch in fw.channels:
-            ch.set_range_table(None)
-    sd = d["scheduler"]
-    if sd is not None:
-        fw.scheduler = SubgraphScheduler(
-            block_chip=fw.block_chip,
-            is_dense_block=fw.part.is_dense_block,
-            first_block=first,
-            last_block=last,
-            n_chips=len(fw.chips),
-            alpha=fw.cfg.alpha,
-            beta=fw.cfg.beta,
-            top_n=fw.cfg.top_n,
-            update_period_m=fw.cfg.score_update_period_m,
-            use_scores=fw.cfg.opt_subgraph_scheduling,
-        )
-        fw.scheduler.tracer = fw.tracer
-        fw.scheduler.restore(sd)
-    if d["pwb"] is not None:
-        fw.pwb = PartitionWalkBuffer(
-            first,
-            last,
-            fw.entry_capacity,
-            fw.dense_entry_capacity,
-            fw.part.is_dense_block,
-        )
-        fw.pwb.restore(d["pwb"])
+    fw._build_partition(d["current_partition"])
+    fw.scheduler.restore(d["scheduler"])
+    fw.pwb.restore(d["pwb"])
     # foreigner pools
     for pid_i, pool in d["foreign"].items():
         ws_list = [_unpack_walks(w) for w in pool]
@@ -514,9 +461,6 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
     for chip, cs in zip(fw.chips, d["chips"]):
         chip.loaded = list(cs["loaded"])
         chip.failed = cs["failed"]
-        chip.busy = False
-        chip.pending_rove = []
-        chip.pending_rove_count = 0
         chip.pending_completed = cs["pending_completed"]
         chip.batches = cs["batches"]
         chip.hops = cs["hops"]
@@ -528,7 +472,6 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
         ch.batches = batches
         ch.hops = hops
         ch.range_queries = range_queries
-        ch.collect_scheduled = False
     # hardware occupancy horizons + byte counters
     for i, hw in enumerate(d["chip_hw"]):
         _set_chip_hw(fw.ssd.chip_flat(i), hw)
@@ -551,19 +494,17 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
         for flat in d["ftl_remap_log"]:
             ftl.retire_active_block(int(flat))
     fw.ssd.ftl = ftl
-    fw._next_ftl_gc = d["next_ftl_gc"]
-    fw._restored_ftlgc_armed = d["ftlgc_armed"]
-    # Durability layer: journal/integrity contents + next fire times
-    # (the caller's _arm_durability re-schedules from these, then
-    # restore_for_resume cancels what the snapshot had not armed).
+    # durability layer: journal/integrity contents
     dur = d["durability"]
     if dur is not None:
-        fw._next_journal_flush = dur["next_journal_flush"]
-        fw._next_scrub = dur["next_scrub"]
-        fw._next_corruption = dur["next_corruption"]
-        fw._restored_dur_armed = set(dur["armed"])
         if fw.journal is not None:
             fw.journal.restore(dur["journal"])
         if fw.integrity is not None:
             fw.integrity.restore(dur["integrity"])
     fw._restored_extra = d["extra"]
+    # Scheduled events: the chip failures still to come, and the
+    # background events the snapshot had armed, at its fire times.
+    fire_times, armed = d["background"]
+    fw._fire_times = dict(fire_times)
+    fw._arm_chip_failures()
+    fw._arm_background(set(armed))

@@ -15,12 +15,6 @@ from .generators import (
 from .io import load_csr, read_edge_list, save_csr, write_edge_list
 from .partition import DenseVertexMeta, GraphPartitioning, partition_graph
 from .stats import GraphStats, compute_stats, estimate_powerlaw_exponent, gini
-from .traversal import (
-    bfs_levels,
-    largest_component_fraction,
-    reachable_count,
-    weakly_connected_components,
-)
 
 __all__ = [
     "CSRGraph",
@@ -48,8 +42,4 @@ __all__ = [
     "compute_stats",
     "estimate_powerlaw_exponent",
     "gini",
-    "bfs_levels",
-    "largest_component_fraction",
-    "reachable_count",
-    "weakly_connected_components",
 ]

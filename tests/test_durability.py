@@ -1,6 +1,7 @@
 """Durability layer: power-loss injection, journaled recovery, and
 silent-corruption detection with parity reconstruction."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ from repro.common import (
     DurabilityConfig,
     FaultConfig,
     FlashWalkerConfig,
+    FTLConfig,
     InvariantViolation,
     PowerLossError,
     RngRegistry,
@@ -40,12 +42,14 @@ def graph():
     return rmat(10, 8, RngRegistry(55).fresh("g"))
 
 
-def make_engine(graph, dcfg=None, fcfg=None, seed=9):
+def make_engine(graph, dcfg=None, fcfg=None, seed=9, ftl=None):
     cfg = FlashWalkerConfig(
         **ENGINE,
         durability=dcfg or DurabilityConfig(),
         faults=fcfg or FaultConfig(checkpoint_interval=50e-6),
     )
+    if ftl is not None:
+        cfg = cfg.replace(ssd=dataclasses.replace(cfg.ssd, ftl=ftl))
     return FlashWalker(graph, cfg, seed=seed)
 
 
@@ -259,6 +263,18 @@ class TestPowerLossRecovery:
         with pytest.raises(SimulationError):
             fw.recover()
 
+    def test_arm_power_loss_cancels_every_pending_cut(self, graph):
+        """Re-arming replaces the whole schedule: no cut armed earlier
+        (here both of schedule_power_loss's) fires afterwards."""
+        fw = make_engine(graph, dur())
+        fw.schedule_power_loss(1e-4, 3e-4)
+        fw.start_session(SPEC, expected_walks=WALKS)
+        fw.arm_power_loss(50.0)
+        fw.sim.run(until=1e-3)
+        assert fw.sim.now == 1e-3
+        assert fw._crashes_fired == 0
+        assert fw.power_loss_times == (50.0,)
+
     def test_recover_flags_tampered_journal(self, graph):
         """Mutation test: a dropped journal record must fail recovery."""
         base, fw = crash_and_recover(graph, dur(journal=10e-6), 0.6)
@@ -284,11 +300,16 @@ class TestCrashPointProperty:
                     checkpoint_interval=50e-6,
                 ),
             ),
+            # Every recurring background event at once: journal flush,
+            # corruption arrival, scrub and (the name's "+dftl") DFTL
+            # garbage collection.
+            ("journal+scrub+dftl", dur(corruption=1500.0, scrub=100e-6), None),
         ],
     )
     def test_campaign_identity(self, graph, name, dcfg, fcfg):
+        ftl = FTLConfig(enabled=True) if name.endswith("+dftl") else None
         campaign = run_crash_campaign(
-            lambda: make_engine(graph, dcfg, fcfg),
+            lambda: make_engine(graph, dcfg, fcfg, ftl=ftl),
             lambda fw: fw.run(WALKS, SPEC),
             crash_points=3,
             seed=7,

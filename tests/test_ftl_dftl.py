@@ -20,7 +20,7 @@ from repro.core import FlashWalker
 from repro.flash import FTL, SSD, CachedMappingTable
 from repro.graph import rmat
 from repro.obs.report import config_fingerprint, diff_reports, validate_report
-from repro.walks import WalkSpec
+from repro.walks import WalkSet, WalkSpec
 
 ENGINE = dict(
     partition_subgraphs=4, board_hot_subgraphs=1, channel_hot_subgraphs=0
@@ -435,6 +435,43 @@ class TestDFTLCheckpointResume:
             crashed.run(num_walks=800, spec=SPEC, max_events=cut)
         assert crashed.latest_checkpoint is not None
         resumed = crashed.resume()
+        assert result_key(resumed) == result_key(full)
+        assert resumed.ftl == full.ftl
+
+
+    def test_drained_session_restore_matches_uninterrupted(self, graph):
+        """A checkpoint taken at rest has no GC pass armed.  The session
+        restored from it arms GC at its next injection, as the
+        uninterrupted session does, so from the checkpoint on both run
+        the same events to the same result."""
+        cfg = dftl_cfg(FlashWalkerConfig(**ENGINE))
+        draw = RngRegistry(3).fresh("starts")
+        first, second = (
+            draw.integers(0, graph.num_vertices, 200) for _ in range(2)
+        )
+
+        def inject_and_run(fw, t, starts):
+            walks = WalkSet.start(starts, SPEC.length)
+            fw.sim.at(t, lambda: fw.inject_walks(walks))
+            fw.sim.run()
+
+        fw = FlashWalker(graph, cfg, seed=9)
+        t0 = fw.start_session(SPEC, expected_walks=400)
+        inject_and_run(fw, t0, first)
+        assert fw._done and not fw._armed
+        fw.checkpoint_now()
+        snap = fw.latest_checkpoint
+        at_rest = fw.sim.events_executed
+        # Off the GC grid, a few passes after the rest point.
+        t_next = fw.sim.now + 3.5 * cfg.ssd.ftl.gc_interval
+        inject_and_run(fw, t_next, second)
+        full = fw._finalize_run()
+
+        restored = FlashWalker(graph, cfg, seed=9)
+        restored.restore_for_resume(snap)
+        inject_and_run(restored, t_next, second)
+        resumed = restored._finalize_run()
+        assert restored.sim.events_executed == fw.sim.events_executed - at_rest
         assert result_key(resumed) == result_key(full)
         assert resumed.ftl == full.ftl
 

@@ -1071,6 +1071,37 @@ class TestRecordsTrip:
                 )
         assert states[0] == states[1]
 
+    @pytest.mark.parametrize("per_side", [3, 12])
+    def test_channel_directs_rest_before_hot_roving(self, per_side):
+        """A channel collection directs its non-hot walks first, in
+        collection order, then the walks its hot update sent roving
+        (records below the cut, a WalkSet above it)."""
+        fw = _direct_engine(True, True, 0.0)
+        ch = next(c for c in fw.channels if c.hot_blocks)
+        vb = fw.part.vertex_block
+        hot_v = np.flatnonzero(np.isin(vb, ch.hot_blocks) & ~fw.part.dense_vertex_mask)
+        rest_v = np.flatnonzero(fw._hot_home[vb] != ch.channel_id)
+        # Distinct sources name each walk; hot walks start at hop 0 so
+        # their update leaves most of them roving.
+        rest = [(i, int(rest_v[i % rest_v.size]), 1) for i in range(per_side)]
+        hot = [
+            (100 + i, int(hot_v[i % hot_v.size]), 0) for i in range(per_side)
+        ]
+        walks = rest + hot
+        fw.chips[ch.channel_id * fw.cfg.ssd.chips_per_channel].push_roving(
+            walks if len(walks) <= SMALL_BATCH else as_walkset(walks)
+        )
+        fw.in_transit += len(walks)
+        directed = []
+        fw._board_direct = lambda w, scoped: directed.append(as_records(w))
+        fw._collect_channel(ch.channel_id)
+        while fw.sim.step():
+            pass
+        [got] = directed
+        assert got[:per_side] == rest
+        roving = got[per_side:]
+        assert roving and {r[0] for r in roving} <= {r[0] for r in hot}
+
 
 class TestHotResidency:
     @pytest.mark.parametrize("hs", [True, False])
