@@ -129,7 +129,7 @@ class ShardRuntime:
                 np.asarray(verts, dtype=np.int64).copy(),
                 np.asarray(hops, dtype=np.int64).copy(),
             )
-            fw.sim.at(t_inj, lambda w=walks: fw.inject_walks(w))
+            fw.sim.at(t_inj, fw.inject_walks, walks)
 
     def step(self, cmd: ShardStepCommand) -> ShardStepResult:
         """Run one epoch to drain; recover in place if the kill fires."""

@@ -54,7 +54,7 @@ from ..obs.tracer import (
     TraceConfig,
     Tracer,
 )
-from ..sim.engine import Event, Simulator
+from ..sim.engine import Entry, Simulator
 from ..sim.resources import FcfsResource
 from ..walks.sampling import make_sampler
 from ..walks.spec import WalkSpec, start_vertices
@@ -394,8 +394,8 @@ class FlashWalker:
         # overwrites them with the snapshot's) and the armed events;
         # power cuts are keyed by their index in power_loss_times.
         self._fire_times: dict[str, float | None] = {}
-        self._armed: dict[str, Event] = {}
-        self._power_cuts: dict[int, Event] = {}
+        self._armed: dict[str, Entry] = {}
+        self._power_cuts: dict[int, Entry] = {}
         # Extra-state hook pair for layers above the engine (the query
         # service): _checkpoint_extra() is packed into snapshots, and a
         # restore leaves the packed dict in _restored_extra.
@@ -491,7 +491,7 @@ class FlashWalker:
             walks = WalkSet.start(starts, self.spec.length)
             # Queued ahead of the chip failures: equal-time events run
             # in the order they were queued.
-            self.sim.at(t0, lambda: self._board_direct(walks, scoped=False))
+            self.sim.at(t0, self._board_direct, walks, False)
         self._arm_chip_failures()
         self._arm_background()
         return t0
@@ -696,7 +696,7 @@ class FlashWalker:
         if tr is not None:
             tr.span("run", PID_RUN, 0, "partition_switch", t, t_ready,
                     args={"partition": pid, "walks": len(walks)})
-        self.sim.at(t_ready, lambda: self._board_direct(walks, scoped=False))
+        self.sim.at(t_ready, self._board_direct, walks, False)
 
 
     def _record_bus(self, bus, t_issue: float, nbytes: int, t_end: float) -> None:
@@ -975,7 +975,7 @@ class FlashWalker:
             tr.busy("board_accel", t_done - busy, t_done)
         if t_done > t:
             self._board_inflight += 1
-            self.sim.at(t_done, lambda: self._board_batch_done())
+            self.sim.at(t_done, self._board_batch_done)
         else:
             self._after_board_batch()
 
@@ -1305,7 +1305,7 @@ class FlashWalker:
                     t, t_ready,
                     args={"block": int(block), "buffered": nb, "spilled": ns})
             tr.latency("subgraph_load", t_ready - t)
-        self.sim.at(t_ready, lambda: self._chip_process(chip, batch))
+        self.sim.at(t_ready, self._chip_process, chip, batch)
 
     def _chip_process(self, chip: ChipAccelerator, batch: WalkBatch) -> None:
         t = self.sim.now
@@ -1325,7 +1325,7 @@ class FlashWalker:
                             args={"walks": len(walks)})
                 self.sim.at(
                     t + self.cfg.faults.failover_latency,
-                    lambda: self._board_direct(walks, scoped=False),
+                    self._board_direct, walks, False,
                 )
             else:
                 self._service_barriers(t)
@@ -1360,7 +1360,7 @@ class FlashWalker:
             self._chip_completed_flush(chip, t_end, res.n_completed)
         if chip.pending_rove_count:
             self._schedule_collect(chip.channel_id, t_end)
-        self.sim.at(t_end, lambda: self._after_chip_batch(chip))
+        self.sim.at(t_end, self._after_chip_batch, chip)
 
     def _chip_completed_flush(self, chip: ChipAccelerator, t: float, n: int) -> None:
         """Chip-side completed-walk buffer; programs own planes when full."""
@@ -1382,7 +1382,10 @@ class FlashWalker:
     def _after_chip_batch(self, chip: ChipAccelerator) -> None:
         t = self.sim.now
         chip.busy = False
-        self._start_load(chip, t)
+        # A chip with nothing pending would only ask next_subgraph for
+        # nothing (and refresh its topN list twice, to no effect).
+        if self.scheduler.pending_on(chip.index):
+            self._start_load(chip, t)
         if not chip.busy:
             self._service_barriers(t)
 
@@ -1397,7 +1400,7 @@ class FlashWalker:
         t_collect = math.ceil(max(t, self.sim.now) / interval) * interval
         if t_collect < self.sim.now:
             t_collect = self.sim.now
-        self.sim.at(t_collect, lambda: self._collect_channel(channel_id))
+        self.sim.at(t_collect, self._collect_channel, channel_id)
 
     def _collect_channel(self, channel_id: int) -> None:
         """Periodic roving-walk collection by a channel accelerator."""
@@ -1466,9 +1469,9 @@ class FlashWalker:
                     t_arr, t_done, args={"walks": n_collected})
             tr.busy("channel_accel", t_arr, t_done)
         if len(walks):
-            self.sim.at(t_done, lambda: self._board_direct(walks, scoped=scoped))
+            self.sim.at(t_done, self._board_direct, walks, scoped)
         else:
-            self.sim.at(t_done, lambda: self._service_barriers(self.sim.now))
+            self.sim.at(t_done, self._service_barriers, t_done)
 
     # ------------------------------------------------------------- resilience
 
@@ -1479,10 +1482,7 @@ class FlashWalker:
             return
         for t_fail, chip_flat in self.cfg.faults.chip_failures:
             if float(t_fail) >= self.sim.now and not fm.is_failed(int(chip_flat)):
-                self.sim.at(
-                    float(t_fail),
-                    lambda c=int(chip_flat): self._fail_chip(c),
-                )
+                self.sim.at(float(t_fail), self._fail_chip, int(chip_flat))
 
     def _fail_chip(self, chip_flat: int) -> None:
         """Declare a whole chip dead and migrate its responsibilities.
@@ -1545,7 +1545,7 @@ class FlashWalker:
             self.metrics.walks_rerouted.add(len(rerouted))
             self.sim.at(
                 t + self.cfg.faults.failover_latency,
-                lambda: self._board_direct(rerouted, scoped=False),
+                self._board_direct, rerouted, False,
             )
         self._kick_chips(t)
 
@@ -1646,7 +1646,7 @@ class FlashWalker:
                 f"cannot arm power loss in the past: t={t} < now={self.sim.now}"
             )
         for pending in self._power_cuts.values():
-            pending.cancel()
+            self.sim.cancel(pending)
         self.power_loss_times = (float(t),)
         self._crashes_fired = 0
         # Schedule only the power cut itself.  Running the full
@@ -1656,9 +1656,7 @@ class FlashWalker:
         # flush contention — so a killed timeline would diverge from
         # its uninterrupted baseline even before the crash fires.
         self._power_cuts = {
-            0: self.sim.at(
-                float(t), lambda: self._power_loss(0), priority=_PRIO_POWER_LOSS
-            )
+            0: self.sim.at(float(t), self._power_loss, 0, priority=_PRIO_POWER_LOSS)
         }
 
     def restore_for_resume(self, checkpoint=None):
@@ -1734,7 +1732,7 @@ class FlashWalker:
                     continue
             nxt = self._fire_times[name] = max(nxt, t)
             self._armed[name] = self.sim.at(
-                nxt, lambda n=name: self._fire_background(n), priority=prio
+                nxt, self._fire_background, name, priority=prio
             )
         if not self.cfg.durability.enabled:
             return
@@ -1742,9 +1740,7 @@ class FlashWalker:
             if i < self._crashes_fired or i in self._power_cuts or float(tp) < t:
                 continue
             self._power_cuts[i] = self.sim.at(
-                float(tp),
-                lambda i=i: self._power_loss(i),
-                priority=_PRIO_POWER_LOSS,
+                float(tp), self._power_loss, i, priority=_PRIO_POWER_LOSS
             )
 
     def _fire_background(self, name: str) -> None:
@@ -1756,14 +1752,14 @@ class FlashWalker:
             del self._armed[name]
         else:
             self._armed[name] = self.sim.at(
-                nxt, lambda: self._fire_background(name), priority=prio
+                nxt, self._fire_background, name, priority=prio
             )
 
     def _cancel_background(self) -> None:
         """Cancel the armed background events and power cuts so the run
         can end."""
         for pending in (*self._armed.values(), *self._power_cuts.values()):
-            pending.cancel()
+            self.sim.cancel(pending)
         self._armed.clear()
         self._power_cuts.clear()
 

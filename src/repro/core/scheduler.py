@@ -221,6 +221,10 @@ class SubgraphScheduler:
     def total_pending(self) -> int:
         return self._total
 
+    def pending_on(self, chip: int) -> int:
+        """Walks pending on ``chip``'s blocks (its running count)."""
+        return self._chip_pending[chip]
+
     # -- selection ----------------------------------------------------------------------
 
     def _refresh_top(self, chip: int) -> None:

@@ -192,9 +192,7 @@ class WalkQueryService:
         fw._checkpoint_extra = self._snapshot_state
         try:
             for req in ordered:
-                fw.sim.at(
-                    self._t0 + req.arrival, lambda r=req: self._arrive(r)
-                )
+                fw.sim.at(self._t0 + req.arrival, self._arrive, req)
             if self.on_session_start is not None:
                 self.on_session_start(fw, self._t0)
             fw.sim.run(max_events=max_events)
@@ -361,15 +359,11 @@ class WalkQueryService:
         try:
             for req in self._requests:
                 if req.query_id not in self.states:
-                    fw.sim.at(
-                        max(now, self._t0 + req.arrival),
-                        lambda r=req: self._arrive(r),
-                    )
+                    fw.sim.at(max(now, self._t0 + req.arrival), self._arrive, req)
             for st in self.states.values():
                 if not st.responded:
                     st.deadline_event = fw.sim.at(
-                        max(now, st.deadline_abs),
-                        lambda qid=st.req.query_id: self._deadline(qid),
+                        max(now, st.deadline_abs), self._deadline, st.req.query_id
                     )
             self._schedule_dispatch()
             fw._kick_chips(now)
@@ -415,7 +409,7 @@ class WalkQueryService:
         if mx is not None:
             mx.gauge("service_queue_depth").set(float(len(self.queue)), t)
         st.deadline_event = self.fw.sim.at(
-            st.deadline_abs, lambda qid=req.query_id: self._deadline(qid)
+            st.deadline_abs, self._deadline, req.query_id
         )
         self._schedule_dispatch()
         self.auditor.maybe_audit()
@@ -584,7 +578,7 @@ class WalkQueryService:
     ) -> None:
         st.responded = True
         if st.deadline_event is not None:
-            st.deadline_event.cancel()
+            self.fw.sim.cancel(st.deadline_event)
             st.deadline_event = None
         latency = 0.0 if status == "shed" else t - st.t_arrival
         self.responses.append(

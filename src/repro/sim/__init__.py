@@ -1,11 +1,10 @@
 """Discrete-event simulation kernel: engine, resources, statistics."""
 
-from .engine import Event, Simulator
+from .engine import Simulator
 from .resources import BandwidthLink, FcfsResource
 from .stats import Counter, Histogram, StatsRegistry, TimeSeries
 
 __all__ = [
-    "Event",
     "Simulator",
     "BandwidthLink",
     "FcfsResource",

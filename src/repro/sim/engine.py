@@ -1,9 +1,15 @@
 """Discrete-event simulation kernel.
 
 A tiny, fast event engine: callbacks scheduled at absolute or relative
-times, executed in (time, priority, sequence) order.  The heap holds
-``(time, priority, seq, event)`` tuples, so ordering is a C-level tuple
-compare (``seq`` is unique, so the event itself is never compared).
+times, executed in (time, priority, sequence) order.  Each heap entry
+is one ``(time, priority, seq, fn, args)`` tuple, so ordering is a
+C-level tuple compare (``seq`` is unique, so ``fn`` and ``args`` are
+never compared) and firing an entry is ``fn(*args)``: callers pass a
+bound method and its arguments rather than building a closure per
+event.  :meth:`Simulator.at` returns the entry itself, the handle that
+:meth:`Simulator.cancel` takes; a cancelled entry stays in the heap and
+is dropped, unfired, when it reaches the head.
+
 All simulator components (flash channels, accelerators, schedulers)
 share one :class:`Simulator` and advance its clock only through events,
 so causality is guaranteed by construction.
@@ -16,34 +22,17 @@ processes (see the hpc-parallel guide: measure, keep the hot path flat).
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
+from heapq import heappop, heappush
 from typing import Callable
 
 from ..common.errors import SimulationError
 
-__all__ = ["Event", "Simulator"]
+__all__ = ["Simulator"]
 
-
-class Event:
-    """A scheduled callback.  Cancel with :meth:`cancel`."""
-
-    __slots__ = ("time", "priority", "seq", "fn", "cancelled")
-
-    def __init__(self, time: float, priority: int, seq: int, fn: Callable[[], None]):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn = fn
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event dead; it will be skipped when popped."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.9f}, prio={self.priority}, {state})"
+#: One scheduled callback: ``(time, priority, seq, fn, args)``.
+Entry = tuple
 
 
 class Simulator:
@@ -51,55 +40,65 @@ class Simulator:
 
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.at(1.0, lambda: fired.append(sim.now))
+    >>> _ = sim.at(1.0, fired.append, "a")
     >>> _ = sim.after(0.5, lambda: fired.append(sim.now))
+    >>> dropped = sim.at(0.7, fired.append, "never")
+    >>> sim.cancel(dropped)
     >>> sim.run()
     >>> fired
-    [0.5, 1.0]
+    [0.5, 'a']
     """
 
     def __init__(self):
         self.now: float = 0.0
-        #: Heap of (time, priority, seq, event) entries.
-        self._queue: list[tuple[float, int, int, Event]] = []
+        #: Heap of (time, priority, seq, fn, args) entries.
+        self._queue: list[Entry] = []
+        #: seqs of cancelled entries still in the heap.
+        self._cancelled: set[int] = set()
         self._seq = itertools.count()
         self._events_executed = 0
         self._running = False
 
     # -- scheduling ---------------------------------------------------------
 
-    def at(self, time: float, fn: Callable[[], None], priority: int = 0) -> Event:
-        """Schedule ``fn`` at absolute simulation time ``time``."""
+    def at(self, time: float, fn: Callable, *args, priority: int = 0) -> Entry:
+        """Schedule ``fn(*args)`` at absolute simulation time ``time``;
+        returns the heap entry (the handle :meth:`cancel` takes)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event in the past: t={time} < now={self.now}"
             )
-        seq = next(self._seq)
-        ev = Event(time, priority, seq, fn)
-        heapq.heappush(self._queue, (time, priority, seq, ev))
-        return ev
+        entry = (time, priority, next(self._seq), fn, args)
+        heappush(self._queue, entry)
+        return entry
 
-    def after(self, delay: float, fn: Callable[[], None], priority: int = 0) -> Event:
-        """Schedule ``fn`` ``delay`` seconds from now."""
+    def after(self, delay: float, fn: Callable, *args, priority: int = 0) -> Entry:
+        """Schedule ``fn(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.at(self.now + delay, fn, priority)
+        return self.at(self.now + delay, fn, *args, priority=priority)
+
+    def cancel(self, entry: Entry) -> None:
+        """Keep a pending entry from firing.  An entry that already ran
+        (or was already dropped) is left alone, so the cancelled set
+        only ever holds entries still in the heap."""
+        if entry in self._queue:
+            self._cancelled.add(entry[2])
 
     # -- execution ----------------------------------------------------------
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if queue empty."""
-        while self._queue:
-            ev = heapq.heappop(self._queue)[3]
-            if ev.cancelled:
+        q = self._queue
+        cancelled = self._cancelled
+        while q:
+            time, _, seq, fn, args = heappop(q)
+            if cancelled and seq in cancelled:
+                cancelled.discard(seq)
                 continue
-            if ev.time < self.now:  # pragma: no cover - defensive
-                raise SimulationError(
-                    f"event time {ev.time} behind clock {self.now}"
-                )
-            self.now = ev.time
+            self.now = time
             self._events_executed += 1
-            ev.fn()
+            fn(*args)
             return True
         return False
 
@@ -108,7 +107,9 @@ class Simulator:
 
         ``until`` stops the clock at that time (remaining events stay
         queued) and may not lie behind it; ``max_events`` bounds work as
-        a runaway guard.
+        a runaway guard.  Every event runs through :meth:`step`, so a
+        wrapper on ``step`` sees each one (the e2e benchmark counts
+        ``sim.events`` that way).
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
@@ -117,37 +118,36 @@ class Simulator:
                 f"cannot run until the past: until={until} < now={self.now}"
             )
         self._running = True
+        q = self._queue
+        cancelled = self._cancelled
+        step = self.step
+        limit = math.inf if max_events is None else max_events
+        executed = 0
         try:
-            executed = 0
-            while self._queue:
-                nxt = self._peek()
-                if nxt is None:
+            while q:
+                head = q[0]
+                if cancelled and head[2] in cancelled:
+                    heappop(q)
+                    cancelled.discard(head[2])
+                    continue
+                if until is not None and head[0] > until:
                     break
-                if until is not None and nxt.time > until:
-                    self.now = until
-                    return
-                if max_events is not None and executed >= max_events:
+                if executed >= limit:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; possible livelock"
                     )
-                self.step()
+                step()
                 executed += 1
             if until is not None and until > self.now:
                 self.now = until
         finally:
             self._running = False
 
-    def _peek(self) -> Event | None:
-        q = self._queue
-        while q and q[0][3].cancelled:
-            heapq.heappop(q)
-        return q[0][3] if q else None
-
     # -- introspection --------------------------------------------------------
 
     @property
     def pending_events(self) -> int:
-        return sum(1 for entry in self._queue if not entry[3].cancelled)
+        return len(self._queue) - len(self._cancelled)
 
     @property
     def events_executed(self) -> int:

@@ -1,12 +1,6 @@
 """Walk layer: state, sampling, specs, algorithms, reference walker."""
 
-from .algorithms import (
-    deepwalk_corpus,
-    node2vec_corpus,
-    personalized_pagerank,
-    random_walk_sample,
-    simrank_sampled,
-)
+from .algorithms import deepwalk_corpus, personalized_pagerank
 from .reference import reference_walks, visit_counts
 from .sampling import (
     AliasSampler,
@@ -19,10 +13,7 @@ from .state import WalkSet
 
 __all__ = [
     "deepwalk_corpus",
-    "node2vec_corpus",
     "personalized_pagerank",
-    "random_walk_sample",
-    "simrank_sampled",
     "reference_walks",
     "visit_counts",
     "AliasSampler",

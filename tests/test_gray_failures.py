@@ -675,10 +675,10 @@ class TestGoldenGuards:
     change, paste the digest the failure prints."""
 
     FAILOVER_SHA = (
-        "200e74bc41aa5a5fda989f7e920cacec5af8efea013ae81fb0802dbcf1e45a34"
+        "c18a3f1e4254dc72937f54b8f1025ffca48ac47f33ec7cda8faacb881730ff45"
     )
     RESIZE_SHA = (
-        "8306f1b9ab38a84a99bb8077bf8b4e46a701b61cacf387eb2d44758e9dc8bb18"
+        "be48fe21a18c607192d2212f485764bf44d9123a20ee7470709b6bd63973b155"
     )
 
     def check(self, report, name):

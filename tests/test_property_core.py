@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import FlashWalkerConfig, PartitionError, ReproError, RngRegistry
+from repro.common import (
+    FaultConfig,
+    FlashWalkerConfig,
+    PartitionError,
+    ReproError,
+    RngRegistry,
+    SimulationError,
+)
 from repro.core import (
     BloomFilter,
     DenseVertexTable,
@@ -811,7 +818,9 @@ def _direct_state(fw: FlashWalker) -> dict:
         "rng": [fw.rngs.stream(name).bit_generator.state for name in stream_names],
         "in_transit": fw.in_transit,
         "completed": (fw.completed_walks, fw.completions),
-        "events": sorted(e[:3] for e in fw.sim._queue if not e[3].cancelled),
+        "events": sorted(
+            e[:3] for e in fw.sim._queue if e[2] not in fw.sim._cancelled
+        ),
     }
 
 
@@ -1121,3 +1130,152 @@ class TestHotResidency:
             np.testing.assert_array_equal(
                 home == ch.channel_id, np.isin(vb, ch.hot_blocks) & ~dense
             )
+
+
+# Chip batches skip the load attempt of a chip with no pending walks;
+# the reference engine below still makes it.
+
+
+class _LoadAfterEveryBatch(FlashWalker):
+    """The engine without the skip: every chip batch ends in a load
+    attempt, whether or not the chip has walks pending."""
+
+    def _after_chip_batch(self, chip):
+        t = self.sim.now
+        chip.busy = False
+        self._start_load(chip, t)
+        if not chip.busy:
+            self._service_barriers(t)
+
+
+def _load_engine(cls, failures=(), ckpt=0.0):
+    """Two partitions, two-walk buffer entries (inserts spill) and the
+    fault layer on for chip failures and checkpoint drains."""
+    cfg = FlashWalkerConfig().replace(
+        subgraph_bytes=256,
+        partition_subgraphs=25,
+        board_hot_subgraphs=1,
+        channel_hot_subgraphs=1,
+        pwb_entry_walks=2,
+        faults=FaultConfig(
+            enabled=True, chip_failures=failures, checkpoint_interval=ckpt
+        ),
+    )
+    fw = cls(_direct_graph(), cfg, seed=1)
+    fw.completions = []
+    fw._on_completed = lambda t, w: fw.completions.append((t, as_records(w)))
+    return fw
+
+
+def _load_windows(starts, spec, ckpt):
+    """Each chip load of a failure-free run, as (chip, start, ready)."""
+    fw = _load_engine(FlashWalker, ckpt=ckpt)
+    opened, windows = {}, []
+    start_load, chip_process = fw._start_load, fw._chip_process
+
+    def logged_start(chip, t):
+        start_load(chip, t)
+        if chip.busy:
+            opened[chip.index] = t
+
+    def logged_process(chip, batch):
+        windows.append((chip.index, opened.pop(chip.index), fw.sim.now))
+        chip_process(chip, batch)
+
+    fw._start_load, fw._chip_process = logged_start, logged_process
+    fw.run(starts=starts, spec=spec)
+    return windows
+
+
+def _scheduler_view(snap: dict, n_chips: int) -> tuple:
+    """A scheduler snapshot without its refresh history: the scoreboard,
+    and per chip the topN list ``next_subgraph`` reads, or None where it
+    refreshes the list first (the chip is dirty or its list empty)."""
+    top = [
+        None if c in snap["dirty"] or not snap["top"][c] else snap["top"][c]
+        for c in range(n_chips)
+    ]
+    rest = {k: v for k, v in snap.items() if k not in ("top", "dirty", "refreshes")}
+    return rest, top
+
+
+class TestSkippedLoads:
+    @given(
+        n=st.integers(1, 160),
+        seed=st.integers(0, 2**16),
+        length=st.integers(1, 6),
+        ckpt=st.sampled_from([0.0, 50e-6, 200e-6]),
+        fail=st.none() | st.tuples(st.integers(0, 10**6), st.floats(0.05, 0.95)),
+        steps=st.none() | st.integers(0, 800),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_skip_matches_load_after_every_batch(self, n, seed, length, ckpt, fail, steps):
+        """With and without the skip, a run (with a chip failing mid-load,
+        checkpoint drains and spilling buffer entries) advances and
+        directs the same batches in the same order, and after the same
+        number of events (or at the end) holds the same buffers,
+        scoreboard, counters, RNG streams, completions and pending
+        events; only the count of topN refreshes differs."""
+        spec = WalkSpec(length=length)
+        starts = np.random.default_rng(seed).integers(0, 256, n)
+        failures = ()
+        if fail is not None:
+            windows = [w for w in _load_windows(starts, spec, ckpt) if w[2] > w[1]]
+            if windows:
+                chip, t0, t1 = windows[fail[0] % len(windows)]
+                failures = ((t0 + fail[1] * (t1 - t0), chip),)
+        states = []
+        for cls in (FlashWalker, _LoadAfterEveryBatch):
+            fw = _load_engine(cls, failures, ckpt)
+            log = _log_trip(fw)
+            result = None
+            try:
+                result = fw.run(starts=starts, spec=spec, max_events=steps)
+            except SimulationError:
+                assert steps is not None and fw.sim.events_executed == steps
+            state = _direct_state(fw)
+            state["scheduler"] = _scheduler_view(state["scheduler"], len(fw.chips))
+            if result is not None:
+                counters = dict(result.counters)
+                del counters["sched_topn_refreshes"]
+                state["result"] = (result.elapsed, result.hops, counters)
+            states.append((fw.sim.events_executed, fw.sim.now, log, state))
+        assert states[0] == states[1]
+
+    def test_skip_covers_failure_drain_and_spill(self):
+        """One fixed case reaches every branch the Hypothesis test is
+        meant to cover: a chip fails while it loads, checkpoints drain,
+        buffer entries spill, and chips end batches with nothing pending
+        (the skipped load), so the two engines' refresh counts differ."""
+        spec = WalkSpec(length=6)
+        starts = np.arange(0, 256, 2, dtype=np.int64)
+        chip, t0, t1 = _load_windows(starts, spec, 50e-6)[10]
+        results = []
+        for cls in (FlashWalker, _LoadAfterEveryBatch):
+            fw = _load_engine(cls, ((t0 + 0.5 * (t1 - t0), chip),), 50e-6)
+            reroutes = []
+            chip_process = fw._chip_process
+
+            def logged(c, batch, reroutes=reroutes, chip_process=chip_process):
+                if c.failed:
+                    reroutes.append(c.index)
+                chip_process(c, batch)
+
+            fw._chip_process = logged
+            refreshes = []
+            refresh = SubgraphScheduler._refresh_top
+
+            def counted(sched, c, refreshes=refreshes):
+                refreshes.append(c)
+                refresh(sched, c)
+
+            with mock.patch.object(SubgraphScheduler, "_refresh_top", counted):
+                res = fw.run(starts=starts, spec=spec)
+            assert reroutes == [chip]
+            assert res.counters["checkpoints_taken"] > 0
+            assert res.counters["spilled_walks"] > 0
+            counters = dict(res.counters)
+            del counters["sched_topn_refreshes"]
+            results.append((res.elapsed, counters, len(refreshes)))
+        assert results[0][:2] == results[1][:2]
+        assert results[0][2] < results[1][2]

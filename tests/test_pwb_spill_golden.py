@@ -7,9 +7,11 @@ thousand spills; the digest covers the run's timing, hop count, every
 counter and the completed walks in completion order, which depends on
 the order each drain hands walks to the chip.  The digests were
 computed before the buffer became a columnar pool and must not be
-regenerated for a buffer change.  They were regenerated once, when the
-host-side ``sched_score_cache_hits`` counter left the counters; no other
-leaf moved.
+regenerated for a buffer change.  They were regenerated twice, each
+time for one scheduler counter and with no other leaf moved: when the
+host-side ``sched_score_cache_hits`` counter left the counters, and when
+chips stopped asking for a block with no walks pending, which lowered
+``sched_topn_refreshes``.
 """
 
 import hashlib
@@ -23,8 +25,8 @@ from repro.graph import rmat
 from repro.walks import WalkSpec
 
 GOLDEN = {
-    2: "9ae05b4ec173d7dfa24e1ffccb87b435454d1de71a81f2b4a0cf8764b866cbed",
-    4: "d5cc0e7d8680b7c0d8166937b5497f845847603290a2a07da52857b5b954b019",
+    2: "59c31d4445979c380ccfa6222dfc45ffc3c856c9622278e63c276ce589d6a022",
+    4: "5c81f43536223d4ca6e468f3b66f7fae644768d1413570e3dbb70fb5f8e53ec2",
 }
 
 

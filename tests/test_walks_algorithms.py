@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro.common import WalkError
-from repro.graph import CSRGraph, complete_graph, ring_graph, star_graph
-from repro.walks import (
-    deepwalk_corpus,
-    node2vec_corpus,
-    personalized_pagerank,
-    random_walk_sample,
-    simrank_sampled,
-)
+from repro.graph import ring_graph, star_graph
+from repro.walks import deepwalk_corpus, personalized_pagerank
 
 
 class TestDeepWalk:
@@ -62,100 +56,3 @@ class TestPPR:
     def test_rejects_zero_walks(self, small_graph, rng):
         with pytest.raises(WalkError):
             personalized_pagerank(small_graph, 0, rng, num_walks=0)
-
-
-class TestNode2Vec:
-    def test_shape_and_starts(self, rng):
-        g = complete_graph(10)
-        corpus = node2vec_corpus(g, rng, walks_per_vertex=2, walk_length=3)
-        assert corpus.shape == (20, 4)
-        assert (corpus[:, 0] == np.tile(np.arange(10), 2)).all()
-
-    def test_low_p_returns_often(self, rngs):
-        g = complete_graph(12)
-        back = node2vec_corpus(
-            g, rngs.fresh("a"), walks_per_vertex=8, walk_length=6, p=0.05, q=1.0
-        )
-        away = node2vec_corpus(
-            g, rngs.fresh("b"), walks_per_vertex=8, walk_length=6, p=20.0, q=1.0
-        )
-
-        def return_rate(corpus):
-            # fraction of steps that return to the vertex before last
-            r = 0
-            n = 0
-            for row in corpus:
-                for i in range(2, row.size):
-                    if row[i] < 0:
-                        break
-                    n += 1
-                    r += row[i] == row[i - 2]
-            return r / max(n, 1)
-
-        assert return_rate(back) > 2 * return_rate(away)
-
-    def test_follows_edges(self, rng):
-        g = ring_graph(10)
-        corpus = node2vec_corpus(g, rng, walks_per_vertex=1, walk_length=4)
-        for row in corpus:
-            for a, b in zip(row[:-1], row[1:]):
-                if b >= 0:
-                    assert b == (a + 1) % 10
-
-    def test_rejects_bad_pq(self, small_graph, rng):
-        with pytest.raises(WalkError):
-            node2vec_corpus(small_graph, rng, p=0.0)
-
-
-class TestSimRank:
-    def test_identity(self, small_graph, rng):
-        assert simrank_sampled(small_graph, 3, 3, rng) == 1.0
-
-    def test_symmetric_pair_similar(self, rng):
-        # 2 and 3 both point only to 0 and 1: high SimRank.
-        src = np.array([2, 2, 3, 3, 0, 1])
-        dst = np.array([0, 1, 0, 1, 2, 3])
-        g = CSRGraph.from_edge_list(src, dst, num_vertices=4)
-        s_close = simrank_sampled(g, 2, 3, rng, num_pairs=3000)
-        assert s_close > 0.3
-
-    def test_disconnected_pair_zero(self, rng):
-        # Two disjoint 2-cycles: reverse walks never meet.
-        src = np.array([0, 1, 2, 3])
-        dst = np.array([1, 0, 3, 2])
-        g = CSRGraph.from_edge_list(src, dst, num_vertices=4)
-        assert simrank_sampled(g, 0, 2, rng, num_pairs=500) == 0.0
-
-    def test_rejects_bad_decay(self, small_graph, rng):
-        with pytest.raises(WalkError):
-            simrank_sampled(small_graph, 0, 1, rng, decay=1.5)
-
-    def test_rejects_bad_vertices(self, small_graph, rng):
-        with pytest.raises(WalkError):
-            simrank_sampled(small_graph, -1, 0, rng)
-
-
-class TestRandomWalkSample:
-    def test_returns_requested_count_when_reachable(self, rng):
-        g = complete_graph(50)
-        sample = random_walk_sample(g, rng, target_vertices=20, num_walks=64)
-        assert sample.size == 20
-        assert len(set(sample.tolist())) == 20
-
-    def test_ordered_by_first_visit(self, rng):
-        g = ring_graph(100)
-        sample = random_walk_sample(g, rng, target_vertices=5, num_walks=1)
-        # a single ring walk visits consecutive vertices
-        diffs = np.diff(sample) % 100
-        assert (diffs == 1).all()
-
-    def test_small_component_caps_sample(self, rng):
-        src = np.array([0, 1])
-        dst = np.array([1, 0])
-        g = CSRGraph.from_edge_list(src, dst, num_vertices=2)
-        sample = random_walk_sample(g, rng, target_vertices=10, num_walks=8)
-        assert set(sample.tolist()) == {0, 1}
-
-    def test_rejects_bad_target(self, small_graph, rng):
-        with pytest.raises(WalkError):
-            random_walk_sample(small_graph, rng, target_vertices=0)
