@@ -655,6 +655,8 @@ class FlashWalker:
         )
         for ch in self.channels:
             ch.set_range_table(table)
+        # The refresh count is the run's, so it outlives the scheduler.
+        refreshes = 0 if self.scheduler is None else self.scheduler.topn_refreshes
         self.scheduler = SubgraphScheduler(
             block_chip=self.block_chip,
             is_dense_block=self.part.is_dense_block,
@@ -667,6 +669,7 @@ class FlashWalker:
             update_period_m=self.cfg.score_update_period_m,
             use_scores=self.cfg.opt_subgraph_scheduling,
         )
+        self.scheduler.topn_refreshes = refreshes
         self.scheduler.tracer = self.tracer
         self.pwb = PartitionWalkBuffer(
             first,

@@ -3,8 +3,7 @@
 The whole library operates on :class:`CSRGraph`: an ``offsets`` array of
 length ``n+1`` and an ``edges`` array holding destination vertex IDs,
 exactly the layout the paper stores in graph blocks (Section III-B).
-Optionally a parallel ``weights`` array supports biased random walks, with
-a lazily-built cumulative-weight array for Inverse Transform Sampling.
+Optionally a parallel ``weights`` array supports biased random walks.
 
 Everything is NumPy, vectorized, and copy-free where possible (views for
 adjacency slices), per the hpc-parallel guide.
@@ -72,7 +71,6 @@ class CSRGraph:
             if weights.size and weights.min() <= 0:
                 raise GraphError("edge weights must be strictly positive")
         self.weights = weights
-        self._cumweights: np.ndarray | None = None
 
     # -- basic properties -----------------------------------------------------
 
@@ -105,52 +103,9 @@ class CSRGraph:
             raise GraphError(f"vertex {v} out of range [0, {self.num_vertices})")
         return self.edges[self.offsets[v] : self.offsets[v + 1]]
 
-    def edge_weights(self, v: int) -> np.ndarray:
-        """View of vertex ``v``'s out-edge weights (requires weighted graph)."""
-        if self.weights is None:
-            raise GraphError("graph is unweighted")
-        if not 0 <= v < self.num_vertices:
-            raise GraphError(f"vertex {v} out of range [0, {self.num_vertices})")
-        return self.weights[self.offsets[v] : self.offsets[v + 1]]
-
     def in_degrees(self) -> np.ndarray:
         """All in-degrees (counts of incoming edges)."""
         return np.bincount(self.edges, minlength=self.num_vertices).astype(np.int64)
-
-    # -- sampling support -------------------------------------------------------
-
-    def cumulative_weights(self) -> np.ndarray:
-        """Per-vertex cumulative weight lists, concatenated (ITS support).
-
-        ``cumweights[offsets[v]:offsets[v+1]]`` is the inclusive prefix sum
-        of vertex ``v``'s edge weights — the CL list of Section III-B.
-        Built lazily and cached.
-        """
-        if self.weights is None:
-            raise GraphError("cumulative weights require a weighted graph")
-        if self._cumweights is None:
-            cw = np.cumsum(self.weights)
-            # Subtract each vertex's starting total so every list restarts at
-            # its own first weight.
-            base = np.zeros_like(cw)
-            starts = self.offsets[:-1]
-            valid = starts < self.offsets[1:]
-            seg_base = np.where(starts > 0, cw[starts - 1], 0.0)
-            lengths = np.diff(self.offsets)
-            base = np.repeat(seg_base[valid], lengths[valid])
-            self._cumweights = cw - base
-        return self._cumweights
-
-    def sum_weights(self) -> np.ndarray:
-        """Total out-edge weight per vertex (``sumWeight`` of Section III-B)."""
-        if self.weights is None:
-            raise GraphError("sum weights require a weighted graph")
-        cw = self.cumulative_weights()
-        totals = np.zeros(self.num_vertices)
-        ends = self.offsets[1:] - 1
-        nonempty = self.offsets[1:] > self.offsets[:-1]
-        totals[nonempty] = cw[ends[nonempty]]
-        return totals
 
     # -- conversions -------------------------------------------------------------
 
@@ -193,18 +148,6 @@ class CSRGraph:
     def with_uniform_weights(self) -> "CSRGraph":
         """Copy of this graph with all-ones weights (for biased-walk tests)."""
         return CSRGraph(self.offsets, self.edges, np.ones(self.num_edges))
-
-    def subgraph_view(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(offsets, edges) views for the vertex range [lo, hi] inclusive.
-
-        The returned offsets are rebased to 0 — this is exactly the content
-        of a graph block holding vertices lo..hi.
-        """
-        if not (0 <= lo <= hi < self.num_vertices):
-            raise GraphError(f"bad vertex range [{lo}, {hi}]")
-        off = self.offsets[lo : hi + 2] - self.offsets[lo]
-        edg = self.edges[self.offsets[lo] : self.offsets[hi + 1]]
-        return off, edg
 
     # -- memory accounting ---------------------------------------------------------
 

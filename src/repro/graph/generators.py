@@ -28,6 +28,9 @@ __all__ = [
     "add_random_weights",
 ]
 
+#: Edges per random draw in :func:`rmat`; bounds its float working set.
+_RMAT_CHUNK = 1 << 16
+
 
 def rmat(
     scale: int,
@@ -60,23 +63,33 @@ def rmat(
     m = n * edge_factor
     src = np.zeros(m, dtype=np.int64)
     dst = np.zeros(m, dtype=np.int64)
-    # At each of `scale` bit levels, choose a quadrant per edge.
+    # At each of `scale` bit levels, choose a quadrant per edge: all m row
+    # doubles, then all m column doubles, drawn in chunks into one buffer
+    # (the same stream as one draw of m).  A column bit compares against
+    # c_frac in the bottom half and a_frac in the top; the row bit just
+    # added to src says which.
     ab = a + b
     a_frac = a / ab if ab > 0 else 0.0
     c_frac = c / (c + d) if (c + d) > 0 else 0.0
+    buf = np.empty(min(m, _RMAT_CHUNK))
+    chunks = [(lo, min(lo + _RMAT_CHUNK, m)) for lo in range(0, m, _RMAT_CHUNK)]
     for _ in range(scale):
-        src <<= 1
-        dst <<= 1
-        r_row = rng.random(m)
-        r_col = rng.random(m)
-        go_down = r_row >= ab  # bottom half of the matrix -> src bit 1
-        src += go_down
-        col_threshold = np.where(go_down, c_frac, a_frac)
-        dst += r_col >= col_threshold
+        for lo, hi in chunks:
+            r = rng.random(out=buf[: hi - lo])
+            s = src[lo:hi]
+            s <<= 1
+            s += r >= ab  # bottom half of the matrix -> src bit 1
+        for lo, hi in chunks:
+            r = rng.random(out=buf[: hi - lo])
+            go_down = (src[lo:hi] & 1).astype(bool)
+            t = dst[lo:hi]
+            t <<= 1
+            t += (go_down & (r >= c_frac)) | (~go_down & (r >= a_frac))
     if permute:
         perm = rng.permutation(n)
-        src = perm[src]
-        dst = perm[dst]
+        for lo, hi in chunks:
+            src[lo:hi] = perm[src[lo:hi]]
+            dst[lo:hi] = perm[dst[lo:hi]]
     if dedup:
         pair = src * np.int64(n) + dst
         _, keep = np.unique(pair, return_index=True)

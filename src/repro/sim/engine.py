@@ -55,6 +55,9 @@ class Simulator:
         self._queue: list[Entry] = []
         #: seqs of cancelled entries still in the heap.
         self._cancelled: set[int] = set()
+        #: Latest time of an entry dropped unfired; with ``now`` (the
+        #: latest fired time) it bounds every entry that left the heap.
+        self._dropped_until = 0.0
         self._seq = itertools.count()
         self._events_executed = 0
         self._running = False
@@ -81,8 +84,12 @@ class Simulator:
     def cancel(self, entry: Entry) -> None:
         """Keep a pending entry from firing.  An entry that already ran
         (or was already dropped) is left alone, so the cancelled set
-        only ever holds entries still in the heap."""
-        if entry in self._queue:
+        only ever holds entries still in the heap.  An entry later than
+        every entry that left the heap is still in it; only one at or
+        before that mark needs the heap scan.  ``entry`` must be one this
+        simulator's :meth:`at` returned."""
+        time = entry[0]
+        if (time > self.now and time > self._dropped_until) or entry in self._queue:
             self._cancelled.add(entry[2])
 
     # -- execution ----------------------------------------------------------
@@ -95,6 +102,7 @@ class Simulator:
             time, _, seq, fn, args = heappop(q)
             if cancelled and seq in cancelled:
                 cancelled.discard(seq)
+                self._dropped_until = max(self._dropped_until, time)
                 continue
             self.now = time
             self._events_executed += 1
@@ -129,6 +137,7 @@ class Simulator:
                 if cancelled and head[2] in cancelled:
                     heappop(q)
                     cancelled.discard(head[2])
+                    self._dropped_until = max(self._dropped_until, head[0])
                     continue
                 if until is not None and head[0] > until:
                     break

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.common import FlashWalkerConfig, RngRegistry, SimulationError
+from repro.common import FaultConfig, FlashWalkerConfig, RngRegistry, SimulationError
 from repro.core import FlashWalker
+from repro.core.scheduler import SubgraphScheduler
 from repro.graph import powerlaw_graph, ring_graph, rmat, star_graph
 from repro.graph.generators import add_random_weights
 from repro.walks import WalkSpec
@@ -166,6 +167,64 @@ class TestPartitions:
         fw, res = medium_run
         if fw.n_partitions == 1:
             assert res.counters.get("foreigner_walks", 0) == 0
+
+
+class TestTopnRefreshCount:
+    """``sched_topn_refreshes`` counts the whole run, although every
+    partition switch builds a new scheduler."""
+
+    # Two-walk buffer entries on a three-partition run (the spill golden's
+    # config): 9 partition switches, so most refreshes happen in
+    # schedulers the run has already replaced.
+    CFG = dict(
+        partition_subgraphs=4,
+        board_hot_subgraphs=1,
+        channel_hot_subgraphs=0,
+        pwb_entry_walks=2,
+    )
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return rmat(10, 8, RngRegistry(55).fresh("g"))
+
+    def run(self, graph, cfg, **kw):
+        return FlashWalker(graph, cfg, seed=9).run(
+            num_walks=800, spec=WalkSpec(length=5), **kw
+        )
+
+    def test_counts_every_partition(self, graph, monkeypatch):
+        calls = []
+        refresh = SubgraphScheduler._refresh_top
+
+        def counted(sched, chip):
+            calls.append(chip)
+            refresh(sched, chip)
+
+        monkeypatch.setattr(SubgraphScheduler, "_refresh_top", counted)
+        res = self.run(graph, FlashWalkerConfig().replace(**self.CFG))
+        assert res.counters["partition_switches"] > 0
+        assert res.counters["sched_topn_refreshes"] == len(calls)
+
+    def test_resume_reports_the_run_total(self, graph):
+        cfg = FlashWalkerConfig().replace(
+            **self.CFG,
+            faults=FaultConfig(enabled=True, checkpoint_interval=50e-6),
+        )
+        fw = FlashWalker(graph, cfg, seed=9)
+        full = fw.run(num_walks=800, spec=WalkSpec(length=5))
+        crashed = FlashWalker(graph, cfg, seed=9)
+        with pytest.raises(SimulationError):
+            crashed.run(
+                num_walks=800,
+                spec=WalkSpec(length=5),
+                max_events=fw.sim.events_executed - 5,
+            )
+        ckpt = crashed.latest_checkpoint
+        switches, _ = ckpt.data["metrics"]["counters"]["partition_switches"]
+        assert switches > 0
+        resumed = FlashWalker(graph, cfg, seed=9).resume(checkpoint=ckpt)
+        assert resumed.counters == full.counters
+        assert resumed.elapsed == full.elapsed
 
 
 class TestOptimizationToggles:

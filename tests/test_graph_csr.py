@@ -116,59 +116,6 @@ class TestWeights:
         with pytest.raises(GraphError):
             CSRGraph(np.array([0, 1]), np.array([0]), np.array([0.0]))
 
-    def test_edge_weights_view(self):
-        g = simple_graph().with_uniform_weights()
-        np.testing.assert_array_equal(g.edge_weights(0), [1.0, 1.0])
-
-    def test_edge_weights_requires_weighted(self):
-        with pytest.raises(GraphError):
-            simple_graph().edge_weights(0)
-
-    def test_cumulative_weights_per_vertex(self):
-        offsets = np.array([0, 2, 4])
-        edges = np.array([0, 1, 0, 1])
-        weights = np.array([1.0, 3.0, 2.0, 2.0])
-        g = CSRGraph(offsets, edges, weights)
-        np.testing.assert_allclose(g.cumulative_weights(), [1.0, 4.0, 2.0, 4.0])
-
-    def test_cumulative_weights_restart_per_segment(self, small_graph, rng):
-        w = rng.uniform(0.5, 2.0, small_graph.num_edges)
-        g = CSRGraph(small_graph.offsets, small_graph.edges, w)
-        cw = g.cumulative_weights()
-        for v in range(0, g.num_vertices, 97):
-            lo, hi = g.offsets[v], g.offsets[v + 1]
-            if hi > lo:
-                np.testing.assert_allclose(cw[lo:hi], np.cumsum(w[lo:hi]))
-
-    def test_sum_weights(self):
-        offsets = np.array([0, 2, 2, 3])
-        edges = np.array([1, 2, 0])
-        weights = np.array([1.5, 2.5, 4.0])
-        g = CSRGraph(offsets, edges, weights)
-        np.testing.assert_allclose(g.sum_weights(), [4.0, 0.0, 4.0])
-
-    def test_sum_weights_requires_weighted(self):
-        with pytest.raises(GraphError):
-            simple_graph().sum_weights()
-
-
-class TestSubgraphView:
-    def test_view_contents(self):
-        g = simple_graph()
-        off, edg = g.subgraph_view(1, 2)
-        np.testing.assert_array_equal(off, [0, 1, 2])
-        np.testing.assert_array_equal(edg, [2, 0])
-
-    def test_view_full_graph(self):
-        g = simple_graph()
-        off, edg = g.subgraph_view(0, 3)
-        np.testing.assert_array_equal(off, g.offsets)
-        np.testing.assert_array_equal(edg, g.edges)
-
-    def test_rejects_bad_range(self):
-        with pytest.raises(GraphError):
-            simple_graph().subgraph_view(2, 1)
-
 
 class TestCsrBytes:
     def test_formula(self):

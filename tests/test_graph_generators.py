@@ -1,5 +1,8 @@
 """Tests for graph generators."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,61 @@ class TestRmat:
     def test_rejects_bad_probs(self, rng):
         with pytest.raises(GraphError):
             rmat(5, 4, rng, a=0.9, b=0.9, c=0.9)
+
+
+def _csr_digest(g) -> str:
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(g.offsets, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(g.edges, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+#: (scale, edge_factor, keyword args, seed) -> sha256 of (offsets, edges),
+#: computed with the one-shot generator that drew each level's m row
+#: and m column doubles in single calls.  The chunked generator must
+#: reproduce them: same stream, same graph.  (14, 5) and (13, 3) end in
+#: a partial chunk; (0, 4) has no levels at all.
+RMAT_GOLDEN = [
+    (16, 30, {}, 1, "a34c51ec30bdc98f366fb01d92ee292cfe094001a32c911e67e7a5ece5801cd6"),
+    (14, 5, {}, 2, "54cb8a527493feedb9d6bfd4ef08834415adeedde369386a32c50c4425175139"),
+    (12, 8, {"a": 0.45, "b": 0.15, "c": 0.15}, 3,
+     "183f9c471b520f425c4b9a9d3b00ce50620e0b98726dbbabe2c61ec5d5b91798"),
+    (10, 8, {"dedup": True}, 4,
+     "84916b03bd325f65c8fc5615120a6f6f886eef997e060583cd023b50105feae0"),
+    (10, 8, {"permute": False}, 5,
+     "e741e859b8220ab7dacafff47cc8a7afb96aa5aacea1679929a043656aab615e"),
+    (6, 16, {"dedup": True, "permute": False}, 6,
+     "605217a52ca455cbe1a6901e276f4de89fe89ed768f0a8c0f3f87ae069e52e02"),
+    (13, 3, {}, 7, "952f2ea3b3526d7cfd84ef3187afa984d8c45b235e1662795a0fc013f8aae117"),
+    (0, 4, {}, 8, "b6c4912999bdf4ca9206d1b5fe2266545a46a1119448aab8da97be65145cecaf"),
+]
+
+
+class TestRmatStream:
+    @pytest.mark.parametrize(
+        "scale, edge_factor, kw, seed, digest",
+        RMAT_GOLDEN,
+        ids=[f"{c[0]}x{c[1]}-seed{c[3]}" for c in RMAT_GOLDEN],
+    )
+    def test_matches_one_shot_digest(self, scale, edge_factor, kw, seed, digest):
+        g = rmat(scale, edge_factor, np.random.default_rng(seed), **kw)
+        assert _csr_digest(g) == digest
+
+    def test_leaves_the_stream_where_one_shot_draws_did(self):
+        rng = np.random.default_rng(2)
+        rmat(14, 5, rng)
+        assert rng.random() == 0.001519182317673784
+
+    def test_traced_peak_below_six_edge_columns(self):
+        m = (1 << 16) * 30
+        tracemalloc.start()
+        try:
+            rmat(16, 30, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The one-shot generator peaked at 8.3 int64 edge columns.
+        assert peak < 6 * 8 * m
 
 
 class TestPowerlaw:

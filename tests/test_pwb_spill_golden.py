@@ -2,16 +2,18 @@
 
 No benchmark workload overflows a buffer entry, so the order in which
 spilled walks leave and come back is pinned here.  Tiny entries
-(``pwb_entry_walks`` of 2 and 4) on a four-partition run force a few
+(``pwb_entry_walks`` of 2 and 4) on a three-partition run force a few
 thousand spills; the digest covers the run's timing, hop count, every
 counter and the completed walks in completion order, which depends on
 the order each drain hands walks to the chip.  The digests were
 computed before the buffer became a columnar pool and must not be
-regenerated for a buffer change.  They were regenerated twice, each
-time for one scheduler counter and with no other leaf moved: when the
-host-side ``sched_score_cache_hits`` counter left the counters, and when
+regenerated for a buffer change.  They were regenerated three times,
+each time for one scheduler counter and with no other leaf moved: when
+the host-side ``sched_score_cache_hits`` counter left the counters, when
 chips stopped asking for a block with no walks pending, which lowered
-``sched_topn_refreshes``.
+``sched_topn_refreshes``, and when ``sched_topn_refreshes`` began to
+count every partition's scheduler rather than only the last one's
+(2 -> 76 for both entry sizes).
 """
 
 import hashlib
@@ -25,8 +27,8 @@ from repro.graph import rmat
 from repro.walks import WalkSpec
 
 GOLDEN = {
-    2: "59c31d4445979c380ccfa6222dfc45ffc3c856c9622278e63c276ce589d6a022",
-    4: "5c81f43536223d4ca6e468f3b66f7fae644768d1413570e3dbb70fb5f8e53ec2",
+    2: "e8b0572665bd0fef7b6a60a0351800d1d83fb5cf21b8e6a0d5e8e572b801e33b",
+    4: "4f26d17368e48134acb31109b72f5c75202fb731b36a15784e948a732bb62bee",
 }
 
 

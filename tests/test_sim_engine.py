@@ -134,6 +134,57 @@ class TestCancellation:
         assert fired == ["first", "third"]
         assert sim._cancelled == set()
 
+    def test_cancelling_a_future_entry_skips_the_heap_scan(self):
+        class NoScan(list):
+            def __contains__(self, item):
+                raise AssertionError("cancel scanned the heap")
+
+        sim = Simulator()
+        fired = []
+        sim._queue = NoScan()
+        sim.at(1.0, fired.append, 1.0)
+        late = sim.at(2.0, fired.append, 2.0)
+        sim.run(until=1.5)
+        sim.cancel(late)
+        sim.run()
+        assert fired == [1.0] and sim._cancelled == set()
+
+    def test_recancel_after_until_drops_it(self):
+        """``run(until=...)`` drops a cancelled head past ``until``; the
+        clock stays behind it, yet cancelling it again adds nothing."""
+        sim = Simulator()
+        fired = []
+        late = sim.at(5.0, fired.append, 5.0)
+        sim.cancel(late)
+        sim.run(until=2.0)
+        assert sim._queue == [] and sim.now == 2.0
+        sim.cancel(late)
+        assert sim._cancelled == set() and sim.pending_events == 0
+        # An entry between the clock and the dropped one still cancels.
+        mid = sim.at(3.0, fired.append, 3.0)
+        keep = sim.at(4.0, fired.append, 4.0)
+        sim.cancel(mid)
+        assert sim._cancelled == {mid[2]}
+        sim.run()
+        assert fired == [4.0] and keep[0] == sim.now
+
+    def test_recancel_after_step_drains_cancelled_queue(self):
+        """``step`` pops cancelled entries until the queue is empty and
+        fires nothing, so the clock never reaches them."""
+        sim = Simulator()
+        entries = [sim.at(t, lambda: None) for t in (1.0, 2.0)]
+        for e in entries:
+            sim.cancel(e)
+        assert sim.step() is False
+        assert sim.now == 0.0 and sim._queue == []
+        for e in entries:
+            sim.cancel(e)
+        assert sim._cancelled == set() and sim.pending_events == 0
+        new = sim.at(1.5, lambda: None)
+        assert new[2] not in sim._cancelled
+        sim.run()
+        assert sim.events_executed == 1
+
 
 class TestRunControl:
     def test_until_stops_clock(self):
