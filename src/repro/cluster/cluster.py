@@ -345,16 +345,8 @@ class ClusterService:
                 t_arr, req = arrivals[next_arrival]
                 next_arrival += 1
                 self._arrive(req, t_arr)
-            # 2. Health poll + breaker-driven replica promotion.
+            # 2. Health poll.
             open_now = self.health.poll(T)
-            if ccfg.promote_after_open_epochs > 0:
-                for sid in range(len(open_now)):
-                    if (
-                        self.health.consecutive_open[sid]
-                        >= ccfg.promote_after_open_epochs
-                    ):
-                        self.health.promote(sid, epoch=self.epoch, now=T)
-                        open_now[sid] = False
             mx = self.telemetry
             if mx is not None:
                 for sid in range(len(open_now)):
@@ -583,13 +575,11 @@ class ClusterService:
         """Executing shard for a lease owned by ``owner``.
 
         A degraded owner's leases go to its ring successor — the shard
-        modeled as holding its read replica — when rerouting is on;
-        with every shard open (or rerouting off) the lease defers.
+        modeled as holding its read replica; with every shard open the
+        lease defers.
         """
         if not open_now[owner]:
             return owner
-        if not self.ccfg.reroute_to_replica:
-            return None
         placement = self._ring_of(owner)
         if placement is None:
             return None

@@ -48,9 +48,9 @@ class ClusterConfig:
     Degradation: arrivals pass an admission queue sized by
     ``queue_capacity`` under ``admission_policy``; per-shard circuit
     breakers (fed by each shard's fault/integrity counters) mark shards
-    degraded, and leases for a degraded shard go to its ring successor
-    when ``reroute_to_replica`` is set, else defer until the breaker
-    closes.
+    degraded, and leases for a degraded shard go to its ring successor,
+    or defer until a breaker closes when every successor is degraded
+    too.
     """
 
     n_shards: int = 4
@@ -63,10 +63,7 @@ class ClusterConfig:
     link_loss_prob: float = 0.0
     link_corrupt_prob: float = 0.0
     rpc_base_delay: float = 10e-6
-    rpc_backoff_factor: float = 2.0
-    rpc_backoff_cap: float = 200e-6
     rpc_max_attempts: int = 5
-    rpc_jitter_frac: float = 0.25
     reliable_fallback_latency: float = 500e-6
     # -- shard kills (power loss + replica promotion) ----------------------
     kill_schedule: tuple[tuple[float, int], ...] = ()
@@ -85,10 +82,6 @@ class ClusterConfig:
     breaker_cooldown: float = 2e-3
     breaker_exhausted_threshold: int = 1
     breaker_corruption_threshold: int = 1
-    reroute_to_replica: bool = True
-    #: Promote a degraded shard's replica after this many consecutive
-    #: breaker-open epochs (0 disables; kills always promote).
-    promote_after_open_epochs: int = 0
     audit_interval_epochs: int = 1
     #: Hard cap on coordination rounds (runaway guard, like max_events).
     max_epochs: int = 100_000
@@ -114,8 +107,6 @@ class ClusterConfig:
     #: engine telemetry (:mod:`repro.obs.metrics`).  Off by default; the
     #: report's ``cluster.telemetry`` section exists only when it is on.
     telemetry_enabled: bool = False
-    telemetry_sample_interval: float = 20e-6
-    telemetry_max_samples: int = 2048
     # -- gray-failure resilience --------------------------------------------
     #: Per-link delay-inflation windows ``(t_start, t_end, factor)`` in
     #: cluster time: every migration/handoff attempt sent inside an
@@ -255,18 +246,12 @@ class ClusterConfig:
                 "max_inflight_walks_per_shard must be >= 1, got "
                 f"{self.max_inflight_walks_per_shard}"
             )
-        if self.promote_after_open_epochs < 0:
-            raise ConfigError(
-                f"negative promote_after_open_epochs {self.promote_after_open_epochs}"
-            )
         if self.audit_interval_epochs < 0:
             raise ConfigError(
                 f"negative audit_interval_epochs {self.audit_interval_epochs}"
             )
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.telemetry_enabled:
-            self.metrics_cfg().validate()
         for entry in self.link_slow_windows:
             if len(entry) != 3:
                 raise ConfigError(
@@ -330,24 +315,21 @@ class ClusterConfig:
         return self
 
     def metrics_cfg(self):
-        """Telemetry knobs repackaged as a
-        :class:`~repro.obs.metrics.MetricsConfig` (router registry and
-        per-shard engines share the same grid)."""
+        """The :class:`~repro.obs.metrics.MetricsConfig` the router
+        registry and per-shard engines share (the default grid)."""
         from ..obs.metrics import MetricsConfig
 
-        return MetricsConfig(
-            sample_interval=self.telemetry_sample_interval,
-            max_samples=self.telemetry_max_samples,
-        )
+        return MetricsConfig()
 
     def rpc_policy(self, seed: int) -> RetryPolicy:
-        """Migration-RPC retransmit backoff (shared policy class)."""
+        """Migration-RPC retransmit backoff: doubling from
+        ``rpc_base_delay``, capped at 200 us, with up to 25% jitter."""
         return RetryPolicy(
             base_delay=self.rpc_base_delay,
-            factor=self.rpc_backoff_factor,
-            max_delay=self.rpc_backoff_cap,
+            factor=2.0,
+            max_delay=200e-6,
             max_attempts=self.rpc_max_attempts,
-            jitter_frac=self.rpc_jitter_frac,
+            jitter_frac=0.25,
             seed=seed,
             salt="cluster-rpc",
         )

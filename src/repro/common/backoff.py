@@ -1,9 +1,8 @@
 """Deterministic exponential backoff / retry policy.
 
-One policy object serves every retry loop in the repository — the
-service circuit breaker's reopen-retry event and the cluster's
-migration-RPC retransmits — so their delay schedules are tested once
-and identical across serial, parallel, and resumed executions.
+The cluster's migration-RPC retransmits back off by this policy, so
+their delay schedule is tested once and identical across serial,
+parallel, and resumed executions.
 
 Delays are a pure function of ``(seed, salt, attempt)``: jitter is
 drawn from a SHA-256 hash rather than a live RNG stream, so computing

@@ -189,19 +189,6 @@ class SSDConfig:
         return self.dies_per_chip * self.planes_per_die
 
     @property
-    def chip_capacity_bytes(self) -> int:
-        return (
-            self.planes_per_chip
-            * self.blocks_per_plane
-            * self.pages_per_block
-            * self.page_bytes
-        )
-
-    @property
-    def total_capacity_bytes(self) -> int:
-        return self.total_chips * self.chip_capacity_bytes
-
-    @property
     def pcie_bytes_per_sec(self) -> float:
         return self.pcie_lanes * self.pcie_lane_bytes_per_sec
 
@@ -290,12 +277,6 @@ class DRAMConfig:
         cycle = 1.0 / (self.frequency_mhz * 1e6)
         return (self.tRP + self.tRCD + self.tCL) * cycle
 
-    @property
-    def row_cycle_time(self) -> float:
-        """tRC = tRAS + tRP in seconds."""
-        cycle = 1.0 / (self.frequency_mhz * 1e6)
-        return (self.tRAS + self.tRP) * cycle
-
     def validate(self) -> "DRAMConfig":
         for name in (
             "capacity_bytes",
@@ -337,20 +318,6 @@ class AcceleratorConfig:
     #: "The walk updater performs 5 operations to process a walk if not
     #: stalled" (Section IV-A) — cost of one unbiased hop in updater cycles.
     updater_ops_per_hop: int = 5
-
-    def subgraph_slots(self, subgraph_bytes: int) -> int:
-        """How many subgraphs this level's buffer holds at once."""
-        _positive("subgraph_bytes", subgraph_bytes)
-        return max(1, self.subgraph_buffer_bytes // subgraph_bytes)
-
-    def walk_queue_capacity(self, walk_bytes: int) -> int:
-        """Total walks the walk queues hold across all entries."""
-        _positive("walk_bytes", walk_bytes)
-        return max(1, self.walk_queues_bytes // walk_bytes)
-
-    def hop_time(self) -> float:
-        """Wall time for one updater to advance a walk by one hop."""
-        return self.updater_ops_per_hop * self.updater_cycle
 
     def validate(self) -> "AcceleratorConfig":
         for name in (
@@ -852,19 +819,8 @@ class FlashWalkerConfig:
     # -- derived ------------------------------------------------------------
 
     @property
-    def edges_per_subgraph(self) -> int:
-        """Upper bound on edges a graph block holds (rest is offsets)."""
-        # Half the block budget is reserved for the offsets array in the
-        # worst (degree-1) case; typical blocks store far more edges.
-        return max(1, self.subgraph_bytes // (2 * self.vid_bytes))
-
-    @property
     def query_cache_entries(self) -> int:
         return max(1, self.query_cache_bytes // self.mapping_entry_bytes)
-
-    @property
-    def subgraph_table_entries(self) -> int:
-        return max(1, self.subgraph_table_bytes // self.mapping_entry_bytes)
 
     def chip_subgraph_slots(self) -> int:
         """Subgraph slots per chip accelerator.

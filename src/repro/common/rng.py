@@ -15,6 +15,8 @@ import hashlib
 
 import numpy as np
 
+from .state import Stateful
+
 __all__ = ["RngRegistry", "derive_seed"]
 
 
@@ -27,7 +29,7 @@ def derive_seed(root_seed: int, name: str) -> int:
     return int.from_bytes(h[:8], "little") & (2**63 - 1)
 
 
-class RngRegistry:
+class RngRegistry(Stateful):
     """Factory of named, independent :class:`numpy.random.Generator` streams.
 
     >>> rngs = RngRegistry(42)
@@ -56,6 +58,18 @@ class RngRegistry:
         gen = np.random.default_rng(derive_seed(self.root_seed, name))
         self._streams[name] = gen
         return gen
+
+    def state(self) -> dict:
+        """Every stream's bit-generator state, by name (checkpoints)."""
+        return {name: gen.bit_generator.state for name, gen in self._streams.items()}
+
+    def restore(self, state: dict) -> None:
+        """Make the streams exactly ``state``'s, as new generators: a
+        stream created after the capture must not keep its advanced
+        state, so a holder of an old generator must fetch it again."""
+        self._streams = {}
+        for name, s in state.items():
+            self.stream(name).bit_generator.state = s
 
     def spawn(self, name: str) -> "RngRegistry":
         """Create a child registry whose streams are independent of ours."""

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..common.config import FlashWalkerConfig
 from ..common.errors import ReproError
+from ..common.state import Stateful
 from .advance import AdvanceResult
 from .dense import DenseVertexTable
 from .mapping import SubgraphMappingTable, binary_search_steps
@@ -24,8 +25,20 @@ from .query_cache import QueryCacheArray
 __all__ = ["BoardAccelerator"]
 
 
-class BoardAccelerator:
+class BoardAccelerator(Stateful):
     """State of the board-level accelerator."""
+
+    STATE = (
+        "completed_pending_bytes",
+        "foreigner_pending_bytes",
+        "batches",
+        "hops",
+        "directed_walks",
+        "completed_flushes",
+        "foreigner_flushes",
+    )
+    # Restored after the partition's mapping is installed, which resets them.
+    PARTS = ("caches",)
 
     def __init__(self, cfg: FlashWalkerConfig, dense_table: DenseVertexTable):
         self.cfg = cfg

@@ -41,6 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import BufferOverflowError, ReproError
+from ..common.state import Stateful
 from ..walks.state import SMALL_BATCH, WalkSet
 
 __all__ = ["WalkBatch", "PartitionWalkBuffer", "ForeignerStore"]
@@ -75,8 +76,18 @@ class WalkBatch:
         return len(self.walks)
 
 
-class PartitionWalkBuffer:
+class PartitionWalkBuffer(Stateful):
     """All walk-buffer entries of the current partition, in one pool."""
+
+    STATE = (
+        "_base",
+        "_size",
+        "_fill",
+        "_spilled",
+        "_pre_walked",
+        "spill_events",
+        "walks_spilled",
+    )
 
     def __init__(self, first_block: int, last_block: int, entry_capacity: int,
                  dense_entry_capacity: int, is_dense_block: np.ndarray):
@@ -325,30 +336,20 @@ class PartitionWalkBuffer:
                 errors.append(f"pwb entry {block}: negative counts ({f - ns}, {ns})")
         return errors
 
-    def snapshot(self) -> dict:
-        """Copies of the pool up to its last owned slot and of the
-        per-entry tables (checkpoint capture)."""
+    def state(self) -> dict:
+        """The per-entry tables and a copy of the pool up to its last
+        owned slot."""
         return {
+            **super().state(),
             "pool": self._pool[:, : self._top].copy(),
             "head": self._head[: self._top].copy(),
-            "base": list(self._base),
-            "size": list(self._size),
-            "fill": list(self._fill),
-            "spilled": list(self._spilled),
-            "pre_walked": list(self._pre_walked),
-            "spills": (self.spill_events, self.walks_spilled),
         }
 
     def restore(self, state: dict) -> None:
-        """Take on the contents ``snapshot`` captured (the same partition)."""
+        """Take on a :meth:`state` capture of the same partition."""
+        super().restore(state)
         self._set_pool(state["pool"].copy(), state["head"].copy())
         self._top = state["pool"].shape[1]
-        self._base = list(state["base"])
-        self._size = list(state["size"])
-        self._fill = list(state["fill"])
-        self._spilled = list(state["spilled"])
-        self._pre_walked = list(state["pre_walked"])
-        self.spill_events, self.walks_spilled = state["spills"]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -357,13 +358,15 @@ class PartitionWalkBuffer:
         )
 
 
-class ForeignerStore:
+class ForeignerStore(Stateful):
     """Per-partition pools of foreigner walks flushed to flash.
 
     Walks whose destination lies beyond the current partition cannot be
     resolved by the resident mapping table; they are buffered and
     flushed, then re-read when their partition becomes current.
     """
+
+    STATE = ("_counts",)
 
     def __init__(self, n_partitions: int):
         if n_partitions < 1:
@@ -400,3 +403,14 @@ class ForeignerStore:
 
     def partitions_with_walks(self) -> np.ndarray:
         return np.flatnonzero(self._counts > 0)
+
+    def state(self) -> dict:
+        return {**super().state(), "pools": _copy_pools(self._pools)}
+
+    def restore(self, state: dict) -> None:
+        super().restore(state)
+        self._pools = _copy_pools(state["pools"])
+
+
+def _copy_pools(pools: list[list[WalkSet]]) -> list[list[WalkSet]]:
+    return [[w.copy() for w in pool] for pool in pools]

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 from ..common.config import AcceleratorConfig
 from ..common.errors import ReproError
+from ..common.state import Stateful
 from .advance import AdvanceResult
 from .mapping import RangeTable
 
 __all__ = ["ChannelAccelerator"]
 
 
-class ChannelAccelerator:
+class ChannelAccelerator(Stateful):
     """State of one channel-level accelerator."""
+
+    STATE = ("batches", "hops", "range_queries")
 
     def __init__(self, channel_id: int, cfg: AcceleratorConfig, walk_bytes: int):
         self.channel_id = channel_id

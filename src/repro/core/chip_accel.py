@@ -15,14 +15,25 @@ from __future__ import annotations
 
 from ..common.config import AcceleratorConfig
 from ..common.errors import ReproError
+from ..common.state import Stateful
 from ..walks.state import WalkSet, concat_walks
 from .advance import AdvanceResult
 
 __all__ = ["ChipAccelerator"]
 
 
-class ChipAccelerator:
+class ChipAccelerator(Stateful):
     """State of one chip-level accelerator."""
+
+    STATE = (
+        "loaded",
+        "failed",
+        "pending_completed",
+        "batches",
+        "hops",
+        "loads",
+        "reload_hits",
+    )
 
     def __init__(
         self,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import ReproError
+from ..common.state import Stateful
 from ..graph.partition import DenseVertexMeta, GraphPartitioning
 from .bloom import BloomFilter
 
@@ -38,8 +39,10 @@ class PreWalkResult:
         self.edge_offset = edge_offset
 
 
-class DenseVertexTable:
+class DenseVertexTable(Stateful):
     """Bloom filter + hash table over dense vertices."""
+
+    STATE = ("bloom_queries", "bloom_positives", "false_positives", "hash_probes")
 
     def __init__(self, partitioning: GraphPartitioning, bits_per_item: int = 10):
         self.partitioning = partitioning

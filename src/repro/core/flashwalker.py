@@ -33,6 +33,7 @@ from ..common.errors import (
     SimulationError,
 )
 from ..common.rng import RngRegistry, derive_seed
+from ..common.state import Stateful
 from ..durability.integrity import RNG_STREAM, IntegrityTracker
 from ..durability.journal import WalkJournal
 from ..faults.checkpoint import Checkpoint, CheckpointManager
@@ -85,13 +86,17 @@ _HOT_NONE = -2
 _HOT_BOARD = -1
 
 
+def _copy_walks(walks: list[WalkSet] | None) -> list[WalkSet] | None:
+    return None if walks is None else [w.copy() for w in walks]
+
+
 def _grid(interval: float):
     """First-fire rule of a recurring event on the absolute grid: the
     k-th fire lands at ``k * interval``."""
     return lambda t: (math.floor(t / interval) + 1) * interval
 
 
-class FlashWalker:
+class FlashWalker(Stateful):
     """One FlashWalker system bound to a graph.
 
     Parameters
@@ -113,6 +118,23 @@ class FlashWalker:
         rules) into the report's ``telemetry`` section.  Same passive
         discipline as the tracer: no events, no RNG draws.
     """
+
+    #: Engine-level fields a checkpoint carries (its components carry
+    #: their own; see :mod:`repro.faults.checkpoint`).
+    STATE = (
+        "spec",
+        "total_walks",
+        "completed_walks",
+        "current_partition",
+        "entry_capacity",
+        "dense_entry_capacity",
+        "_flush_cursor",
+        "_next_checkpoint",
+        "block_chip",
+        "_rebuilding_blocks",
+        "_fire_times",
+    )
+    PARTS = ("_board_pipe",)
 
     def __init__(
         self,
@@ -1553,6 +1575,33 @@ class FlashWalker:
         self._kick_chips(t)
 
     # ------------------------------------------------------------- checkpoints
+
+    def state(self) -> dict:
+        """The engine's own checkpoint state (its components' states are
+        captured alongside it; see :mod:`repro.faults.checkpoint`)."""
+        return {
+            **super().state(),
+            "finals": _copy_walks(self._finals),
+            # Recurring background events armed at the capture; a
+            # drained engine (cluster epoch boundary) has none armed,
+            # and the resumed run arms them at its next injection.
+            "armed": sorted(self._armed),
+            # Opaque state of a layer above the engine (query service).
+            "extra": (
+                self._checkpoint_extra()
+                if self._checkpoint_extra is not None
+                else None
+            ),
+        }
+
+    def restore(self, state: dict) -> None:
+        """Take on a :meth:`state` capture after a run-state reset; the
+        armed events are re-armed once every component is restored."""
+        super().restore(state)
+        self._finals = _copy_walks(state["finals"])
+        self._restored_extra = state["extra"]
+        sampler = make_sampler(self.graph, self.spec.biased)
+        self.ctx = AdvanceContext.build(self.graph, self.part, self.spec, sampler)
 
     @property
     def latest_checkpoint(self):

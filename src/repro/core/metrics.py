@@ -114,7 +114,7 @@ class RunMetrics:
             channel_bytes=int(self.channel.total),
             dram_bytes=int(self.dram.total),
             hops=int(self.hops.total),
-            counters=self.stats.snapshot(),
+            counters=self.stats.totals(),
             metrics=self,
         )
 

@@ -24,6 +24,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..common.errors import ReproError
+from ..common.state import Stateful
 
 __all__ = ["WalkQueryCache", "QueryCacheArray"]
 
@@ -38,8 +39,10 @@ def _int_list(block_ids) -> list[int]:
     return np.asarray(block_ids, dtype=np.int64).tolist()
 
 
-class WalkQueryCache:
+class WalkQueryCache(Stateful):
     """One LRU cache of subgraph mapping entries."""
+
+    STATE = ("_lru", "hits", "misses")
 
     def __init__(self, n_entries: int):
         if n_entries < 1:
@@ -104,12 +107,14 @@ class WalkQueryCache:
         )
 
 
-class QueryCacheArray:
+class QueryCacheArray(Stateful):
     """The board's bank of walk query caches.
 
     Walks are distributed over caches by guider group (we shard on block
     ID, matching how guiders pull walks from the guide buffer).
     """
+
+    PARTS = ("caches",)
 
     def __init__(self, n_caches: int, entries_per_cache: int):
         if n_caches < 1:

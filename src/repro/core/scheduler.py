@@ -31,13 +31,27 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import SchedulingError
+from ..common.state import Stateful
 from ..obs.tracer import PID_BOARD as _PID_BOARD
 
 __all__ = ["SubgraphScheduler"]
 
 
-class SubgraphScheduler:
+class SubgraphScheduler(Stateful):
     """Scoreboard + per-chip topN lists over one graph partition."""
+
+    # The scoreboard, placement and topN state; topN lists are replaced
+    # on refresh, never edited, so a copy of ``_top`` may share them.
+    STATE = (
+        "pwb",
+        "fl",
+        "_inserts_since_update",
+        "block_chip",
+        "_top",
+        "_dirty",
+        "topn_refreshes",
+        "topn_updates_deferred",
+    )
 
     def __init__(
         self,
@@ -312,31 +326,9 @@ class SubgraphScheduler:
 
     # -- checkpoints ------------------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Copies of the scoreboard, placement and topN state
-        (checkpoint capture)."""
-        return {
-            "pwb": self.pwb.copy(),
-            "fl": self.fl.copy(),
-            "inserts": self._inserts_since_update.copy(),
-            "block_chip": self.block_chip.copy(),
-            # topN lists are replaced on refresh, never edited: shared
-            "top": self._top.copy(),
-            "dirty": set(self._dirty),
-            "refreshes": self.topn_refreshes,
-            "deferred": self.topn_updates_deferred,
-        }
-
     def restore(self, state: dict) -> None:
-        """Take on the state ``snapshot`` captured (the same partition)."""
-        self.pwb = list(state["pwb"])
-        self.fl = list(state["fl"])
-        self._inserts_since_update = list(state["inserts"])
-        self.block_chip = list(state["block_chip"])
-        self._top = list(state["top"])
-        self._dirty = set(state["dirty"])
-        self.topn_refreshes = state["refreshes"]
-        self.topn_updates_deferred = state["deferred"]
+        """Take on a ``state()`` capture of the same partition."""
+        super().restore(state)
         self._reindex()
 
     def consistency_errors(self, pwb_buffer) -> list[str]:

@@ -24,6 +24,7 @@ from ..common.config import (
     FaultConfig,
     FlashWalkerConfig,
     FTLConfig,
+    SSDConfig,
 )
 from ..common.errors import PowerLossError
 from ..common.rng import RngRegistry, derive_seed
@@ -33,6 +34,7 @@ from ..walks.spec import WalkSpec
 __all__ = [
     "CampaignResult",
     "CrashPointOutcome",
+    "gc_pressure_ssd",
     "run_crash_campaign",
     "standard_campaigns",
     "strip_durability",
@@ -186,6 +188,29 @@ def _dur(journal: float, corruption: float, scrub: float) -> DurabilityConfig:
     )
 
 
+def gc_pressure_ssd(ssd: SSDConfig) -> SSDConfig:
+    """``ssd`` shrunk to 8 chips of two 4-block planes, with DFTL on and
+    an 8-page log region: small enough that background GC reclaims
+    blocks, moving valid pages, within the first tenth of a quick
+    campaign run."""
+    return replace(
+        ssd,
+        channels=4,
+        chips_per_channel=2,
+        dies_per_chip=1,
+        planes_per_die=2,
+        max_concurrent_plane_ops_per_chip=2,
+        blocks_per_plane=4,
+        pages_per_block=2,
+        ftl=FTLConfig(
+            enabled=True,
+            log_region_pages=8,
+            gc_low_water_blocks=3,
+            gc_interval=50e-6,
+        ),
+    )
+
+
 def standard_campaigns(*, quick: bool = False) -> list[dict]:
     """The harness's built-in configurations (CLI ``--configs`` pool).
 
@@ -194,6 +219,8 @@ def standard_campaigns(*, quick: bool = False) -> list[dict]:
     matrix: journal-only, journal + silent corruption + scrubbing,
     checkpoint-only recovery (no journal) under read faults, and
     journal + corruption + scrubbing over the DFTL with background GC.
+    The DFTL configuration runs on :func:`gc_pressure_ssd`, so its
+    crash points recover across block reclaims.
     """
     from ..core.flashwalker import FlashWalker
     from ..graph.generators import rmat
@@ -213,9 +240,7 @@ def standard_campaigns(*, quick: bool = False) -> list[dict]:
                 faults=fcfg,
             )
             if dftl:
-                cfg = cfg.replace(
-                    ssd=replace(cfg.ssd, ftl=FTLConfig(enabled=True))
-                )
+                cfg = cfg.replace(ssd=gc_pressure_ssd(cfg.ssd))
             return FlashWalker(g, cfg, seed=9)
 
         def run_workload(fw):

@@ -24,6 +24,7 @@ latent corruption is found before foreground reads trip over it.
 from __future__ import annotations
 
 from ..common.errors import DataIntegrityError
+from ..common.state import Stateful
 
 __all__ = ["IntegrityTracker"]
 
@@ -32,8 +33,22 @@ __all__ = ["IntegrityTracker"]
 RNG_STREAM = "durability"
 
 
-class IntegrityTracker:
+class IntegrityTracker(Stateful):
     """Per-run integrity state: latent corruption, repairs, scrub cursor."""
+
+    STATE = (
+        "latent",
+        "injected",
+        "detected",
+        "repaired",
+        "unrepairable",
+        "scrub_detected",
+        "quarantined",
+        "repairs_by_plane",
+        "scrub_cursor",
+        "scrub_passes",
+        "scrub_pages_read",
+    )
 
     def __init__(self, cfg, ssd, metrics, rngs):
         self.cfg = cfg
@@ -229,40 +244,6 @@ class IntegrityTracker:
             self.scrub_pages_read += 1
         self.scrub_passes += 1
         return end
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state(self) -> dict:
-        return {
-            "latent": sorted(self.latent),
-            "injected": self.injected,
-            "detected": self.detected,
-            "repaired": self.repaired,
-            "unrepairable": self.unrepairable,
-            "scrub_detected": self.scrub_detected,
-            "quarantined": self.quarantined,
-            "repairs_by_plane": sorted(
-                (list(k), v) for k, v in self.repairs_by_plane.items()
-            ),
-            "scrub_cursor": self.scrub_cursor,
-            "scrub_passes": self.scrub_passes,
-            "scrub_pages_read": self.scrub_pages_read,
-        }
-
-    def restore(self, state: dict) -> None:
-        self.latent = {tuple(k) for k in state["latent"]}
-        self.injected = state["injected"]
-        self.detected = state["detected"]
-        self.repaired = state["repaired"]
-        self.unrepairable = state["unrepairable"]
-        self.scrub_detected = state["scrub_detected"]
-        self.quarantined = state["quarantined"]
-        self.repairs_by_plane = {
-            tuple(k): v for k, v in state["repairs_by_plane"]
-        }
-        self.scrub_cursor = state["scrub_cursor"]
-        self.scrub_passes = state["scrub_passes"]
-        self.scrub_pages_read = state["scrub_pages_read"]
 
     def stats(self) -> dict:
         """Replay-invariant counters for the report's durability section."""

@@ -22,6 +22,8 @@ import struct
 import zlib
 from typing import NamedTuple
 
+from ..common.state import Stateful
+
 __all__ = ["JournalRecord", "WalkJournal"]
 
 #: Packed payload layout: sequence number, simulated time, walks
@@ -46,7 +48,7 @@ class JournalRecord(NamedTuple):
         return self.crc == _crc(self.seq, self.t, self.delta, self.cum)
 
 
-class WalkJournal:
+class WalkJournal(Stateful):
     """Append-only journal of walk completions since the last checkpoint.
 
     Two segments: ``pending`` records sit in controller SRAM awaiting the
@@ -56,6 +58,20 @@ class WalkJournal:
     count.  All counters advance deterministically with the event
     stream, so a replayed run reproduces them exactly.
     """
+
+    STATE = (
+        "record_bytes",
+        "base_cum",
+        "_next_seq",
+        "_pending",
+        "_durable",
+        "appends",
+        "flushes",
+        "records_flushed",
+        "bytes_flushed",
+        "pages_flushed",
+        "last_flush_at",
+    )
 
     def __init__(self, record_bytes: int = 32):
         self.record_bytes = int(record_bytes)
@@ -141,36 +157,6 @@ class WalkJournal:
                 )
             prev_cum = rec.cum
         return out
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state(self) -> dict:
-        return {
-            "record_bytes": self.record_bytes,
-            "base_cum": self.base_cum,
-            "next_seq": self._next_seq,
-            "pending": [tuple(r) for r in self._pending],
-            "durable": [tuple(r) for r in self._durable],
-            "appends": self.appends,
-            "flushes": self.flushes,
-            "records_flushed": self.records_flushed,
-            "bytes_flushed": self.bytes_flushed,
-            "pages_flushed": self.pages_flushed,
-            "last_flush_at": self.last_flush_at,
-        }
-
-    def restore(self, state: dict) -> None:
-        self.record_bytes = state["record_bytes"]
-        self.base_cum = state["base_cum"]
-        self._next_seq = state["next_seq"]
-        self._pending = [JournalRecord(*r) for r in state["pending"]]
-        self._durable = [JournalRecord(*r) for r in state["durable"]]
-        self.appends = state["appends"]
-        self.flushes = state["flushes"]
-        self.records_flushed = state["records_flushed"]
-        self.bytes_flushed = state["bytes_flushed"]
-        self.pages_flushed = int(state.get("pages_flushed", 0))
-        self.last_flush_at = state["last_flush_at"]
 
     def stats(self) -> dict:
         """Replay-invariant counters for the report's durability section."""

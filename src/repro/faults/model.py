@@ -16,13 +16,26 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.config import FaultConfig
+from ..common.state import Stateful
 from ..obs.tracer import PID_FAULTS as _PID_FAULTS
 
 __all__ = ["FaultModel"]
 
 
-class FaultModel:
+class FaultModel(Stateful):
     """Decision oracle + counters for injected hardware faults."""
+
+    STATE = (
+        "failed_chips",
+        "read_faults",
+        "read_retries",
+        "reads_exhausted",
+        "bad_block_remaps",
+        "crc_errors",
+        "crc_retries",
+        "crc_resets",
+        "chip_failures",
+    )
 
     def __init__(self, cfg: FaultConfig, rng: np.random.Generator):
         self.cfg = cfg

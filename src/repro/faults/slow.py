@@ -22,11 +22,12 @@ import numpy as np
 
 from ..common.config import SLOW_FAULT_KINDS, SlowFaultConfig
 from ..common.rng import derive_seed
+from ..common.state import Stateful
 
 __all__ = ["SlowFaultModel"]
 
 
-class SlowFaultModel:
+class SlowFaultModel(Stateful):
     """Seeded latency-inflation windows over chips and channel buses.
 
     Parameters
@@ -40,6 +41,10 @@ class SlowFaultModel:
     n_chips / n_channels:
         Unit-id ranges the seeded generator may target.
     """
+
+    # Windows are a pure function of (seed, config): only the counters
+    # change during a run.
+    STATE = ("slow_read_ops", "slow_program_ops", "slow_bus_ops", "slow_time_added")
 
     def __init__(self, cfg: SlowFaultConfig, seed: int, *, n_chips: int, n_channels: int):
         self.cfg = cfg
@@ -130,22 +135,6 @@ class SlowFaultModel:
         if extra > 0.0:
             self.slow_bus_ops += 1
         return extra
-
-    # -- snapshot/restore (quiescent checkpoints) ---------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "slow_read_ops": self.slow_read_ops,
-            "slow_program_ops": self.slow_program_ops,
-            "slow_bus_ops": self.slow_bus_ops,
-            "slow_time_added": self.slow_time_added,
-        }
-
-    def restore(self, state: dict) -> None:
-        self.slow_read_ops = int(state["slow_read_ops"])
-        self.slow_program_ops = int(state["slow_program_ops"])
-        self.slow_bus_ops = int(state["slow_bus_ops"])
-        self.slow_time_added = float(state["slow_time_added"])
 
     def stats(self) -> dict:
         return {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from ..common.config import SSDConfig
 from ..common.errors import FaultExhaustedError, FlashAddressError
+from ..common.state import Stateful
 from ..obs.tracer import PID_BUS as _PID_BUS
 from ..sim.resources import BandwidthLink
 from .nand import FlashChip
@@ -23,8 +24,10 @@ __all__ = ["FlashChannel", "ONFI_COMMAND_BYTES"]
 ONFI_COMMAND_BYTES = 16
 
 
-class FlashChannel:
+class FlashChannel(Stateful):
     """One flash channel: a serial bus and ``chips_per_channel`` chips."""
+
+    PARTS = ("bus", "chips")
 
     def __init__(self, channel_id: int, cfg: SSDConfig):
         self.channel_id = channel_id

@@ -31,6 +31,7 @@ from collections import OrderedDict
 
 from ..common.config import SSDConfig
 from ..common.errors import ConfigError, FlashError
+from ..common.state import Stateful
 
 __all__ = ["CachedMappingTable", "CMTCharge", "DFTL"]
 
@@ -55,12 +56,14 @@ class CMTCharge:
         return bool(self.tpage_reads or self.tpage_writebacks)
 
 
-class CachedMappingTable:
+class CachedMappingTable(Stateful):
     """Entry-granularity LRU cache over logical page numbers.
 
     ``capacity`` bounds resident entries; ``entries_per_tpage`` groups
     lpns into translation pages (``tpage = lpn // entries_per_tpage``).
     """
+
+    STATE = ("_lru", "hits", "misses", "evictions", "writebacks", "tpage_reads")
 
     def __init__(self, capacity: int, entries_per_tpage: int):
         if capacity < 1:
@@ -139,28 +142,8 @@ class CachedMappingTable:
             "tpage_reads": float(self.tpage_reads),
         }
 
-    # -- snapshot / restore -------------------------------------------------
 
-    def state(self) -> dict:
-        return {
-            "lru": [[lpn, bool(d)] for lpn, d in self._lru.items()],
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "writebacks": self.writebacks,
-            "tpage_reads": self.tpage_reads,
-        }
-
-    def restore_state(self, data: dict) -> None:
-        self._lru = OrderedDict((int(lpn), bool(d)) for lpn, d in data["lru"])
-        self.hits = int(data["hits"])
-        self.misses = int(data["misses"])
-        self.evictions = int(data["evictions"])
-        self.writebacks = int(data["writebacks"])
-        self.tpage_reads = int(data["tpage_reads"])
-
-
-class DFTL:
+class DFTL(Stateful):
     """Per-device DFTL coordinator (constructed only when enabled).
 
     Owns the CMT, the circular log region the engine's write-back
@@ -168,6 +151,15 @@ class DFTL:
     rotate through, and the translation-traffic counters that extend
     the FTL's data-path write amplification.
     """
+
+    STATE = (
+        "log_base",
+        "log_span",
+        "_log_cursor",
+        "translation_page_reads",
+        "translation_page_writes",
+    )
+    PARTS = ("cmt",)
 
     def __init__(self, cfg: SSDConfig):
         fcfg = cfg.ftl
@@ -255,23 +247,3 @@ class DFTL:
             "write_amplification": float(self.write_amplification(ftl)),
             "wear": ftl.wear_stats(),
         }
-
-    # -- snapshot / restore ----------------------------------------------------
-
-    def state(self) -> dict:
-        return {
-            "cmt": self.cmt.state(),
-            "log_base": self.log_base,
-            "log_span": self.log_span,
-            "log_cursor": self._log_cursor,
-            "translation_page_reads": self.translation_page_reads,
-            "translation_page_writes": self.translation_page_writes,
-        }
-
-    def restore_state(self, data: dict) -> None:
-        self.cmt.restore_state(data["cmt"])
-        self.log_base = int(data["log_base"])
-        self.log_span = int(data["log_span"])
-        self._log_cursor = int(data["log_cursor"])
-        self.translation_page_reads = int(data["translation_page_reads"])
-        self.translation_page_writes = int(data["translation_page_writes"])

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 from ..common.config import DRAMConfig
 from ..common.errors import FlashError
+from ..common.state import Stateful
 from ..sim.resources import BandwidthLink
 
 __all__ = ["DRAM"]
 
 
-class DRAM:
+class DRAM(Stateful):
     """Shared on-board DRAM: serial bus + named capacity reservations."""
+
+    PARTS = ("bus",)
 
     def __init__(self, cfg: DRAMConfig):
         cfg.validate()

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..common.config import SSDConfig
 from ..common.errors import FlashAddressError, FlashError
+from ..common.state import Stateful
 
 __all__ = ["FlashAddress", "FTL"]
 
@@ -95,7 +96,7 @@ class _FreeLists:
         self._lists[range(self._n)[flat]] = free
 
 
-class FTL:
+class FTL(Stateful):
     """Page-level FTL over the geometry of an :class:`SSDConfig`.
 
     Parameters
@@ -106,6 +107,18 @@ class FTL:
         run garbage collection on a plane when its free blocks drop to
         this count (>= 1 keeps one spare for GC copy-forward).
     """
+
+    #: Scalars of the full (DFTL) checkpoint state; see :meth:`state`.
+    STATE = (
+        "_next_plane",
+        "gc_runs",
+        "gc_foreground_runs",
+        "gc_background_runs",
+        "gc_moved_pages",
+        "data_pages_written",
+        "bad_block_count",
+        "bad_block_moved_pages",
+    )
 
     def __init__(self, cfg: SSDConfig, gc_threshold: int = 2):
         cfg.validate()
@@ -123,6 +136,9 @@ class FTL:
         self.background_gc = bool(
             fcfg is not None and fcfg.enabled and fcfg.gc_interval > 0
         )
+        #: DFTL runs write through the FTL in the background, so their
+        #: checkpoints copy its whole state (see :meth:`state`).
+        self._copies_full_state = bool(fcfg is not None and fcfg.enabled)
         self.physical_pages = (
             cfg.total_planes * cfg.blocks_per_plane * cfg.pages_per_block
         )
@@ -172,11 +188,13 @@ class FTL:
         self._bad_blocks: list[set[int]] = [set() for _ in range(n_planes)]
         self.bad_block_count = 0
         self.bad_block_moved_pages = 0
-        # Append-only history of retire_active_block calls (flat plane
-        # ids, in order).  Victim selection is deterministic given the
-        # call sequence, so replaying the log against a pristine FTL
-        # reproduces the full remap state — this is what checkpoint
-        # restore does (see repro.faults.checkpoint).
+        # Append-only histories of place_striped calls (their arguments)
+        # and retire_active_block calls (flat plane ids), in order.
+        # Victim selection is deterministic given the call sequence, so
+        # replaying both against a pristine FTL reproduces the full
+        # remap state — this is what a checkpoint restore does when
+        # nothing else writes (see :meth:`state`).
+        self._placements: list[tuple[int, int, int]] = []
         self.remap_log: list[int] = []
 
     # -- geometry helpers ------------------------------------------------------
@@ -509,6 +527,7 @@ class FTL:
                 f"bad placement request: n_units={n_units}, "
                 f"pages_per_unit={pages_per_unit}"
             )
+        self._placements.append((n_units, pages_per_unit, start_lpn))
         c = self.cfg
         out = np.zeros((n_units, 2), dtype=np.int64)
         lpn = start_lpn
@@ -566,18 +585,23 @@ class FTL:
             "bad_block_moved_pages": float(self.bad_block_moved_pages),
         }
 
-    # -- snapshot / restore ----------------------------------------------------------------
+    # -- checkpoint state ------------------------------------------------------------
 
     def state(self) -> dict:
-        """Copy-out of the full mapping/allocation/wear state.
+        """Checkpoint state; :meth:`restore` takes it onto a pristine FTL.
 
-        Background GC makes the FTL's state time-dependent (it is no
-        longer derivable by replaying ``place_striped`` + ``remap_log``
-        against a pristine FTL), so DFTL-enabled checkpoints snapshot it
-        explicitly.  Only *touched* planes are stored — untouched planes
-        are pristine by construction — keeping snapshots sparse on
-        full-size geometries.
+        Without DFTL the FTL changes only through ``place_striped`` and
+        ``retire_active_block``, so the state is those two call logs: a
+        copy of the map would dwarf the rest of the checkpoint.  With
+        DFTL, background GC and log writes make the state time-dependent
+        (no longer derivable by replay), so the full mapping, allocation
+        and wear state is copied.  Only *touched* planes are stored —
+        untouched planes are pristine by construction — keeping the copy
+        sparse on full-size geometries.
         """
+        logs = {"placements": list(self._placements), "remap_log": list(self.remap_log)}
+        if not self._copies_full_state:
+            return logs
         planes = {}
         for flat in sorted(self._touched):
             inv = self._invalid[flat]
@@ -593,48 +617,37 @@ class FTL:
                 "bad": sorted(int(b) for b in self._bad_blocks[flat]),
             }
         return {
+            **logs,
+            **super().state(),
             "l2p": dict(self.l2p),
-            "next_plane": int(self._next_plane),
             "planes": planes,
-            "counters": {
-                "gc_runs": self.gc_runs,
-                "gc_foreground_runs": self.gc_foreground_runs,
-                "gc_background_runs": self.gc_background_runs,
-                "gc_moved_pages": self.gc_moved_pages,
-                "data_pages_written": self.data_pages_written,
-                "bad_block_count": self.bad_block_count,
-                "bad_block_moved_pages": self.bad_block_moved_pages,
-            },
-            "remap_log": list(self.remap_log),
         }
 
-    def restore_state(self, data: dict) -> None:
-        """Restore a :meth:`state` snapshot onto a pristine FTL."""
-        self.l2p = dict(data["l2p"])
+    def restore(self, state: dict) -> None:
+        """Take on a :meth:`state` capture; the FTL must be pristine."""
+        if not self._copies_full_state:
+            for args in state["placements"]:
+                self.place_striped(*args)
+            for flat in state["remap_log"]:
+                self.retire_active_block(int(flat))
+            return
+        super().restore(state)
+        self._placements = list(state["placements"])
+        self.remap_log = list(state["remap_log"])
+        self.l2p = dict(state["l2p"])
         self.p2l = {ppa: lpn for lpn, ppa in self.l2p.items()}
-        self._next_plane = int(data["next_plane"])
-        for flat, p in data["planes"].items():
-            flat = int(flat)
+        for flat, p in state["planes"].items():
             self._touched.add(flat)
             self._active_block[flat] = p["active_block"]
             self._active_page[flat] = p["active_page"]
-            self._free_list[flat] = [int(b) for b in p["free_list"]]
+            self._free_list[flat] = list(p["free_list"])
             self._invalid[flat, :] = 0
             for blk, v in p["invalid"]:
-                self._invalid[flat, int(blk)] = int(v)
+                self._invalid[flat, blk] = v
             self._erase_counts[flat, :] = 0
             for blk, v in p["erase"]:
-                self._erase_counts[flat, int(blk)] = int(v)
-            self._bad_blocks[flat] = set(int(b) for b in p["bad"])
-        c = data["counters"]
-        self.gc_runs = int(c["gc_runs"])
-        self.gc_foreground_runs = int(c["gc_foreground_runs"])
-        self.gc_background_runs = int(c["gc_background_runs"])
-        self.gc_moved_pages = int(c["gc_moved_pages"])
-        self.data_pages_written = int(c["data_pages_written"])
-        self.bad_block_count = int(c["bad_block_count"])
-        self.bad_block_moved_pages = int(c["bad_block_moved_pages"])
-        self.remap_log = list(data["remap_log"])
+                self._erase_counts[flat, blk] = v
+            self._bad_blocks[flat] = set(p["bad"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -16,8 +16,11 @@ FlashWalker's design.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from ..common.config import SSDConfig
 from ..common.errors import FaultExhaustedError, FlashAddressError, FlashError
+from ..common.state import Stateful
 from ..obs.tracer import PID_FLASH as _PID_FLASH
 from ..sim.resources import FcfsResource
 
@@ -37,6 +40,8 @@ class Plane:
         "bytes_programmed",
         "busy_time",
     )
+    #: Checkpointed fields (all but the id), captured by the chip.
+    STATE = __slots__[1:]
 
     def __init__(self, plane_id: int):
         self.plane_id = plane_id
@@ -59,6 +64,9 @@ class Plane:
         return start, end
 
 
+_read_plane = attrgetter(*Plane.STATE)
+
+
 class Die:
     """A die: a set of planes (multi-plane ops run concurrently)."""
 
@@ -71,17 +79,29 @@ class Die:
         self.planes = [Plane(p) for p in range(planes_per_die)]
 
 
-class FlashChip:
+class FlashChip(Stateful):
     """One flash chip: dies x planes plus a chip-level op concurrency cap.
 
     Page addressing within the chip is ``(die, plane, block, page)``;
     bounds come from :class:`~repro.common.config.SSDConfig`.
     """
 
+    STATE = (
+        "reads",
+        "programs",
+        "erases",
+        "bytes_read",
+        "bytes_programmed",
+        "_prog_cursor",
+    )
+    PARTS = ("_op_slots",)
+
     def __init__(self, chip_id: int, cfg: SSDConfig):
         self.chip_id = chip_id
         self.cfg = cfg
         self.dies = [Die(d, cfg.planes_per_die) for d in range(cfg.dies_per_chip)]
+        #: Every plane, die by die.
+        self.planes = [pl for die in self.dies for pl in die.planes]
         # The chip's internal op dispatcher: at most N plane ops in flight.
         self._op_slots = FcfsResource(
             f"chip{chip_id}.ops", cfg.max_concurrent_plane_ops_per_chip
@@ -113,6 +133,17 @@ class FlashChip:
         #: window's factor (no RNG draws — windows are fixed at attach).
         self.slow_model = None
 
+    # A chip holds many all-scalar planes: one tuple of Plane.STATE each
+    # keeps a capture cheap.
+    def state(self) -> dict:
+        return {**super().state(), "planes": [_read_plane(pl) for pl in self.planes]}
+
+    def restore(self, state: dict) -> None:
+        super().restore(state)
+        for pl, values in zip(self.planes, state["planes"], strict=True):
+            for name, value in zip(Plane.STATE, values):
+                setattr(pl, name, value)
+
     # -- addressing -----------------------------------------------------------
 
     def plane(self, die: int, plane: int) -> Plane:
@@ -127,19 +158,6 @@ class FlashChip:
                 f"[0, {self.cfg.planes_per_die})"
             )
         return self.dies[die].planes[plane]
-
-    def check_page_addr(self, die: int, plane: int, block: int, page: int) -> None:
-        self.plane(die, plane)  # validates die/plane
-        if not 0 <= block < self.cfg.blocks_per_plane:
-            raise FlashAddressError(
-                f"chip {self.chip_id}: block {block} out of range "
-                f"[0, {self.cfg.blocks_per_plane})"
-            )
-        if not 0 <= page < self.cfg.pages_per_block:
-            raise FlashAddressError(
-                f"chip {self.chip_id}: page {page} out of range "
-                f"[0, {self.cfg.pages_per_block})"
-            )
 
     # -- array operations -------------------------------------------------------
 

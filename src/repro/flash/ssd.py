@@ -13,6 +13,7 @@ import numpy as np
 
 from ..common.config import DRAMConfig, SSDConfig
 from ..common.errors import FlashAddressError, FlashError
+from ..common.state import Stateful
 from .channel import FlashChannel
 from .cmt import DFTL
 from .dram import DRAM
@@ -23,8 +24,10 @@ from .nand import FlashChip
 __all__ = ["SSD"]
 
 
-class SSD:
+class SSD(Stateful):
     """Behavioral SSD with the paper's Table I/III geometry."""
+
+    PARTS = ("channels", "dram", "ftl", "dftl")
 
     def __init__(self, cfg: SSDConfig | None = None, dram_cfg: DRAMConfig | None = None):
         self.cfg = (cfg or SSDConfig()).validate()
@@ -40,6 +43,11 @@ class SSD:
         #: DFTL coordinator (cached mapping table + translation traffic);
         #: None on the default path, where translation is modeled as free.
         self.dftl = DFTL(self.cfg) if fcfg is not None and fcfg.enabled else None
+
+    def restore(self, state: dict) -> None:
+        # An FTL state restores onto a pristine FTL (see FTL.restore).
+        self.ftl = FTL(self.cfg)
+        super().restore(state)
 
     def attach_fault_model(self, fault_model) -> None:
         """Wire a :class:`~repro.faults.FaultModel` through the device.
@@ -214,12 +222,6 @@ class SSD:
 
     # -- logical I/O through the FTL ------------------------------------------
 
-    def read_lpn_to_controller(self, now: float, lpn: int) -> float:
-        """Read one logical page up to the SSD controller (no PCIe)."""
-        addr = self.ftl.lookup(lpn)
-        ch = self.channel(addr.channel)
-        return ch.read_page_to_controller(now, addr.chip, addr.die, addr.plane)
-
     def write_lpn_from_controller(
         self, now: float, lpn: int, plane_hint: int | None = None
     ) -> float:
@@ -270,9 +272,6 @@ class SSD:
 
     def bytes_programmed_to_planes(self) -> int:
         return sum(ch.bytes_programmed_to_planes() for ch in self.channels)
-
-    def bytes_on_channel_buses(self) -> int:
-        return sum(ch.bytes_on_bus for ch in self.channels)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

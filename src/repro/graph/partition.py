@@ -52,19 +52,6 @@ class DenseVertexMeta:
     def out_degree(self) -> int:
         return (self.n_blocks - 1) * self.edges_per_block + self.last_block_degree
 
-    def block_for_edge(self, edge_index: int) -> int:
-        """Graph block holding this vertex's ``edge_index``-th out-edge.
-
-        This is the pre-walking computation: ``gb_next`` is the
-        ``ceil(rnd / size(gb))``-th block of the dense vertex.
-        """
-        if not 0 <= edge_index < self.out_degree:
-            raise PartitionError(
-                f"edge index {edge_index} out of range for dense vertex "
-                f"{self.vertex} with degree {self.out_degree}"
-            )
-        return self.first_block + edge_index // self.edges_per_block
-
 
 @dataclass
 class GraphPartitioning:

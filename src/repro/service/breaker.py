@@ -15,11 +15,21 @@ piled onto.
 
 from __future__ import annotations
 
+from ..common.state import Stateful
+
 __all__ = ["CircuitBreaker"]
 
 
-class CircuitBreaker:
+class CircuitBreaker(Stateful):
     """Open/closed state machine over fault-model degradation counters."""
+
+    STATE = (
+        "open_until",
+        "trips",
+        "_seen_chip_failures",
+        "_seen_exhausted",
+        "_seen_corruption",
+    )
 
     def __init__(self, cfg, engine):
         self.cfg = cfg

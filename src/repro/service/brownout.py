@@ -16,11 +16,16 @@ brownout runs replay byte-identically.
 
 from __future__ import annotations
 
+from ..common.state import Stateful
+
 __all__ = ["BrownoutController"]
 
 
-class BrownoutController:
+class BrownoutController(Stateful):
     """Hysteresis switch from a pressure signal to admission factors."""
+
+    # Transition records are never edited after they are appended.
+    STATE = ("active", "entries", "epochs_active", "last_pressure", "transitions")
 
     def __init__(
         self,
@@ -60,28 +65,8 @@ class BrownoutController:
             self.epochs_active += 1
         return self.active
 
-    def admit_capacity_factor(self) -> float:
-        return self.capacity_factor if self.active else 1.0
-
     def admit_rate_factor(self) -> float:
         return self.rate_factor if self.active else 1.0
-
-    def snapshot(self) -> dict:
-        """Checkpointable state (service crash/recovery path)."""
-        return {
-            "active": self.active,
-            "entries": self.entries,
-            "epochs_active": self.epochs_active,
-            "last_pressure": self.last_pressure,
-            "transitions": [dict(tr) for tr in self.transitions],
-        }
-
-    def restore(self, state: dict) -> None:
-        self.active = bool(state["active"])
-        self.entries = int(state["entries"])
-        self.epochs_active = int(state["epochs_active"])
-        self.last_pressure = float(state["last_pressure"])
-        self.transitions = [dict(tr) for tr in state["transitions"]]
 
     def stats(self) -> dict:
         return {

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..common.backoff import RetryPolicy
 from ..common.errors import ConfigError
 
 __all__ = ["ServiceConfig"]
@@ -50,13 +49,6 @@ class ServiceConfig:
     breaker_cooldown: float = 2e-3
     breaker_exhausted_threshold: int = 1
     breaker_corruption_threshold: int = 1
-    #: Backoff between consecutive breaker reopen retries (the shared
-    #: :class:`~repro.common.backoff.RetryPolicy`).  The default base
-    #: of 0 keeps the legacy schedule: retry exactly at ``open_until``.
-    reopen_backoff_base: float = 0.0
-    reopen_backoff_factor: float = 2.0
-    reopen_backoff_cap: float = 10e-3
-    reopen_backoff_jitter: float = 0.0
     audit_interval_events: int = 256
     # -- gray-failure resilience (all opt-in; off by default) ------------
     #: Breaker-reopen retries a deferred query may consume before it is
@@ -110,7 +102,6 @@ class ServiceConfig:
             raise ConfigError("breaker_exhausted_threshold must be >= 1")
         if self.breaker_corruption_threshold < 1:
             raise ConfigError("breaker_corruption_threshold must be >= 1")
-        self.reopen_policy(seed=0).validate()
         if self.audit_interval_events < 0:
             raise ConfigError(
                 f"negative audit_interval_events {self.audit_interval_events}"
@@ -142,15 +133,3 @@ class ServiceConfig:
                     f"brownout_window must be >= 1, got {self.brownout_window}"
                 )
         return self
-
-    def reopen_policy(self, seed: int) -> RetryPolicy:
-        """The breaker's reopen-retry backoff, seeded for jitter."""
-        return RetryPolicy(
-            base_delay=self.reopen_backoff_base,
-            factor=self.reopen_backoff_factor,
-            max_delay=self.reopen_backoff_cap,
-            max_attempts=1 << 30,  # reopens retry forever; only delays grow
-            jitter_frac=self.reopen_backoff_jitter,
-            seed=seed,
-            salt="breaker-reopen",
-        )

@@ -19,13 +19,26 @@ from __future__ import annotations
 
 from collections import deque
 
+from ..common.state import Stateful
 from .request import QueryRequest
 
 __all__ = ["AdmissionQueue"]
 
 
-class AdmissionQueue:
+class AdmissionQueue(Stateful):
     """FIFO of admitted-but-not-yet-dispatched queries."""
+
+    # The brownout-driven ``rate_factor`` is its owner's to restore.
+    STATE = (
+        "_q",
+        "_tokens",
+        "_last_refill",
+        "admitted",
+        "rejected",
+        "shed_oldest",
+        "rate_limited",
+        "peak_depth",
+    )
 
     def __init__(
         self,

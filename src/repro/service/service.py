@@ -28,11 +28,12 @@ recovered timeline rather than dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..common.errors import ConfigError, SimulationError
+from ..common.state import Stateful
 from ..core.metrics import RunResult
 from ..obs.alerts import default_service_rules
 from ..walks.spec import WalkSpec, start_vertices
@@ -84,8 +85,28 @@ class ServiceOutcome:
         return {r.query_id: r for r in self.responses}
 
 
-class WalkQueryService:
+class WalkQueryService(Stateful):
     """Serve walk queries against one engine under simulated time."""
+
+    # The request schedule, the accounting the auditor cross-checks
+    # against the engine, the response log and the admission
+    # components; per-query bookkeeping is added by :meth:`state`.
+    STATE = (
+        "_requests",
+        "responses",
+        "arrivals",
+        "ok_count",
+        "timed_out_count",
+        "shed_count",
+        "walks_injected",
+        "zombie_walks",
+        "deadline_misses",
+        "deferrals",
+        "retry_budget_exhausted",
+        "_recent_misses",
+        "_t0",
+    )
+    PARTS = ("queue", "breaker", "brownout")
 
     def __init__(self, fw, cfg: ServiceConfig | None = None):
         self.fw = fw
@@ -128,8 +149,6 @@ class WalkQueryService:
         self._t0 = 0.0
         self._dispatch_scheduled = False
         self._retry_scheduled = False
-        self.reopen_policy = self.cfg.reopen_policy(seed=fw._seed).validate()
-        self._reopen_attempts = 0
         self._requests: list[QueryRequest] = []
         #: Optional hook ``fn(fw, t0)`` called after session setup and
         #: before the event loop runs; test scaffolding uses it to
@@ -189,7 +208,7 @@ class WalkQueryService:
         if fw.telemetry is not None:
             fw.telemetry.add_rules(default_service_rules())
         fw._on_completed = self._on_completed
-        fw._checkpoint_extra = self._snapshot_state
+        fw._checkpoint_extra = self.state
         try:
             for req in ordered:
                 fw.sim.at(self._t0 + req.arrival, self._arrive, req)
@@ -205,121 +224,36 @@ class WalkQueryService:
 
     # ------------------------------------------------------------- durability
 
-    def _snapshot_state(self) -> dict:
+    def state(self) -> dict:
         """Service bookkeeping packed into each engine checkpoint.
 
-        Wired as ``fw._checkpoint_extra``; everything mutable is copied
-        so later events on the (about-to-crash) timeline cannot reach
-        back into the snapshot.  Request and response objects are never
-        mutated after creation, so they are stored by reference.
+        Wired as ``fw._checkpoint_extra``.  Request and response objects
+        are never mutated after creation, so they are shared; each
+        query's bookkeeping is copied, less its pending deadline event
+        (:meth:`resume` schedules a fresh one).
         """
-        snap = {
-            "queries": [
-                {
-                    "req": st.req,
-                    "t_arrival": st.t_arrival,
-                    "deadline_abs": st.deadline_abs,
-                    "walks_done": st.walks_done,
-                    "injected": st.injected,
-                    "responded": st.responded,
-                    "retry_budget": st.retry_budget,
-                }
-                for st in self.states.values()
+        return {
+            **super().state(),
+            "states": [
+                replace(st, deadline_event=None) for st in self.states.values()
             ],
-            "responses": list(self.responses),
-            "counters": {
-                "arrivals": self.arrivals,
-                "ok_count": self.ok_count,
-                "timed_out_count": self.timed_out_count,
-                "shed_count": self.shed_count,
-                "walks_injected": self.walks_injected,
-                "zombie_walks": self.zombie_walks,
-                "deadline_misses": self.deadline_misses,
-                "deferrals": self.deferrals,
-                "reopen_attempts": self._reopen_attempts,
-                "retry_budget_exhausted": self.retry_budget_exhausted,
-            },
-            "queue": {
-                "ids": [r.query_id for r in self.queue._q],
-                "tokens": self.queue._tokens,
-                "last_refill": self.queue._last_refill,
-                "admitted": self.queue.admitted,
-                "rejected": self.queue.rejected,
-                "shed_oldest": self.queue.shed_oldest,
-                "rate_limited": self.queue.rate_limited,
-                "peak_depth": self.queue.peak_depth,
-            },
-            "breaker": {
-                "open_until": self.breaker.open_until,
-                "trips": self.breaker.trips,
-                "seen_chip_failures": self.breaker._seen_chip_failures,
-                "seen_exhausted": self.breaker._seen_exhausted,
-                "seen_corruption": self.breaker._seen_corruption,
-            },
-            "t0": self._t0,
         }
-        if self.brownout is not None:
-            snap["brownout"] = {
-                "controller": self.brownout.snapshot(),
-                "recent_misses": list(self._recent_misses),
-            }
-        return snap
 
-    def _restore_state(self, d: dict) -> None:
-        """Inverse of :meth:`_snapshot_state`."""
-        self.states = {}
-        for q in d["queries"]:
-            st = _QueryState(
-                req=q["req"],
-                t_arrival=q["t_arrival"],
-                deadline_abs=q["deadline_abs"],
-                walks_done=q["walks_done"],
-                injected=q["injected"],
-                responded=q["responded"],
-                retry_budget=q["retry_budget"],
-            )
-            self.states[st.req.query_id] = st
-        self.responses = list(d["responses"])
-        c = d["counters"]
-        self.arrivals = c["arrivals"]
-        self.ok_count = c["ok_count"]
-        self.timed_out_count = c["timed_out_count"]
-        self.shed_count = c["shed_count"]
-        self.walks_injected = c["walks_injected"]
-        self.zombie_walks = c["zombie_walks"]
-        self.deadline_misses = c["deadline_misses"]
-        self.deferrals = c["deferrals"]
-        self._reopen_attempts = c["reopen_attempts"]
-        self.retry_budget_exhausted = c["retry_budget_exhausted"]
+    def restore(self, state: dict) -> None:
+        super().restore(state)
+        self.states = {st.req.query_id: replace(st) for st in state["states"]}
         if self.brownout is not None:
-            bo = d["brownout"]
-            self.brownout.restore(bo["controller"])
-            self._recent_misses.clear()
-            self._recent_misses.extend(bo["recent_misses"])
             self.queue.rate_factor = self.brownout.admit_rate_factor()
-        q = d["queue"]
-        self.queue._q.clear()
-        self.queue._q.extend(self.states[qid].req for qid in q["ids"])
-        self.queue._tokens = q["tokens"]
-        self.queue._last_refill = q["last_refill"]
-        self.queue.admitted = q["admitted"]
-        self.queue.rejected = q["rejected"]
-        self.queue.shed_oldest = q["shed_oldest"]
-        self.queue.rate_limited = q["rate_limited"]
-        self.queue.peak_depth = q["peak_depth"]
-        b = d["breaker"]
-        self.breaker.open_until = b["open_until"]
-        self.breaker.trips = b["trips"]
-        self.breaker._seen_chip_failures = b["seen_chip_failures"]
-        self.breaker._seen_exhausted = b["seen_exhausted"]
-        self.breaker._seen_corruption = b["seen_corruption"]
-        self._t0 = d["t0"]
 
-    def resume(self, max_events: int | None = None) -> ServiceOutcome:
+    def resume(
+        self, max_events: int | None = None, checkpoint=None
+    ) -> ServiceOutcome:
         """Recover a service run interrupted by power loss.
 
-        Restores both the engine (latest checkpoint) and the service's
-        own bookkeeping packed alongside it, re-schedules the arrival
+        Restores both the engine and the service's own bookkeeping
+        packed alongside it from ``checkpoint`` (default: the engine's
+        latest; a checkpoint of another engine of the same
+        configuration resumes here too), re-schedules the arrival
         events of requests the crashed timeline had not delivered yet
         and the deadline events of still-pending queries, then replays
         to completion.  In-flight queries at the crash survive: their
@@ -330,7 +264,7 @@ class WalkQueryService:
         recovery variant while responses and SLO metrics are not.
         """
         fw = self.fw
-        snap = fw.latest_checkpoint
+        snap = checkpoint if checkpoint is not None else fw.latest_checkpoint
         if snap is None:
             raise SimulationError(
                 "no checkpoint available to recover the service from "
@@ -344,12 +278,12 @@ class WalkQueryService:
                 "checkpoint carries no service state; was it taken by a "
                 "plain batch run?"
             )
-        self._restore_state(extra)
+        self.restore(extra)
         now = fw.sim.now
         if fw.telemetry is not None:
             fw.telemetry.add_rules(default_service_rules())
         fw._on_completed = self._on_completed
-        fw._checkpoint_extra = self._snapshot_state
+        fw._checkpoint_extra = self.state
         # Audit cadence restarts on the recovered timeline; the event
         # counter itself restarted with the simulator.
         self.auditor._last_audit_events = 0
@@ -469,7 +403,6 @@ class WalkQueryService:
                     self.deferrals += 1
                     self._schedule_retry(self.breaker.open_until)
                     break
-                self._reopen_attempts = 0
             backlog = fw.total_walks - fw.completed_walks
             inflight_cap = self.cfg.max_inflight_walks
             if self.brownout is not None and self.brownout.active:
@@ -501,19 +434,11 @@ class WalkQueryService:
 
         Without this, a deferred queue would starve when the engine
         drains (no completion event would ever re-trigger dispatch).
-        Consecutive reopen attempts back off per the shared
-        :class:`~repro.common.backoff.RetryPolicy` — the same policy
-        class the cluster uses for migration-RPC retransmits — with
-        the attempt counter resetting once dispatch gets past the
-        breaker.
         """
         if self._retry_scheduled:
             return
         self._retry_scheduled = True
-        at = max(at, self.fw.sim.now) + self.reopen_policy.delay(
-            self._reopen_attempts
-        )
-        self._reopen_attempts += 1
+        at = max(at, self.fw.sim.now)
 
         def retry():
             self._retry_scheduled = False

@@ -20,11 +20,12 @@ from __future__ import annotations
 import heapq
 
 from ..common.errors import SimulationError
+from ..common.state import Stateful
 
 __all__ = ["FcfsResource", "BandwidthLink"]
 
 
-class FcfsResource:
+class FcfsResource(Stateful):
     """``k`` identical servers, FIFO order, non-preemptive.
 
     Requests are characterised only by (issue time, service duration); the
@@ -34,6 +35,8 @@ class FcfsResource:
     """
 
     __slots__ = ("name", "servers", "_free_at", "busy_time", "requests", "queued_time")
+    # A copied heap is still a heap.
+    STATE = ("_free_at", "busy_time", "requests", "queued_time")
 
     def __init__(self, name: str, servers: int = 1):
         if servers < 1:
@@ -80,7 +83,7 @@ class FcfsResource:
         )
 
 
-class BandwidthLink:
+class BandwidthLink(Stateful):
     """A serial link with fixed byte rate and optional per-transfer latency.
 
     Models channel buses (ONFI), the PCIe link, and the DRAM bus.  All
@@ -96,6 +99,7 @@ class BandwidthLink:
         "busy_time",
         "transfers",
     )
+    STATE = ("_busy_until", "bytes_moved", "busy_time", "transfers")
 
     def __init__(self, name: str, bytes_per_sec: float, latency: float = 0.0):
         if bytes_per_sec <= 0:
@@ -147,12 +151,6 @@ class BandwidthLink:
         if elapsed <= 0:
             return 0.0
         return self.busy_time / elapsed
-
-    def achieved_bandwidth(self, elapsed: float) -> float:
-        """Mean delivered bytes/sec over ``elapsed`` seconds."""
-        if elapsed <= 0:
-            return 0.0
-        return self.bytes_moved / elapsed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -14,14 +14,16 @@ import math
 import numpy as np
 
 from ..common.errors import SimulationError
+from ..common.state import Stateful
 
 __all__ = ["Counter", "TimeSeries", "Histogram", "StatsRegistry"]
 
 
-class Counter:
+class Counter(Stateful):
     """A named monotonic accumulator."""
 
     __slots__ = ("name", "total", "events")
+    STATE = ("total", "events")
 
     def __init__(self, name: str):
         self.name = name
@@ -36,7 +38,7 @@ class Counter:
         return f"Counter({self.name!r}, total={self.total}, events={self.events})"
 
 
-class TimeSeries:
+class TimeSeries(Stateful):
     """Values attributed to simulation times, aggregated into buckets.
 
     ``bucket`` is the bucket width in seconds.  ``rates(elapsed)`` returns
@@ -44,6 +46,7 @@ class TimeSeries:
     """
 
     __slots__ = ("name", "bucket", "_sums", "total", "events", "last_time")
+    STATE = __slots__[1:]  # all but the name
 
     def __init__(self, name: str, bucket: float):
         if bucket <= 0:
@@ -139,17 +142,6 @@ class Histogram:
         if value > self.max:
             self.max = value
 
-    def add_many(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            return
-        idx = np.searchsorted(self.edges, values, side="right")
-        np.add.at(self.counts, idx, 1)
-        self.total += values.size
-        self.sum += float(values.sum())
-        self.min = min(self.min, float(values.min()))
-        self.max = max(self.max, float(values.max()))
-
     @property
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0
@@ -176,7 +168,7 @@ class Histogram:
         return f"Histogram({self.name!r}, n={self.total}, mean={self.mean:.3g})"
 
 
-class StatsRegistry:
+class StatsRegistry(Stateful):
     """Namespace of named counters/series/histograms for one simulation run."""
 
     def __init__(self, bucket: float = 0.01):
@@ -206,7 +198,7 @@ class StatsRegistry:
             self.histograms[name] = h
         return h
 
-    def snapshot(self) -> dict[str, float]:
+    def totals(self) -> dict[str, float]:
         """Flat {name: total} view of all counters and series.
 
         Counters additionally contribute ``"<name>.events"`` entries:
@@ -220,3 +212,17 @@ class StatsRegistry:
         )
         out.update({name: s.total for name, s in self.series.items()})
         return out
+
+    def state(self) -> dict:
+        """Checkpoint state of every counter and series, by name
+        (histograms are report-only and not carried)."""
+        return {
+            "counters": {n: c.state() for n, c in self.counters.items()},
+            "series": {n: s.state() for n, s in self.series.items()},
+        }
+
+    def restore(self, state: dict) -> None:
+        for name, s in state["counters"].items():
+            self.counter(name).restore(s)
+        for name, s in state["series"].items():
+            self.timeseries(name, s["bucket"]).restore(s)

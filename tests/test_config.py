@@ -79,7 +79,6 @@ class TestDRAMConfig:
     def test_access_latency_positive(self):
         c = DRAMConfig()
         assert 0 < c.access_latency < 1e-6
-        assert c.row_cycle_time > 0
 
     def test_rejects_odd_bus_width(self):
         with pytest.raises(ConfigError):
@@ -107,21 +106,6 @@ class TestAcceleratorLevels:
         assert lv.chip.area_mm2 == pytest.approx(1.30)
         assert lv.channel.area_mm2 == pytest.approx(1.84)
         assert lv.board.area_mm2 == pytest.approx(14.31)
-
-    def test_hop_time_is_five_ops(self):
-        # Section IV-A: the updater performs 5 operations per walk.
-        lv = AcceleratorLevels()
-        assert lv.chip.hop_time() == pytest.approx(5 * 16e-9)
-
-    def test_subgraph_slots(self):
-        lv = AcceleratorLevels()
-        assert lv.chip.subgraph_slots(256 * KB) == 4
-        assert lv.channel.subgraph_slots(256 * KB) == 8
-        assert lv.board.subgraph_slots(256 * KB) == 64
-
-    def test_walk_queue_capacity(self):
-        lv = AcceleratorLevels()
-        assert lv.chip.walk_queue_capacity(12) == (64 * KB) // 12
 
 
 class TestFlashWalkerConfig:

@@ -212,7 +212,7 @@ class TestPartitionWalkBuffer:
         push(pwb, 2, walks(3))
         push(pwb, 2, walks(3, 10), np.array([7, 8, 9]))  # spills the first
         push(pwb, 5, walks(20, 100))                      # grown slab
-        state = pwb.snapshot()
+        state = pwb.state()
         pwb.drain(2)
         push(pwb, 5, walks(1, 500))
         for _ in range(2):  # a snapshot can be restored more than once

@@ -477,11 +477,11 @@ class TestSnapshotRestore:
         s.add_spilled(3, 2)
         s.next_subgraph(1)
         s.reassign_blocks([4], [1])
-        snap = s.snapshot()
+        snap = s.state()
         s.take_walks(3)  # later history must not leak into the snapshot
         fresh = make_scheduler(n_blocks=8, n_chips=2, m=2)
         fresh.restore(snap)
-        assert fresh.snapshot() == snap
+        assert fresh.state() == snap
         assert fresh.total_pending == 8
         assert fresh.chips_with_work() == [0, 1]
         assert_chip_index_matches_scan(fresh)

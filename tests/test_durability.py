@@ -19,8 +19,14 @@ from repro.common import (
     RngRegistry,
     SimulationError,
 )
+from repro.common.config import SlowFaultConfig
 from repro.core import FlashWalker
-from repro.durability.harness import run_crash_campaign, strip_durability
+from repro.durability.harness import (
+    gc_pressure_ssd,
+    run_crash_campaign,
+    standard_campaigns,
+    strip_durability,
+)
 from repro.durability.journal import WalkJournal
 from repro.graph import rmat
 from repro.obs.report import REPORT_SCHEMA_VERSION
@@ -320,6 +326,30 @@ class TestCrashPointProperty:
         assert any(p.mode == "recovered" for p in campaign.points)
 
 
+class TestStandardDftlCampaign:
+    def test_gc_moves_pages_before_the_first_crash_point(self):
+        """The CLI's ``journal+scrub+dftl`` campaign recovers across a
+        block reclaim: background GC has moved valid pages by its first
+        crash point, and every point still reproduces the baseline."""
+        spec = {c["name"]: c for c in standard_campaigns(quick=True)}[
+            "journal+scrub+dftl"
+        ]
+        base = spec["run_workload"](spec["make_engine"]())
+        assert base.counters["ftl_gc_moved_pages"] > 0
+        campaign = run_crash_campaign(
+            spec["make_engine"], spec["run_workload"],
+            crash_points=7, seed=3, name=spec["name"],
+        )
+        assert campaign.ok
+        first = campaign.points[0]
+        assert first.mode == "recovered"
+        fw = spec["make_engine"]()
+        fw.schedule_power_loss(first.t_crash)
+        with pytest.raises(PowerLossError):
+            spec["run_workload"](fw)
+        assert fw.ssd.ftl.gc_moved_pages > 0
+
+
 # ------------------------------------------------------------- integrity
 
 
@@ -522,3 +552,90 @@ class TestBreakerCorruptionSignal:
         cfg = ServiceConfig().validate()
         engine = SimpleNamespace(fault_model=None, integrity=None)
         assert not CircuitBreaker(cfg, engine).is_open(0.0)
+
+
+class TestAllLayersResume:
+    """Every layer at once — page and CRC faults, a chip failure,
+    slow-fault windows, journal + corruption + scrub, DFTL with block
+    reclaims — under the query service with a deferring breaker,
+    power-failed after a checkpoint and resumed into a fresh engine."""
+
+    @staticmethod
+    def _build(graph):
+        # Four chips per channel leave RAIN a surviving sibling to
+        # repair corruption from after the chip failure.
+        cfg = FlashWalkerConfig(**ENGINE)
+        cfg = cfg.replace(ssd=dataclasses.replace(
+            gc_pressure_ssd(cfg.ssd), chips_per_channel=4
+        ))
+        chips = FlashWalker(graph, cfg, seed=9).block_chip
+        fcfg = FaultConfig(
+            enabled=True,
+            page_error_rate=0.05,
+            crc_error_rate=0.02,
+            chip_failures=((100e-6, int(chips[0])),),
+            checkpoint_interval=50e-6,
+            slow=SlowFaultConfig(enabled=True, windows=(
+                ("chip-read", int(chips[1]), 0.0, 4e-3, 3.0),
+                ("channel-bus", 0, 2e-3, 6e-3, 2.0),
+            )),
+        )
+        fw = FlashWalker(graph, cfg.replace(
+            durability=dur(corruption=1500.0, scrub=100e-6), faults=fcfg,
+        ), seed=9)
+        svc = WalkQueryService(fw, ServiceConfig(
+            default_deadline=50e-3,
+            breaker_policy="defer",
+            breaker_cooldown=500e-6,
+        ))
+        return fw, svc
+
+    def test_fresh_engine_resume_matches_uninterrupted(self, graph):
+        _, svc0 = self._build(graph)
+        out0 = svc0.run(list(REQUESTS))
+        c = out0.result.counters
+        assert out0.result.service["breaker"]["deferrals"] >= 1
+        assert c["ftl_gc_moved_pages"] > 0 and c["slow_read_ops"] > 0
+        crashed, svc = self._build(graph)
+        crashed.schedule_power_loss(out0.result.elapsed * 0.6)
+        with pytest.raises(PowerLossError):
+            svc.run(list(REQUESTS))
+        ckpt = crashed.latest_checkpoint
+        assert ckpt is not None and ckpt.data is not None
+        _, fresh = self._build(graph)
+        out1 = fresh.resume(checkpoint=ckpt)
+        # Compared as the crash campaigns compare, less the service's
+        # audit count: audit cadence restarts at the restore point (a
+        # documented recovery variant of WalkQueryService.resume).
+        reports = []
+        for out in (out0, out1):
+            report = out.result.to_report()
+            report["service"]["audit"].pop("audits")
+            reports.append(canonical(report))
+        assert reports[1] == reports[0]
+        assert out1.responses == out0.responses
+
+    def test_captured_state_is_not_reached_by_later_events(
+        self, graph, monkeypatch
+    ):
+        """Each checkpoint's data is unchanged by everything the live
+        run (and a resume from it) does after the capture."""
+        import pickle
+
+        import repro.faults.checkpoint as checkpoint
+
+        captured = []
+        capture = checkpoint.capture_checkpoint
+
+        def recording(fw, t):
+            ckpt = capture(fw, t)
+            captured.append((ckpt, pickle.dumps(ckpt.data)))
+            return ckpt
+
+        monkeypatch.setattr(checkpoint, "capture_checkpoint", recording)
+        _, svc = self._build(graph)
+        svc.run(list(REQUESTS))
+        assert len(captured) >= 2
+        svc.resume(checkpoint=captured[0][0])
+        for ckpt, data in captured:
+            assert pickle.dumps(ckpt.data) == data

@@ -115,7 +115,7 @@ class TestSSD:
         ssd.host_read_bytes(0.0, 1 << 20)
         assert ssd.bytes_read_from_planes() == 1 << 20
         assert ssd.host.bytes_transferred == 1 << 20
-        assert ssd.bytes_on_channel_buses() == 1 << 20
+        assert sum(ch.bytes_on_bus for ch in ssd.channels) == 1 << 20
 
     def test_host_read_pcie_bound_for_large_reads(self, ssd):
         # 64 MB host read: PCIe (4 GB/s) is slower than 32 channels.
@@ -130,10 +130,9 @@ class TestSSD:
 
     def test_logical_write_then_read(self, ssd):
         ssd.write_lpn_from_controller(0.0, 42)
-        t = ssd.read_lpn_to_controller(0.0, 42)
+        addr = ssd.ftl.lookup(42)
+        t = ssd.channel(addr.channel).read_page_to_controller(
+            0.0, addr.chip, addr.die, addr.plane
+        )
         assert t > 0
         assert ssd.bytes_programmed_to_planes() == ssd.cfg.page_bytes
-
-    def test_read_unmapped_lpn(self, ssd):
-        with pytest.raises(FlashAddressError):
-            ssd.read_lpn_to_controller(0.0, 7)

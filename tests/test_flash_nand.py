@@ -108,13 +108,6 @@ class TestAddressValidation:
         with pytest.raises(FlashAddressError):
             chip.read_page(0.0, 0, 9)
 
-    def test_check_page_addr(self, chip, cfg):
-        chip.check_page_addr(0, 0, 0, 0)
-        with pytest.raises(FlashAddressError):
-            chip.check_page_addr(0, 0, cfg.blocks_per_plane, 0)
-        with pytest.raises(FlashAddressError):
-            chip.check_page_addr(0, 0, 0, cfg.pages_per_block)
-
     def test_negative_duration_rejected(self, chip):
         with pytest.raises(FlashError):
             chip.plane(0, 0).occupy(0.0, -1.0)

@@ -135,7 +135,7 @@ class TestCachedMappingTable:
         cmt.probe((0, 1), write=True)
         cmt.probe((2,))
         clone = CachedMappingTable(4, entries_per_tpage=512)
-        clone.restore_state(cmt.state())
+        clone.restore(cmt.state())
         assert clone.stats() == cmt.stats()
         # Restored dirty bits still drive writebacks identically.
         a = cmt.probe((512, 513, 514, 515))

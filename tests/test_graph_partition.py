@@ -76,20 +76,6 @@ class TestDenseVertices:
         sizes = p.block_edges[dense_idx]
         np.testing.assert_array_equal(los[1:], np.cumsum(sizes)[:-1])
 
-    def test_block_for_edge(self):
-        g = star_graph(3000)
-        p = partition_graph(g, 4096)
-        meta = p.dense_meta[0]
-        assert meta.block_for_edge(0) == meta.first_block
-        assert (
-            meta.block_for_edge(meta.out_degree - 1)
-            == meta.first_block + meta.n_blocks - 1
-        )
-        with pytest.raises(PartitionError):
-            meta.block_for_edge(meta.out_degree)
-        with pytest.raises(PartitionError):
-            meta.block_for_edge(-1)
-
     def test_block_of_vertex_maps_dense_to_first_block(self):
         g = star_graph(5000)
         p = partition_graph(g, 4096)

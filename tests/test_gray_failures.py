@@ -140,7 +140,7 @@ class TestSlowFaultModel:
     def test_snapshot_restore_roundtrip(self):
         m = self.mk([("chip-read", 0, 0.0, 10.0, 2.0)])
         m.read_extra(0, 1.0, 3.0)
-        snap = m.snapshot()
+        snap = m.state()
         m.read_extra(0, 2.0, 5.0)
         m.restore(snap)
         assert m.slow_read_ops == 1

@@ -506,7 +506,7 @@ class TestSchedulerProperties:
                 s.reassign_blocks(np.array(blocks, dtype=np.int64), chips)
                 ref.reassign_blocks(blocks, chips)
             elif kind == "snapshot":
-                saved = (s.snapshot(), copy.deepcopy(ref))
+                saved = (s.state(), copy.deepcopy(ref))
             elif saved is not None:
                 # Restore into a new scheduler, as a checkpoint restore
                 # does; a snapshot may be restored more than once.
@@ -803,9 +803,9 @@ def _direct_state(fw: FlashWalker) -> dict:
     board = fw.board
     return {
         "pwb": pwb,
-        "scheduler": fw.scheduler.snapshot(),
+        "scheduler": fw.scheduler.state(),
         "foreign": foreign,
-        "counters": fw.metrics.stats.snapshot(),
+        "counters": fw.metrics.stats.totals(),
         "dense": (dense.bloom_queries, dense.bloom_positives,
                   dense.false_positives, dense.hash_probes),
         "mapping": (fw.mapping.lookups, fw.mapping.search_steps_total),
@@ -1192,10 +1192,12 @@ def _scheduler_view(snap: dict, n_chips: int) -> tuple:
     and per chip the topN list ``next_subgraph`` reads, or None where it
     refreshes the list first (the chip is dirty or its list empty)."""
     top = [
-        None if c in snap["dirty"] or not snap["top"][c] else snap["top"][c]
+        None if c in snap["_dirty"] or not snap["_top"][c] else snap["_top"][c]
         for c in range(n_chips)
     ]
-    rest = {k: v for k, v in snap.items() if k not in ("top", "dirty", "refreshes")}
+    rest = {
+        k: v for k, v in snap.items() if k not in ("_top", "_dirty", "topn_refreshes")
+    }
     return rest, top
 
 

@@ -92,11 +92,6 @@ class TestBandwidthLink:
         assert link.bytes_moved == 8192
         assert link.transfers == 2
 
-    def test_achieved_bandwidth(self):
-        link = BandwidthLink("l", 1e6)
-        link.transfer(0.0, 5000)
-        assert link.achieved_bandwidth(1.0) == pytest.approx(5000.0)
-
     def test_utilization(self):
         link = BandwidthLink("l", 1000.0)
         link.transfer(0.0, 500)

@@ -95,20 +95,10 @@ class TestHistogram:
         assert h.mean == pytest.approx(2.0)
         assert h.min == 1.0 and h.max == 3.0
 
-    def test_add_many(self):
-        h = Histogram("h", lo=1e-3, hi=1e3)
-        h.add_many(np.array([1.0, 10.0, 100.0]))
-        assert h.total == 3
-        assert h.mean == pytest.approx(37.0)
-
-    def test_add_many_empty(self):
-        h = Histogram("h")
-        h.add_many(np.array([]))
-        assert h.total == 0
-
     def test_percentile_monotone(self):
         h = Histogram("h", lo=1e-3, hi=1e3)
-        h.add_many(np.geomspace(0.01, 100, 500))
+        for v in np.geomspace(0.01, 100, 500):
+            h.add(float(v))
         p50 = h.percentile(50)
         p95 = h.percentile(95)
         assert p50 <= p95
@@ -146,17 +136,17 @@ class TestStatsRegistry:
         s = StatsRegistry()
         s.counter("a").add(2)
         s.timeseries("b").add(0.0, 3)
-        snap = s.snapshot()
+        snap = s.totals()
         assert snap == {"a": 2.0, "a.events": 1.0, "b": 3.0}
 
     def test_snapshot_counter_events_distinguish_granularity(self):
         # One 4 MB flush vs a thousand 4 KB ones: same total, different
-        # event counts — snapshot() must preserve the distinction.
+        # event counts — totals() must preserve the distinction.
         coarse = StatsRegistry()
         coarse.counter("bytes").add(4_194_304)
         fine = StatsRegistry()
         for _ in range(1024):
             fine.counter("bytes").add(4096)
-        assert coarse.snapshot()["bytes"] == fine.snapshot()["bytes"]
-        assert coarse.snapshot()["bytes.events"] == 1.0
-        assert fine.snapshot()["bytes.events"] == 1024.0
+        assert coarse.totals()["bytes"] == fine.totals()["bytes"]
+        assert coarse.totals()["bytes.events"] == 1.0
+        assert fine.totals()["bytes.events"] == 1024.0
