@@ -8,6 +8,8 @@ knob on changes values, never the key set (``TestReportShape``).  The
 cluster chaos/resize goldens pin one current report per scenario.
 """
 
+import dataclasses
+import hashlib
 import json
 from collections import defaultdict
 
@@ -34,6 +36,7 @@ from repro.common.config import SlowFaultConfig
 from repro.core import FlashWalker
 from repro.faults.slow import SlowFaultModel
 from repro.graph import rmat
+from repro.obs.metrics import MetricsConfig
 from repro.obs.report import config_fingerprint, diff_reports
 from repro.service import QueryRequest, ServiceConfig, WalkQueryService
 from repro.service.request import open_loop_requests
@@ -438,7 +441,7 @@ class TestClusterRetryBudget:
 # --------------------------------------- service budgets and brownout
 
 
-def chaos_service(graph, seed=9, **svc_kw):
+def chaos_service(graph, seed=9, telemetry=None, **svc_kw):
     probe = FlashWalker(
         graph, FlashWalkerConfig().replace(**ENGINE), seed=seed
     )
@@ -451,14 +454,14 @@ def chaos_service(graph, seed=9, **svc_kw):
     )
     svc_kw.setdefault("breaker_cooldown", 100e-6)
     cfg = FlashWalkerConfig().replace(**ENGINE, faults=faults)
-    fw = FlashWalker(graph, cfg, seed=seed)
+    fw = FlashWalker(graph, cfg, seed=seed, telemetry=telemetry)
     return WalkQueryService(fw, ServiceConfig(**svc_kw))
 
 
-def chaos_requests():
+def chaos_requests(deadline=50e-3):
     return open_loop_requests(
         16, 4e4, RngRegistry(7).fresh("arr"), walks_per_query=32,
-        deadline=50e-3,
+        deadline=deadline,
     )
 
 
@@ -662,6 +665,67 @@ class TestReportShape:
         assert set(a) == set(b)
 
 
+# ------------------------------------------------ service report goldens
+
+
+def golden_digest(obj):
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestServiceReportGoldens:
+    """Two chaos service scenarios, run with engine telemetry on, replay
+    their whole run report and every response exactly: the query
+    accounting (arrivals, status counts, sheds per cause, retry-budget
+    exhaustion, zombies, brownout, the ``service_*`` series) is pinned
+    end to end.  On a deliberate report change, paste the digest the
+    failure prints."""
+
+    #: Retry budget 1 under a deferring breaker, brownout on a 4-response
+    #: window: ok, timed-out and budget-exhausted sheds, and a brownout
+    #: that enters and exits.
+    BUDGET_BROWNOUT_SHA = (
+        "720ce5429c932e1f72063956e1213cfb79ba55c5e91127738a65b345fc750f24"
+    )
+    #: A two-deep shed-oldest queue under a shedding breaker: evictions,
+    #: breaker-open sheds, timeouts and an ok answer.
+    SHED_OLDEST_SHA = (
+        "c2b1119d75bcc24ad438df2a3e7a5194b8761f5907e5c2acaae78055d4de1d3e"
+    )
+
+    def check(self, out, name):
+        digest = golden_digest({
+            "report": out.result.to_report(),
+            "responses": [dataclasses.asdict(r) for r in out.responses],
+        })
+        assert digest == getattr(self, name), (
+            f"{name} digest is {digest}; if the report change is "
+            f"deliberate, set {name} to it"
+        )
+
+    def test_budget_brownout_scenario_matches_golden(self, graph):
+        out = chaos_service(
+            graph, telemetry=MetricsConfig(), breaker_policy="defer",
+            query_retry_budget=1, brownout_enabled=True, brownout_window=4,
+            queue_capacity=4,
+        ).run(chaos_requests(deadline=400e-6))
+        req = out.result.service["requests"]
+        assert (req["ok"], req["timed_out"], req["shed"]) == (5, 6, 5)
+        assert out.result.service["brownout"]["transitions"] == 2
+        self.check(out, "BUDGET_BROWNOUT_SHA")
+
+    def test_shed_oldest_scenario_matches_golden(self, graph):
+        out = chaos_service(
+            graph, telemetry=MetricsConfig(), admission_policy="shed-oldest",
+            queue_capacity=2, max_inflight_walks=32,
+        ).run(chaos_requests(deadline=400e-6))
+        assert out.result.service["queue"]["shed_oldest"] > 0
+        assert {r.shed_reason for r in out.responses} >= {
+            "shed-oldest", "breaker-open"
+        }
+        self.check(out, "SHED_OLDEST_SHA")
+
+
 # ------------------------------------------------ cluster report goldens
 
 #: How to regenerate the goldens below after a deliberate report change.
@@ -677,15 +741,15 @@ class TestGoldenGuards:
     FAILOVER_SHA = (
         "c18a3f1e4254dc72937f54b8f1025ffca48ac47f33ec7cda8faacb881730ff45"
     )
+    FAILOVER_TELEMETRY_SHA = (
+        "5244491da69828a9fc4338f4b3849df2c151802ebe2932e27ed8f5b7efdc4145"
+    )
     RESIZE_SHA = (
         "be48fe21a18c607192d2212f485764bf44d9123a20ee7470709b6bd63973b155"
     )
 
     def check(self, report, name):
-        import hashlib
-
-        blob = json.dumps(report, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(blob.encode()).hexdigest()
+        digest = golden_digest(report)
         assert digest == getattr(self, name), (
             f"{name} report digest is {digest}; if the report change is "
             f"deliberate, set {name} to it and rerun: {REGEN}"
@@ -699,6 +763,19 @@ class TestGoldenGuards:
             ctx, "TT", n_shards=4, n_requests=12, kills=DEFAULT_KILLS
         )
         self.check(out.report, "FAILOVER_SHA")
+
+    def test_failover_telemetry_scenario_matches_golden(self):
+        from repro.experiments import ExperimentContext
+
+        ctx = ExperimentContext.quick(seed=3)
+        out = run_scenario(
+            ctx, "TT", n_shards=4, n_requests=12, kills=DEFAULT_KILLS,
+            telemetry=True,
+        )
+        assert "cluster_responses" in json.dumps(
+            out.report["cluster"]["telemetry"]
+        )
+        self.check(out.report, "FAILOVER_TELEMETRY_SHA")
 
     def test_resize_scenario_matches_golden(self):
         from repro.experiments import ExperimentContext
