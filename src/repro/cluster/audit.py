@@ -211,24 +211,9 @@ class ClusterAuditor:
                 f"{cl.hedge_wasted_segments}"
             )
 
-        # Attribution: finished walks credit exactly one query each.
-        credited = sum(st.walks_done for st in cl.states.values())
-        if credited != cl.walks_done:
-            violations.append(
-                f"walks credited to queries ({credited}) != walks done "
-                f"({cl.walks_done})"
-            )
-
-        # Query conservation.
-        responded = cl.ok_count + cl.timed_out_count + cl.shed_count
-        pending = sum(1 for st in cl.states.values() if not st.responded)
-        if responded + pending != cl.arrivals:
-            violations.append(
-                f"query conservation: responded {responded} + pending "
-                f"{pending} != arrivals {cl.arrivals}"
-            )
-        if final and pending:
-            violations.append(f"final audit: {pending} queries unanswered")
+        # Attribution (finished walks credit exactly one query each)
+        # and query conservation.
+        violations.extend(cl.ledger.audit_errors(cl.walks_done, final=final))
 
         if violations:
             self.violations_found += len(violations)
@@ -249,10 +234,7 @@ class ClusterAuditor:
             "epoch": cl.epoch,
             "walks_created": cl.walks_created,
             "walks_done": cl.walks_done,
-            "arrivals": cl.arrivals,
-            "ok": cl.ok_count,
-            "timed_out": cl.timed_out_count,
-            "shed": cl.shed_count,
+            **cl.ledger.dump(),
             "engine_totals": list(cl.engine_totals),
             "segments_injected": list(cl.segments_injected),
             # Truncated by InvariantViolation's dump bounding.
@@ -261,9 +243,6 @@ class ClusterAuditor:
                 for w in cl.walks.values()
                 if w.state != "done"
             ],
-            "pending_queries": sorted(
-                qid for qid, st in cl.states.items() if not st.responded
-            ),
         }
 
     def stats(self) -> dict:

@@ -38,8 +38,15 @@ from ..common.errors import ConfigError, SimulationError
 from ..common.rng import derive_seed
 from ..obs.alerts import default_cluster_rules
 from ..obs.metrics import MetricsRegistry
+from ..service.brownout import BrownoutController
 from ..service.queue import AdmissionQueue
-from ..service.request import QueryRequest, QueryResult, latency_summary
+from ..service.request import (
+    QueryLedger,
+    QueryRequest,
+    QueryResult,
+    QueryState,
+    arrival_order,
+)
 from ..walks.spec import start_vertices
 from .audit import ClusterAuditor
 from .config import ClusterConfig
@@ -87,23 +94,6 @@ class _Walk:
 
 
 @dataclass
-class _QueryState:
-    req: QueryRequest
-    t_arrival: float
-    deadline_abs: float
-    walks_done: int = 0
-    #: Latest commit time credited so far: the query's answer time.
-    t_last_credit: float = 0.0
-    admitted: bool = False
-    injected: bool = False
-    responded: bool = False
-    #: Remaining per-query retry budget (link retransmits + hedges
-    #: charged against it); None = unlimited (budget knob off).
-    retry_budget: int | None = None
-    budget_exhausted: bool = False
-
-
-@dataclass
 class ClusterOutcome:
     """What one cluster run produced."""
 
@@ -138,12 +128,7 @@ class ClusterService:
         )
         self.link = NetworkLink(self.ccfg, self.seed)
         self.svc_cfg = self.ccfg.service_cfg().validate()
-        self.queue = AdmissionQueue(
-            self.svc_cfg.queue_capacity,
-            self.svc_cfg.admission_policy,
-            self.svc_cfg.rate_limit_qps,
-            self.svc_cfg.rate_limit_burst,
-        )
+        self.queue = AdmissionQueue.from_config(self.ccfg)
         self.health = HealthBoard(
             self.svc_cfg, n,
             load_window_epochs=self.ccfg.rebalance_window_epochs,
@@ -164,17 +149,17 @@ class ClusterService:
         #: The walks not yet done (a subset of ``walks``, which keeps
         #: every walk for the report); ``_retire_walk`` removes each.
         self.live_walks: dict[int, _Walk] = {}
-        self.states: dict[int, _QueryState] = {}
-        self.responses: list[QueryResult] = []
+        #: Retry budgets charge link retransmits and hedges.
+        self.ledger = QueryLedger(
+            "cluster", self.queue, self.ccfg.query_retry_budget,
+            lambda: self.telemetry,
+        )
+        #: Latest commit time credited to each query: its answer time.
+        self._last_credit: dict[int, float] = {}
         self.now = 0.0
         self.epoch = 0
-        self.arrivals = 0
-        self.ok_count = 0
-        self.timed_out_count = 0
-        self.shed_count = 0
         self.walks_created = 0
         self.walks_done = 0
-        self.zombie_walks = 0
         self.deferrals = 0
         self.walks_sacrificed = 0
         self.engine_totals = [0] * n
@@ -196,19 +181,8 @@ class ClusterService:
         self.hedge_wasted_segments = 0
         self.hedges_deferred = 0
         self.segments_committed = 0
-        self.retry_budget_exhausted = 0
         self.ramp_epochs = 0
-        if self.ccfg.brownout_enabled:
-            from ..service.brownout import BrownoutController
-
-            self.brownout = BrownoutController(
-                enter_pressure=self.ccfg.brownout_enter_pressure,
-                exit_pressure=self.ccfg.brownout_exit_pressure,
-                capacity_factor=self.ccfg.brownout_capacity_factor,
-                rate_factor=self.ccfg.brownout_rate_factor,
-            )
-        else:
-            self.brownout = None
+        self.brownout = BrownoutController.from_config(self.ccfg)
         self._retired_reports: dict[int, dict] = {}
         self._expected_walks = 0
         self._shard_mcfg = None
@@ -230,20 +204,7 @@ class ClusterService:
 
     def run(self, requests: list[QueryRequest]) -> ClusterOutcome:
         """Serve ``requests`` to completion across the cluster."""
-        if not requests:
-            raise ConfigError("no requests to serve")
-        seen: set[int] = set()
-        for req in requests:
-            req.validate()
-            if req.query_id in seen:
-                raise ConfigError(f"duplicate query_id {req.query_id}")
-            seen.add(req.query_id)
-            if req.length > self.ccfg.max_walk_length:
-                raise ConfigError(
-                    f"query {req.query_id}: length {req.length} exceeds "
-                    f"max_walk_length {self.ccfg.max_walk_length}"
-                )
-        ordered = sorted(requests, key=lambda r: (r.arrival, r.query_id))
+        ordered = arrival_order(requests, self.ccfg.max_walk_length)
         n = self.ccfg.n_shards
         self._expected_walks = sum(r.num_walks for r in ordered) // n + 1
         self._shard_mcfg = (
@@ -265,7 +226,7 @@ class ClusterService:
         report = self._build_report(
             [shard_reports[i] for i in range(self.n_phys)], jobs=hosts.jobs
         )
-        return ClusterOutcome(report=report, responses=list(self.responses))
+        return ClusterOutcome(report=report, responses=list(self.ledger.responses))
 
     def _shard_params(self, shard_id: int) -> dict:
         """Runtime-construction params for one physical shard (also the
@@ -344,7 +305,7 @@ class ClusterService:
             while next_arrival < len(arrivals) and arrivals[next_arrival][0] <= T:
                 t_arr, req = arrivals[next_arrival]
                 next_arrival += 1
-                self._arrive(req, t_arr)
+                self.ledger.admit(self.ledger.arrive(req, t_arr), t_arr)
             # 2. Health poll.
             open_now = self.health.poll(T)
             mx = self.telemetry
@@ -469,26 +430,6 @@ class ClusterService:
 
     # ------------------------------------------------------------ admission
 
-    def _arrive(self, req: QueryRequest, t: float) -> None:
-        self.arrivals += 1
-        mx = self.telemetry
-        if mx is not None:
-            mx.counter("cluster_arrivals").inc(1.0, t)
-        st = _QueryState(req=req, t_arrival=t, deadline_abs=t + req.deadline)
-        if self.ccfg.query_retry_budget > 0:
-            st.retry_budget = self.ccfg.query_retry_budget
-        self.states[req.query_id] = st
-        admitted, evicted, refusal = self.queue.offer(req, t)
-        if evicted is not None:
-            ev = self.states[evicted.query_id]
-            self._respond(ev, "shed", t, shed_reason="shed-oldest")
-        if not admitted:
-            self._respond(st, "shed", t, shed_reason=refusal)
-            return
-        st.admitted = True
-        if mx is not None:
-            mx.gauge("cluster_queue_depth").set(float(len(self.queue)), t)
-
     def _admit(self, T: float, open_now: list[bool]) -> None:
         """Create walks for queued queries while capacity lasts.
 
@@ -525,7 +466,7 @@ class ClusterService:
         inflight = self.walks_created - self.walks_done
         while len(self.queue):
             head = self.queue.peek()
-            st = self.states[head.query_id]
+            st = self.ledger.states[head.query_id]
             if st.responded:
                 self.queue.pop()
                 continue
@@ -535,11 +476,9 @@ class ClusterService:
             self.queue.pop()
             self._create_walks(st, T)
             inflight += head.num_walks
-        mx = self.telemetry
-        if mx is not None:
-            mx.gauge("cluster_queue_depth").set(float(len(self.queue)), T)
+        self.ledger.gauge_queue(T)
 
-    def _create_walks(self, st: _QueryState, T: float) -> None:
+    def _create_walks(self, st: QueryState, T: float) -> None:
         req = st.req
         if req.starts is not None:
             starts = np.asarray(req.starts, dtype=np.int64)
@@ -555,7 +494,6 @@ class ClusterService:
                 wid, req.query_id, int(v), int(req.length), int(owner),
                 t_eligible,
             )
-        st.injected = True
 
     # -------------------------------------------------------------- leasing
 
@@ -629,7 +567,7 @@ class ClusterService:
             key=lambda w: (w.eligible_at, w.wid),
         )
         for w in eligible:
-            if dead_prop and self.states[w.query_id].responded:
+            if dead_prop and self.ledger.states[w.query_id].responded:
                 # The deadline already passed (or the query was shed):
                 # stepping this walk can no longer change any answer, so
                 # sacrifice it instead of burning shard time on it.
@@ -683,7 +621,7 @@ class ClusterService:
         the lease proceeds unhedged so the walk still makes progress.
         """
         ccfg = self.ccfg
-        st = self.states[w.query_id]
+        st = self.ledger.states[w.query_id]
         if ccfg.deadline_propagation and (
             w.eligible_at + ccfg.hedge_delay > st.deadline_abs
         ):
@@ -691,7 +629,7 @@ class ClusterService:
             self.hedges_deferred += 1
             return "bare", None
         if st.retry_budget is not None and st.retry_budget <= 0:
-            self._note_budget_exhausted(st)
+            self.ledger.exhaust_budget(st, self.now)
             self.hedges_deferred += 1
             return "bare", None
         hedge = self._hedge_target(w, host, open_now, suspects)
@@ -709,12 +647,12 @@ class ClusterService:
         successor.  The duplicate boards ``hedge_delay`` after the
         primary; the barrier commits whichever completion lands first
         and discards the other (exactly-one-commit, audited)."""
-        st = self.states[w.query_id]
+        st = self.ledger.states[w.query_id]
         budget[hedge] -= 1
         if st.retry_budget is not None:
             st.retry_budget -= 1
             if st.retry_budget <= 0:
-                self._note_budget_exhausted(st)
+                self.ledger.exhaust_budget(st, self.now)
         w.hedge_shard = hedge
         self.hedges_issued += 1
         groups.setdefault((hedge, w.eligible_at + self.ccfg.hedge_delay),
@@ -722,14 +660,6 @@ class ClusterService:
         mx = self.telemetry
         if mx is not None:
             mx.counter("cluster_hedges_issued").inc(1.0, w.eligible_at)
-
-    def _note_budget_exhausted(self, st: _QueryState) -> None:
-        if not st.budget_exhausted:
-            st.budget_exhausted = True
-            self.retry_budget_exhausted += 1
-            mx = self.telemetry
-            if mx is not None:
-                mx.counter("cluster_retry_budget_exhausted").inc(1.0, self.now)
 
     # -------------------------------------------------------------- barrier
 
@@ -801,7 +731,7 @@ class ClusterService:
             self.segments_committed += 1
             if w.remaining <= 0:
                 self._retire_walk(w, t, sacrificed=False)
-            elif dead_prop and self.states[w.query_id].responded:
+            elif dead_prop and self.ledger.states[w.query_id].responded:
                 # The query is already answered, so don't requeue (or
                 # worse, migrate) a walk whose result nobody will read.
                 self._retire_walk(w, t, sacrificed=True)
@@ -820,6 +750,7 @@ class ClusterService:
         self, migrating: dict[tuple[int, int], list[_Walk]], t_next: float
     ) -> None:
         mx = self.telemetry
+        states = self.ledger.states
         budgeted = (
             self.ccfg.deadline_propagation and self.ccfg.query_retry_budget > 0
         )
@@ -830,9 +761,9 @@ class ClusterService:
                 # The batch retries as one message, so its retransmit
                 # allowance is the tightest member query's remainder.
                 rems = [
-                    self.states[w.query_id].retry_budget
+                    states[w.query_id].retry_budget
                     for w in batch
-                    if self.states[w.query_id].retry_budget is not None
+                    if states[w.query_id].retry_budget is not None
                 ]
                 if rems:
                     cap = max(0, min(rems))
@@ -840,12 +771,12 @@ class ClusterService:
             if budgeted and self.link.last_retransmits:
                 used = self.link.last_retransmits
                 for w in batch:
-                    st = self.states[w.query_id]
+                    st = states[w.query_id]
                     if st.retry_budget is None:
                         continue
                     st.retry_budget = max(0, st.retry_budget - used)
                     if st.retry_budget <= 0:
-                        self._note_budget_exhausted(st)
+                        self.ledger.exhaust_budget(st, self.now)
             self.migrations_out[src] += len(batch)
             self.migrations_in[dst] += len(batch)
             if mx is not None:
@@ -883,59 +814,24 @@ class ClusterService:
         self._credit(w, t, sacrificed=sacrificed)
 
     def _credit(self, w: _Walk, t: float, *, sacrificed: bool = False) -> None:
-        st = self.states[w.query_id]
-        st.walks_done += 1
         # Hedged commits land at their winning completion times, which
         # are not monotone in processing order (nor across barriers), so
         # a query is finished at its *latest* credit, not its last one.
-        st.t_last_credit = max(st.t_last_credit, t)
-        if st.responded:
-            if not sacrificed:
-                self.zombie_walks += 1
-        elif (
-            st.walks_done >= st.req.num_walks
-            and st.t_last_credit <= st.deadline_abs
-        ):
-            self._respond(st, "ok", st.t_last_credit)
+        # Sacrificed walks ran for an answered query by the router's
+        # choice, so they are not zombies.
+        qid = w.query_id
+        t_last = self._last_credit[qid] = max(self._last_credit.get(qid, 0.0), t)
+        self.ledger.credit(
+            self.ledger.states[qid], 1, t_last, zombie=not sacrificed
+        )
 
     def _sweep_deadlines(self, t: float) -> None:
-        for qid in sorted(self.states):
-            st = self.states[qid]
+        states = self.ledger.states
+        for qid in sorted(states):
+            st = states[qid]
             if not st.responded and st.deadline_abs <= t:
                 # Answered *at* the deadline with whatever finished.
-                self._respond(st, "timed_out", st.deadline_abs)
-
-    def _respond(self, st: _QueryState, status: str, t: float, *,
-                 shed_reason: str | None = None) -> None:
-        st.responded = True
-        latency = 0.0 if status == "shed" else t - st.t_arrival
-        self.responses.append(
-            QueryResult(
-                query_id=st.req.query_id,
-                arrival=st.req.arrival,
-                admitted=st.admitted,
-                status=status,
-                walks_requested=st.req.num_walks,
-                walks_completed=st.walks_done,
-                finish_time=t,
-                latency=latency,
-                shed_reason=shed_reason,
-            )
-        )
-        if status == "ok":
-            self.ok_count += 1
-        elif status == "timed_out":
-            self.timed_out_count += 1
-        else:
-            self.shed_count += 1
-        mx = self.telemetry
-        if mx is not None:
-            mx.counter("cluster_responses").inc(1.0, t)
-            mx.counter("cluster_status", status=status).inc(1.0, t)
-            if status == "timed_out":
-                mx.counter("cluster_deadline_misses").inc(1.0, t)
-            elif status == "shed":
-                mx.counter("cluster_shed").inc(1.0, t)
+                self.ledger.respond(st, "timed_out", st.deadline_abs)
 
     # ------------------------------------------------------------- idle time
 
@@ -946,7 +842,7 @@ class ClusterService:
             return False
         if self.live_walks:
             return False
-        return all(st.responded for st in self.states.values())
+        return not self.ledger.pending()
 
     def _advance_clock(self, T: float, arrivals, next_arrival: int,
                        open_now: list[bool]) -> float:
@@ -983,23 +879,15 @@ class ClusterService:
     # --------------------------------------------------------------- report
 
     def _service_section(self) -> dict:
-        arrivals = max(self.arrivals, 1)
+        block = self.ledger.report()
         return {
-            "requests": {
-                "arrivals": self.arrivals,
-                "ok": self.ok_count,
-                "timed_out": self.timed_out_count,
-                "shed": self.shed_count,
-            },
+            "requests": block.pop("requests"),
             "walks": {
                 "created": self.walks_created,
                 "done": self.walks_done,
-                "zombie": self.zombie_walks,
+                "zombie": self.ledger.zombie_walks,
             },
-            "latency": latency_summary(self.responses),
-            "shed_rate": self.shed_count / arrivals,
-            "deadline_miss_rate": self.timed_out_count / arrivals,
-            "queue": self.queue.stats(),
+            **block,
             "deferrals": self.deferrals,
         }
 
@@ -1023,7 +911,7 @@ class ClusterService:
         ]
         gray = {
             "walks_sacrificed": self.walks_sacrificed,
-            "retry_budget_exhausted": self.retry_budget_exhausted,
+            "retry_budget_exhausted": self.ledger.retry_budget_exhausted,
             "stragglers": {
                 "suspect_epochs": list(self.health.suspect_epochs),
                 "transitions": self.health.suspect_transitions,
@@ -1060,7 +948,10 @@ class ClusterService:
             "link": self.link.stats(),
             "health": self.health.stats(),
             "failovers": self.failovers,
-            "promotions": self.health.promotions,
+            # Kill failovers are listed under "failovers"; nothing
+            # promotes on breaker state, so this list stays empty until
+            # the next cluster-report schema change.
+            "promotions": [],
             "kills_unfired": [list(k) for k in self.kills_unfired],
             "rto": {
                 "count": len(rtos),
@@ -1103,7 +994,7 @@ class ClusterService:
                     "latency": r.latency,
                     "shed_reason": r.shed_reason,
                 }
-                for r in self.responses
+                for r in self.ledger.responses
             ],
             "shards": shard_reports,
             "cluster": cluster,

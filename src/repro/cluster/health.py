@@ -58,11 +58,9 @@ class HealthBoard:
         self.proxies = [ShardHealthProxy() for _ in range(n_shards)]
         self.breakers = [CircuitBreaker(svc_cfg, p) for p in self.proxies]
         self.open_epochs = [0] * n_shards
-        self.consecutive_open = [0] * n_shards
         self.reroutes = [0] * n_shards
         self.loads = [deque(maxlen=self._window) for _ in range(n_shards)]
         self.retired: set[int] = set()
-        self.promotions: list[dict] = []
         # Straggler detection (0 window = off, zero extra state touched
         # on the legacy path).  ``suspect`` is a third health state
         # between closed and breaker-open: the shard still serves, but
@@ -89,7 +87,6 @@ class HealthBoard:
         self.proxies.append(proxy)
         self.breakers.append(CircuitBreaker(self._svc_cfg, proxy))
         self.open_epochs.append(0)
-        self.consecutive_open.append(0)
         self.reroutes.append(0)
         self.loads.append(deque(maxlen=self._window))
         self.latencies.append(deque(maxlen=self._straggler_window or 1))
@@ -103,7 +100,6 @@ class HealthBoard:
         it can never trip, reroute, or skew a rebalance again."""
         self.retired.add(int(shard_id))
         self.breakers[shard_id].retire()
-        self.consecutive_open[shard_id] = 0
         self.loads[shard_id].clear()
         self.latencies[shard_id].clear()
         self.suspect[shard_id] = False
@@ -114,9 +110,9 @@ class HealthBoard:
         self.proxies[shard_id].update(health)
 
     def poll(self, now: float) -> list[bool]:
-        """Breaker state per shard at cluster time ``now``; updates the
-        consecutive-open counters the promotion policy watches.
-        Retired shards report closed without touching any counter."""
+        """Breaker state per shard at cluster time ``now``; counts open
+        epochs.  Retired shards report closed without touching any
+        counter."""
         state = []
         for i, brk in enumerate(self.breakers):
             if i in self.retired:
@@ -125,26 +121,8 @@ class HealthBoard:
             is_open = brk.is_open(now)
             if is_open:
                 self.open_epochs[i] += 1
-                self.consecutive_open[i] += 1
-            else:
-                self.consecutive_open[i] = 0
             state.append(is_open)
         return state
-
-    def promote(self, shard_id: int, *, epoch: int, now: float) -> None:
-        """Breaker-driven replica promotion: the fresh replica takes
-        over, so the breaker's degradation baseline resets to the
-        current counters and the circuit closes."""
-        brk = self.breakers[shard_id]
-        proxy = self.proxies[shard_id]
-        brk.open_until = 0.0
-        brk._seen_chip_failures = proxy.fault_model.chip_failures
-        brk._seen_exhausted = proxy.fault_model.reads_exhausted
-        brk._seen_corruption = proxy.integrity.detected
-        self.consecutive_open[shard_id] = 0
-        self.promotions.append(
-            {"kind": "breaker", "shard": shard_id, "epoch": epoch, "t": now}
-        )
 
     # ----------------------------------------------------------------- load
 
@@ -241,7 +219,9 @@ class HealthBoard:
             "breaker_trips": [b.trips for b in self.breakers],
             "open_epochs": list(self.open_epochs),
             "reroutes": list(self.reroutes),
-            "breaker_promotions": len(self.promotions),
+            # Nothing promotes on breaker state; the key stays until the
+            # next cluster-report schema change.
+            "breaker_promotions": 0,
             "suspect_epochs": list(self.suspect_epochs),
             "suspect_transitions": len(self.suspect_transitions),
         }

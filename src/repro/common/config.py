@@ -831,12 +831,6 @@ class FlashWalkerConfig:
         """
         return max(1, self.levels.chip.subgraph_buffer_bytes // (256 * KB))
 
-    def channel_subgraph_slots(self) -> int:
-        return max(1, self.levels.channel.subgraph_buffer_bytes // (256 * KB))
-
-    def board_subgraph_slots(self) -> int:
-        return max(1, self.levels.board.subgraph_buffer_bytes // (256 * KB))
-
     def subgraph_pages(self) -> int:
         """Flash pages occupied by one subgraph."""
         pages = -(-self.subgraph_bytes // self.ssd.page_bytes)

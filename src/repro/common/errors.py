@@ -112,31 +112,6 @@ class PowerLossError(SimulationError):
         self.torn_pages = tuple(torn_pages)
 
 
-class DataIntegrityError(FlashError):
-    """Silent data corruption was detected and could not be repaired.
-
-    Raised by the end-to-end integrity layer when a page fails its
-    checksum and RAIN parity reconstruction is impossible (e.g. every
-    sibling chip in the parity group has failed).  ``location`` fields
-    follow :class:`FaultExhaustedError`'s convention.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        at: float = 0.0,
-        chip: int | None = None,
-        die: int | None = None,
-        plane: int | None = None,
-    ):
-        super().__init__(message)
-        self.at = at
-        self.chip = chip
-        self.die = die
-        self.plane = plane
-
-
 class BufferOverflowError(ReproError):
     """A hardware buffer exceeded capacity where overflow is not allowed.
 

@@ -141,9 +141,6 @@ class PartitionWalkBuffer(Stateful):
             )
         return idx
 
-    def capacity_of(self, block_id: int) -> int:
-        return self._limit[self._local(block_id)]
-
     def _grow(self, idx: int, need: int) -> None:
         """Move entry ``idx`` to a new slab holding at least ``need`` walks."""
         size = max(2 * self._size[idx], need)

@@ -162,7 +162,3 @@ class RangeTable:
             )
         self.queries += v.size
         return rid, inside, self.search_steps()
-
-    def range_entry_scope(self) -> int:
-        """Entries the board guider must search after a range tag."""
-        return self.range_subgraphs

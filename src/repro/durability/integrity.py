@@ -11,7 +11,10 @@ every surviving sibling chip in the channel's parity group, the XOR
 streams over the channel bus, and the reconstructed page is programmed
 back in place.  All of that is charged to the normal chip/channel
 timing paths, so repairs contend with foreground traffic exactly like
-the paper's own write-back machinery.
+the paper's own write-back machinery.  With no surviving sibling
+(every other chip of the group failed) the page is lost: it is counted
+``unrepairable``, no reconstruction traffic is charged, and the run
+goes on.
 
 A plane whose repair count reaches ``quarantine_threshold`` has its
 active block retired through the FTL (and the board's query caches
@@ -23,7 +26,6 @@ latent corruption is found before foreground reads trip over it.
 
 from __future__ import annotations
 
-from ..common.errors import DataIntegrityError
 from ..common.state import Stateful
 
 __all__ = ["IntegrityTracker"]
@@ -140,7 +142,8 @@ class IntegrityTracker(Stateful):
         return self._repair(chip, die, plane, end)
 
     def _repair(self, chip, die: int, plane: int, t: float) -> float:
-        """Reconstruct one page from the channel's RAIN parity group."""
+        """Reconstruct one page from the channel's RAIN parity group, or
+        count it unrepairable when no sibling chip survives."""
         ssd = self.ssd
         cpc = ssd.cfg.chips_per_channel
         ch = ssd.channel(chip.chip_id // cpc)
@@ -159,12 +162,7 @@ class IntegrityTracker(Stateful):
                 survivors += 1
             if survivors == 0:
                 self.unrepairable += 1
-                raise DataIntegrityError(
-                    f"chip {chip.chip_id} die {die} plane {plane}: silent "
-                    "corruption detected but no surviving parity-group "
-                    "sibling to reconstruct from",
-                    at=t, chip=chip.chip_id, die=die, plane=plane,
-                )
+                return t
             # XOR streams over the channel bus, then the reconstructed
             # page is programmed back in place.
             end = ch.transfer_data(end, survivors * page_bytes)

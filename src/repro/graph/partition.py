@@ -154,11 +154,6 @@ class GraphPartitioning:
             self._dense_vertex_mask = mask
         return mask
 
-    def vertex_in_block(self, v: np.ndarray, block_id: int) -> np.ndarray:
-        """Boolean mask: is each vertex within ``block_id``'s range?"""
-        self._check_block(block_id)
-        return (v >= self.block_lo[block_id]) & (v <= self.block_hi[block_id])
-
     def is_dense_vertex(self, v: int) -> bool:
         return int(v) in self.dense_meta
 

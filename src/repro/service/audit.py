@@ -11,7 +11,9 @@ against the service's own bookkeeping:
   engine's completed count (every walk carries its query id in
   ``src``).
 - **Query conservation** — arrivals == responded (ok/timed out/shed)
-  + still-pending.
+  + still-pending, and none pending at the final audit.  This check
+  and attribution are the query ledger's
+  (:meth:`~repro.service.request.QueryLedger.audit_errors`).
 - **Buffer occupancy** — no partition-walk-buffer entry holds more
   buffered walks than its declared capacity, no negative counts.
 - **Scoreboard consistency** — the scheduler's per-block (pwb, fl)
@@ -87,21 +89,9 @@ class ServiceAuditor:
                 f"engine holds {fw.total_walks} walks but service injected "
                 f"{svc.walks_injected}"
             )
-        credited = sum(st.walks_done for st in svc.states.values())
-        if credited != fw.completed_walks:
-            violations.append(
-                f"walks credited to queries ({credited}) != engine completed "
-                f"({fw.completed_walks})"
-            )
-
-        # Query conservation: every arrival is responded or pending.
-        responded = svc.ok_count + svc.timed_out_count + svc.shed_count
-        pending = sum(1 for st in svc.states.values() if not st.responded)
-        if responded + pending != svc.arrivals:
-            violations.append(
-                f"query conservation: responded {responded} + pending {pending} "
-                f"!= arrivals {svc.arrivals}"
-            )
+        violations.extend(
+            svc.ledger.audit_errors(fw.completed_walks, final=final)
+        )
 
         # Buffer occupancy and scoreboard consistency.
         if fw.pwb is not None:
@@ -142,14 +132,8 @@ class ServiceAuditor:
             ),
             "foreign_total": fw.foreign.total,
             "walks_injected": svc.walks_injected,
-            "arrivals": svc.arrivals,
-            "ok": svc.ok_count,
-            "timed_out": svc.timed_out_count,
-            "shed": svc.shed_count,
+            **svc.ledger.dump(),
             "queue_depth": len(svc.queue),
-            "pending_queries": sorted(
-                qid for qid, st in svc.states.items() if not st.responded
-            ),
         }
 
     def stats(self) -> dict:

@@ -45,6 +45,19 @@ class BrownoutController(Stateful):
         self.last_pressure = 0.0
         self.transitions: list[dict] = []
 
+    @classmethod
+    def from_config(cls, cfg) -> "BrownoutController | None":
+        """The controller a service or cluster config's ``brownout_*``
+        fields describe; None when ``brownout_enabled`` is off."""
+        if not cfg.brownout_enabled:
+            return None
+        return cls(
+            enter_pressure=cfg.brownout_enter_pressure,
+            exit_pressure=cfg.brownout_exit_pressure,
+            capacity_factor=cfg.brownout_capacity_factor,
+            rate_factor=cfg.brownout_rate_factor,
+        )
+
     def observe(self, pressure: float, *, epoch: int, now: float) -> bool:
         """Feed one pressure sample; returns the (possibly new) state."""
         self.last_pressure = float(pressure)

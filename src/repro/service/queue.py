@@ -66,6 +66,13 @@ class AdmissionQueue(Stateful):
         self.rate_limited = 0
         self.peak_depth = 0
 
+    @classmethod
+    def from_config(cls, cfg) -> "AdmissionQueue":
+        """The queue a service or cluster config's admission fields
+        describe."""
+        return cls(cfg.queue_capacity, cfg.admission_policy,
+                   cfg.rate_limit_qps, cfg.rate_limit_burst)
+
     def __len__(self) -> int:
         return len(self._q)
 

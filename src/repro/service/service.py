@@ -28,11 +28,12 @@ recovered timeline rather than dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..common.errors import ConfigError, SimulationError
+from ..common.errors import SimulationError
 from ..common.state import Stateful
 from ..core.metrics import RunResult
 from ..obs.alerts import default_service_rules
@@ -40,9 +41,16 @@ from ..walks.spec import WalkSpec, start_vertices
 from ..walks.state import WalkSet
 from .audit import ServiceAuditor
 from .breaker import CircuitBreaker
+from .brownout import BrownoutController
 from .config import ServiceConfig
 from .queue import AdmissionQueue
-from .request import QueryRequest, QueryResult, latency_summary
+from .request import (
+    QueryLedger,
+    QueryRequest,
+    QueryResult,
+    QueryState,
+    arrival_order,
+)
 
 __all__ = ["ServiceOutcome", "WalkQueryService"]
 
@@ -52,21 +60,6 @@ __all__ = ["ServiceOutcome", "WalkQueryService"]
 _LATENCY_BUCKETS = (
     1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1,
 )
-
-
-@dataclass
-class _QueryState:
-    """Mutable per-query bookkeeping while a request is live."""
-
-    req: QueryRequest
-    t_arrival: float
-    deadline_abs: float
-    walks_done: int = 0
-    injected: bool = False
-    responded: bool = False
-    deadline_event: object | None = None
-    #: Breaker-reopen retries left (None when budgets are off).
-    retry_budget: int | None = None
 
 
 @dataclass
@@ -88,64 +81,33 @@ class ServiceOutcome:
 class WalkQueryService(Stateful):
     """Serve walk queries against one engine under simulated time."""
 
-    # The request schedule, the accounting the auditor cross-checks
-    # against the engine, the response log and the admission
-    # components; per-query bookkeeping is added by :meth:`state`.
-    STATE = (
-        "_requests",
-        "responses",
-        "arrivals",
-        "ok_count",
-        "timed_out_count",
-        "shed_count",
-        "walks_injected",
-        "zombie_walks",
-        "deadline_misses",
-        "deferrals",
-        "retry_budget_exhausted",
-        "_recent_misses",
-        "_t0",
-    )
-    PARTS = ("queue", "breaker", "brownout")
+    # The request schedule, the walk accounting the auditor
+    # cross-checks against the engine, and the admission components;
+    # the ledger carries the queries, their answers and the queue.
+    STATE = ("_requests", "walks_injected", "deferrals", "_recent_misses", "_t0")
+    PARTS = ("ledger", "breaker", "brownout")
 
     def __init__(self, fw, cfg: ServiceConfig | None = None):
         self.fw = fw
         self.cfg = (cfg or ServiceConfig()).validate()
-        self.queue = AdmissionQueue(
-            self.cfg.queue_capacity,
-            self.cfg.admission_policy,
-            self.cfg.rate_limit_qps,
-            self.cfg.rate_limit_burst,
+        self.queue = AdmissionQueue.from_config(self.cfg)
+        # The engine rebuilds its telemetry registry on every session
+        # reset, so the ledger fetches it per use.
+        self.ledger = QueryLedger(
+            "service", self.queue, self.cfg.query_retry_budget,
+            lambda: self.fw.telemetry, self._on_respond,
         )
         self.breaker = CircuitBreaker(self.cfg, fw)
         self.auditor = ServiceAuditor(self, self.cfg.audit_interval_events)
-        self.states: dict[int, _QueryState] = {}
-        self.responses: list[QueryResult] = []
-        # Accounting the auditor cross-checks against the engine.
-        self.arrivals = 0
-        self.ok_count = 0
-        self.timed_out_count = 0
-        self.shed_count = 0
         self.walks_injected = 0
-        self.zombie_walks = 0
-        self.deadline_misses = 0
         self.deferrals = 0
-        self.retry_budget_exhausted = 0
-        if self.cfg.brownout_enabled:
-            from collections import deque
-
-            from .brownout import BrownoutController
-
-            self.brownout = BrownoutController(
-                enter_pressure=self.cfg.brownout_enter_pressure,
-                exit_pressure=self.cfg.brownout_exit_pressure,
-                capacity_factor=self.cfg.brownout_capacity_factor,
-                rate_factor=self.cfg.brownout_rate_factor,
-            )
-            self._recent_misses = deque(maxlen=self.cfg.brownout_window)
-        else:
-            self.brownout = None
-            self._recent_misses = None
+        self.brownout = BrownoutController.from_config(self.cfg)
+        self._recent_misses = (
+            deque(maxlen=self.cfg.brownout_window)
+            if self.brownout is not None else None
+        )
+        #: Pending deadline event per admitted, unanswered query.
+        self._deadline_events: dict[int, object] = {}
         self._t0 = 0.0
         self._dispatch_scheduled = False
         self._retry_scheduled = False
@@ -162,13 +124,6 @@ class WalkQueryService(Stateful):
         # drawing from the crashed timeline's (stale) generator.
         return self.fw.rngs.stream("service")
 
-    @property
-    def _mx(self):
-        # Same discipline as ``_rng``: the engine rebuilds its metrics
-        # registry on every session reset, so it is fetched per use.
-        # None when the engine runs without telemetry.
-        return self.fw.telemetry
-
     # ------------------------------------------------------------------- run
 
     def run(
@@ -183,20 +138,7 @@ class WalkQueryService(Stateful):
         :class:`~repro.common.errors.PowerLossError` if a scheduled
         power loss fires mid-run (call :meth:`resume` to recover).
         """
-        if not requests:
-            raise ConfigError("no requests to serve")
-        seen: set[int] = set()
-        for req in requests:
-            req.validate()
-            if req.query_id in seen:
-                raise ConfigError(f"duplicate query_id {req.query_id}")
-            seen.add(req.query_id)
-            if req.length > self.cfg.max_walk_length:
-                raise ConfigError(
-                    f"query {req.query_id}: length {req.length} exceeds the "
-                    f"service max_walk_length {self.cfg.max_walk_length}"
-                )
-        ordered = sorted(requests, key=lambda r: (r.arrival, r.query_id))
+        ordered = arrival_order(requests, self.cfg.max_walk_length)
         self._requests = ordered
         fw = self.fw
         expected = sum(r.num_walks for r in ordered)
@@ -220,28 +162,18 @@ class WalkQueryService(Stateful):
             fw._on_completed = None
         result = fw._finalize_run()
         result.service = self._service_section()
-        return ServiceOutcome(result=result, responses=list(self.responses))
+        return ServiceOutcome(result=result, responses=list(self.ledger.responses))
 
     # ------------------------------------------------------------- durability
 
-    def state(self) -> dict:
-        """Service bookkeeping packed into each engine checkpoint.
-
-        Wired as ``fw._checkpoint_extra``.  Request and response objects
-        are never mutated after creation, so they are shared; each
-        query's bookkeeping is copied, less its pending deadline event
-        (:meth:`resume` schedules a fresh one).
-        """
-        return {
-            **super().state(),
-            "states": [
-                replace(st, deadline_event=None) for st in self.states.values()
-            ],
-        }
+    # ``state()`` is wired as ``fw._checkpoint_extra``.  Request and
+    # response objects are never mutated after creation, so they are
+    # shared; deadline events are not captured (:meth:`resume`
+    # schedules fresh ones).
 
     def restore(self, state: dict) -> None:
         super().restore(state)
-        self.states = {st.req.query_id: replace(st) for st in state["states"]}
+        self._deadline_events = {}
         if self.brownout is not None:
             self.queue.rate_factor = self.brownout.admit_rate_factor()
 
@@ -290,15 +222,15 @@ class WalkQueryService(Stateful):
         self.auditor._last_now = now
         self._dispatch_scheduled = False
         self._retry_scheduled = False
+        states = self.ledger.states
         try:
             for req in self._requests:
-                if req.query_id not in self.states:
+                if req.query_id not in states:
                     fw.sim.at(max(now, self._t0 + req.arrival), self._arrive, req)
-            for st in self.states.values():
-                if not st.responded:
-                    st.deadline_event = fw.sim.at(
-                        max(now, st.deadline_abs), self._deadline, st.req.query_id
-                    )
+            for qid in self.ledger.pending():
+                self._deadline_events[qid] = fw.sim.at(
+                    max(now, states[qid].deadline_abs), self._deadline, qid
+                )
             self._schedule_dispatch()
             fw._kick_chips(now)
             fw._service_barriers(now)
@@ -310,42 +242,24 @@ class WalkQueryService(Stateful):
         result.service = self._service_section()
         if result.durability is not None:
             result.durability = dict(result.durability, recovery=ctx)
-        return ServiceOutcome(result=result, responses=list(self.responses))
+        return ServiceOutcome(result=result, responses=list(self.ledger.responses))
 
     # ------------------------------------------------------------ admission
 
     def _arrive(self, req: QueryRequest) -> None:
         t = self.fw.sim.now
-        self.arrivals += 1
-        mx = self._mx
-        if mx is not None:
-            mx.counter("service_arrivals").inc(1.0, t)
-        st = _QueryState(req=req, t_arrival=t, deadline_abs=t + req.deadline)
-        if self.cfg.query_retry_budget > 0:
-            st.retry_budget = self.cfg.query_retry_budget
-        self.states[req.query_id] = st
+        st = self.ledger.arrive(req, t)
         if (
             self.cfg.breaker_enabled
             and self.cfg.breaker_policy == "shed"
             and self.breaker.is_open(t)
         ):
-            self._respond(st, "shed", t, shed_reason="breaker-open", admitted=False)
-            self.auditor.maybe_audit()
-            return
-        admitted, evicted, refusal = self.queue.offer(req, t)
-        if evicted is not None:
-            ev = self.states[evicted.query_id]
-            self._respond(ev, "shed", t, shed_reason="shed-oldest", admitted=True)
-        if not admitted:
-            self._respond(st, "shed", t, shed_reason=refusal, admitted=False)
-            self.auditor.maybe_audit()
-            return
-        if mx is not None:
-            mx.gauge("service_queue_depth").set(float(len(self.queue)), t)
-        st.deadline_event = self.fw.sim.at(
-            st.deadline_abs, self._deadline, req.query_id
-        )
-        self._schedule_dispatch()
+            self.ledger.respond(st, "shed", t, "breaker-open")
+        elif self.ledger.admit(st, t):
+            self._deadline_events[req.query_id] = self.fw.sim.at(
+                st.deadline_abs, self._deadline, req.query_id
+            )
+            self._schedule_dispatch()
         self.auditor.maybe_audit()
 
     # ------------------------------------------------------------- dispatch
@@ -368,9 +282,10 @@ class WalkQueryService(Stateful):
 
     def _dispatch(self, t: float) -> None:
         fw = self.fw
+        ledger = self.ledger
         while len(self.queue):
             head = self.queue.peek()
-            st = self.states[head.query_id]
+            st = ledger.states[head.query_id]
             if st.responded:
                 # Timed out or shed while queued; nothing to inject.
                 self.queue.pop()
@@ -386,18 +301,9 @@ class WalkQueryService(Stateful):
                         # so it is never charged (the deadline event
                         # owns that query).
                         if st.retry_budget <= 0:
-                            self.retry_budget_exhausted += 1
-                            mx = self._mx
-                            if mx is not None:
-                                mx.counter(
-                                    "service_retry_budget_exhausted"
-                                ).inc(1.0, t)
+                            ledger.exhaust_budget(st, t)
                             self.queue.pop()
-                            self._respond(
-                                st, "shed", t,
-                                shed_reason="retry-budget-exhausted",
-                                admitted=True,
-                            )
+                            ledger.respond(st, "shed", t, "retry-budget-exhausted")
                             continue
                         st.retry_budget -= 1
                     self.deferrals += 1
@@ -421,12 +327,9 @@ class WalkQueryService(Stateful):
             # src is never used as a graph index by the engine; carry
             # the query id so completions credit back to their query.
             walks.src[:] = head.query_id
-            st.injected = True
             self.walks_injected += head.num_walks
             fw.inject_walks(walks)
-        mx = self._mx
-        if mx is not None:
-            mx.gauge("service_queue_depth").set(float(len(self.queue)), t)
+        ledger.gauge_queue(t)
         self.auditor.maybe_audit()
 
     def _schedule_retry(self, at: float) -> None:
@@ -438,13 +341,11 @@ class WalkQueryService(Stateful):
         if self._retry_scheduled:
             return
         self._retry_scheduled = True
-        at = max(at, self.fw.sim.now)
+        self.fw.sim.at(max(at, self.fw.sim.now), self._retry)
 
-        def retry():
-            self._retry_scheduled = False
-            self._schedule_dispatch()
-
-        self.fw.sim.at(at, retry)
+    def _retry(self) -> None:
+        self._retry_scheduled = False
+        self._schedule_dispatch()
 
     # ---------------------------------------------------------- completions
 
@@ -462,29 +363,21 @@ class WalkQueryService(Stateful):
         tally: dict[int, int] = {}
         for qid in [r[0] for r in walks] if type(walks) is list else walks.src.tolist():
             tally[qid] = tally.get(qid, 0) + 1
+        states = self.ledger.states
         for qid, n in sorted(tally.items()):
-            st = self.states[qid]
-            st.walks_done += n
-            if st.responded:
-                # Walks of an already-answered (timed out) query running
-                # to completion in the background.
-                self.zombie_walks += n
-            elif st.walks_done >= st.req.num_walks and t <= st.deadline_abs:
-                self._respond(st, "ok", t, admitted=True)
+            # Walks of an already-answered (timed out) query run to
+            # completion in the background and count as zombies.
+            self.ledger.credit(states[qid], n, t)
         if len(self.queue):
             self._schedule_dispatch()
         self.auditor.maybe_audit()
 
     def _deadline(self, query_id: int) -> None:
-        st = self.states[query_id]
-        st.deadline_event = None
+        del self._deadline_events[query_id]
+        st = self.ledger.states[query_id]
         if st.responded:
             return
-        self.deadline_misses += 1
-        mx = self._mx
-        if mx is not None:
-            mx.counter("service_deadline_misses").inc(1.0, self.fw.sim.now)
-        self._respond(st, "timed_out", self.fw.sim.now, admitted=True)
+        self.ledger.respond(st, "timed_out", self.fw.sim.now)
         # Freed deadline headroom does not add capacity, but queued
         # work may have been blocked purely on this query's backlog.
         if len(self.queue):
@@ -492,52 +385,18 @@ class WalkQueryService(Stateful):
 
     # ------------------------------------------------------------ responses
 
-    def _respond(
-        self,
-        st: _QueryState,
-        status: str,
-        t: float,
-        *,
-        admitted: bool,
-        shed_reason: str | None = None,
-    ) -> None:
-        st.responded = True
-        if st.deadline_event is not None:
-            self.fw.sim.cancel(st.deadline_event)
-            st.deadline_event = None
-        latency = 0.0 if status == "shed" else t - st.t_arrival
-        self.responses.append(
-            QueryResult(
-                query_id=st.req.query_id,
-                arrival=st.req.arrival,
-                admitted=admitted,
-                status=status,
-                walks_requested=st.req.num_walks,
-                walks_completed=st.walks_done,
-                finish_time=t,
-                latency=latency,
-                shed_reason=shed_reason,
-            )
-        )
-        stats = self.fw.metrics.stats
-        if status == "ok":
-            self.ok_count += 1
-            stats.counter("svc_queries_ok").add(1)
-        elif status == "timed_out":
-            self.timed_out_count += 1
-            stats.counter("svc_queries_timed_out").add(1)
-        else:
-            self.shed_count += 1
-            stats.counter("svc_queries_shed").add(1)
-        mx = self._mx
-        if mx is not None:
-            mx.counter("service_responses").inc(1.0, t)
-            mx.counter("service_status", status=status).inc(1.0, t)
-            if status == "shed":
-                mx.counter("service_shed").inc(1.0, t)
-            else:
-                mx.histogram("service_latency_seconds",
-                             _LATENCY_BUCKETS).observe(latency, t)
+    def _on_respond(self, st: QueryState, result: QueryResult) -> None:
+        """Ledger hook: what an answer means to this service beyond its
+        count (deadline cancel, run counters, latency, brownout)."""
+        event = self._deadline_events.pop(st.req.query_id, None)
+        if event is not None:
+            self.fw.sim.cancel(event)
+        status, t = result.status, result.finish_time
+        self.fw.metrics.stats.counter(f"svc_queries_{status}").add(1)
+        mx = self.fw.telemetry
+        if mx is not None and status != "shed":
+            mx.histogram("service_latency_seconds",
+                         _LATENCY_BUCKETS).observe(result.latency, t)
         if self.brownout is not None:
             # Deadline misses are the service's gray-failure pressure
             # signal; sheds are excluded (they are the brownout's own
@@ -546,7 +405,7 @@ class WalkQueryService(Stateful):
             pressure = sum(self._recent_misses) / len(self._recent_misses)
             was = self.brownout.active
             self.brownout.observe(
-                pressure, epoch=len(self.responses), now=t
+                pressure, epoch=len(self.ledger.responses), now=t
             )
             self.queue.rate_factor = self.brownout.admit_rate_factor()
             if mx is not None and self.brownout.active != was:
@@ -557,24 +416,22 @@ class WalkQueryService(Stateful):
     # --------------------------------------------------------------- report
 
     def _service_section(self) -> dict:
-        arrivals = max(self.arrivals, 1)
+        ledger = self.ledger
+        block = ledger.report()
+        requests = block.pop("requests")
         section = {
             "requests": {
-                "arrivals": self.arrivals,
-                "ok": self.ok_count,
-                "timed_out": self.timed_out_count,
-                "shed": self.shed_count,
-                "deadline_misses": self.deadline_misses,
-                "retry_budget_exhausted": self.retry_budget_exhausted,
+                **requests,
+                # Every missed deadline is answered timed-out, so the
+                # two counts are one.
+                "deadline_misses": requests["timed_out"],
+                "retry_budget_exhausted": ledger.retry_budget_exhausted,
             },
             "walks": {
                 "injected": self.walks_injected,
-                "zombie": self.zombie_walks,
+                "zombie": ledger.zombie_walks,
             },
-            "latency": latency_summary(self.responses),
-            "shed_rate": self.shed_count / arrivals,
-            "deadline_miss_rate": self.timed_out_count / arrivals,
-            "queue": self.queue.stats(),
+            **block,
             "breaker": {**self.breaker.stats(), "deferrals": self.deferrals},
             "audit": self.auditor.stats(),
         }

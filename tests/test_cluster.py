@@ -32,6 +32,8 @@ from repro.service.config import ServiceConfig
 from repro.service.request import QueryRequest
 from repro.walks import WalkSpec
 
+from .test_service import LEDGER_CHECKS, tamper_ledger
+
 ENGINE = dict(
     partition_subgraphs=4, board_hot_subgraphs=1, channel_hot_subgraphs=0
 )
@@ -335,25 +337,35 @@ class TestEngineEpochApi:
 
 
 class TestHealthBoard:
-    def test_breaker_trips_on_mirrored_counters_and_promotes(self):
+    def test_breaker_trips_on_mirrored_counters(self):
         hb = HealthBoard(ServiceConfig(breaker_cooldown=1e-3).validate(), 2)
         assert hb.poll(0.0) == [False, False]
         hb.update(0, {"chip_failures": 1})
         assert hb.poll(1e-6) == [True, False]
-        assert hb.consecutive_open == [1, 0]
-        hb.promote(0, epoch=2, now=2e-6)
-        assert hb.poll(2e-6) == [False, False]
-        assert hb.consecutive_open == [0, 0]
-        assert hb.promotions == [
-            {"kind": "breaker", "shard": 0, "epoch": 2, "t": 2e-6}
-        ]
-        assert hb.stats()["breaker_promotions"] == 1
+        assert hb.stats()["open_epochs"] == [1, 0]
 
 
 # ---------------------------------------------------------------- cluster
 
 
 class TestClusterService:
+    @pytest.mark.parametrize("check", LEDGER_CHECKS)
+    def test_auditor_catches_ledger_tampering(self, graph, check):
+        svc = ClusterService(graph, shard_cfg(), cluster_cfg(), seed=7)
+        sweep = svc._sweep_deadlines
+
+        def tampering_sweep(t):
+            if svc.epoch == 2:
+                tamper_ledger(svc.ledger, check)
+            sweep(t)
+
+        svc._sweep_deadlines = tampering_sweep
+        with pytest.raises(InvariantViolation) as exc_info:
+            svc.run(requests())
+        exc = exc_info.value
+        assert exc.state["epoch"] == 3  # caught at the next barrier
+        assert any(v.startswith(check) for v in exc.violations)
+
     def test_serves_every_query_and_conserves_walks(self, graph):
         svc, out = run_cluster(graph)
         assert [r.status for r in out.responses] == ["ok"] * 4

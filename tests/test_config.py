@@ -114,11 +114,9 @@ class TestFlashWalkerConfig:
 
     def test_slot_counts_preserved_under_scaling(self):
         # DESIGN.md: slot counts derive from paper byte values, so they
-        # stay 4/8/64 regardless of the scaled subgraph size.
+        # stay 4 per chip regardless of the scaled subgraph size.
         c = FlashWalkerConfig(subgraph_bytes=4 * KB)
         assert c.chip_subgraph_slots() == 4
-        assert c.channel_subgraph_slots() == 8
-        assert c.board_subgraph_slots() == 64
 
     def test_subgraph_pages(self):
         assert FlashWalkerConfig(subgraph_bytes=4 * KB).subgraph_pages() == 1

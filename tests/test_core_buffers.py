@@ -98,9 +98,8 @@ class TestPartitionWalkBuffer:
 
     def test_dense_entries_hold_more(self):
         pwb = make(cap=8, dense_cap=12)
-        assert pwb.capacity_of(3) == 12
-        assert pwb.capacity_of(0) == 8
         assert push(pwb, 3, walks(11)) == []
+        assert push(pwb, 0, walks(9)) == [(0, 9)]
 
     def test_drain_removes_entry(self):
         pwb = make()

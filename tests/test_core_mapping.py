@@ -144,10 +144,6 @@ class TestRangeTable:
         full = binary_search_steps(part.num_blocks)
         assert rt.search_steps() < full
 
-    def test_range_scope(self, part):
-        rt = RangeTable(part, 0, part.num_blocks - 1, 16)
-        assert rt.range_entry_scope() == 16
-
     def test_empty_query(self, part):
         rt = RangeTable(part, 0, part.num_blocks - 1, 8)
         rid, inside, steps = rt.query(np.zeros(0, dtype=np.int64))

@@ -19,7 +19,7 @@ from repro.common import (
     RngRegistry,
     SimulationError,
 )
-from repro.common.config import SlowFaultConfig
+from repro.common.config import SlowFaultConfig, SSDConfig
 from repro.core import FlashWalker
 from repro.durability.harness import (
     gc_pressure_ssd,
@@ -389,6 +389,28 @@ class TestSilentCorruption:
             pytest.skip("no repair landed under this seed")
         assert it["quarantined"] >= 1
         assert fw.ssd.ftl.bad_block_count >= 1
+
+    def test_page_without_surviving_sibling_is_counted_lost(self):
+        """Two chips per channel and one of them failed: a corrupted
+        plane on its sibling has no parity-group survivor.  The page is
+        counted unrepairable and every walk still completes."""
+        graph = rmat(9, 8, RngRegistry(55).fresh("g"))
+        cfg = FlashWalkerConfig(**ENGINE, ssd=gc_pressure_ssd(SSDConfig()))
+        victim = int(FlashWalker(graph, cfg, seed=3).block_chip[0])
+        fcfg = FaultConfig(
+            enabled=True, page_error_rate=0.05, crc_error_rate=0.02,
+            chip_failures=((100e-6, victim),), checkpoint_interval=50e-6,
+        )
+        fw = FlashWalker(graph, cfg.replace(
+            faults=fcfg, durability=dur(corruption=1500.0, scrub=20e-6),
+        ), seed=3)
+        res = fw.run(2000, SPEC)
+        assert fw.completed_walks == res.total_walks == 2000
+        it = res.durability["integrity"]
+        assert it["unrepairable"] > 0
+        assert it["repaired"] + it["unrepairable"] == (
+            it["detected"] + it["scrub_detected"]
+        )
 
     def test_corruption_events_capped(self, graph):
         fw = make_engine(

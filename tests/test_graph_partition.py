@@ -108,12 +108,6 @@ class TestVertexLookup:
         with pytest.raises(PartitionError):
             p.block_of_vertex(small_graph.num_vertices)
 
-    def test_vertex_in_block(self, small_graph):
-        p = partition_graph(small_graph, 4096)
-        lo, hi = int(p.block_lo[0]), int(p.block_hi[0])
-        mask = p.vertex_in_block(np.array([lo, hi, hi + 1]), 0)
-        np.testing.assert_array_equal(mask, [True, True, False])
-
 
 class TestGroupings:
     def test_partition_of_block(self, skewed_graph):

@@ -22,7 +22,6 @@ from repro.service import (
     WalkQueryService,
     open_loop_requests,
 )
-from repro.service.service import _QueryState
 from repro.walks import WalkSet
 
 #: Force walks through the chip path so completions take real simulated
@@ -57,6 +56,18 @@ def burst_requests(n, *, num_walks=32, deadline=50e-3, gap=0.0):
         )
         for i in range(n)
     ]
+
+
+def tamper_ledger(ledger, check):
+    """Break the query ledger invariant named ``check`` in place: count
+    an answer that was never given, or credit a walk that never ran."""
+    if check == "query conservation":
+        ledger.counts["ok"] += 1
+    else:
+        next(iter(ledger.states.values())).walks_done += 1
+
+
+LEDGER_CHECKS = ("query conservation", "walks credited")
 
 
 class TestServiceConfig:
@@ -255,11 +266,11 @@ class TestCompletionHook:
             req = QueryRequest(
                 query_id=qid, arrival=0.0, num_walks=2, length=6, deadline=1e-3
             )
-            svc.states[qid] = _QueryState(req, 0.0, 1e-3)
+            svc.ledger.arrive(req, 0.0)
         walks = [(9, 4, 0), (5, 1, 0), (2, 7, 0), (9, 3, 0), (2, 0, 0)]
         svc._on_completed(1e-4, walks if as_records else WalkSet.from_records(walks))
-        assert [r.query_id for r in svc.responses] == [2, 9]
-        assert [svc.states[q].walks_done for q in (2, 5, 9)] == [2, 1, 2]
+        assert [r.query_id for r in svc.ledger.responses] == [2, 9]
+        assert [svc.ledger.states[q].walks_done for q in (2, 5, 9)] == [2, 1, 2]
 
 
 class TestDeadlines:
@@ -432,6 +443,18 @@ class TestAuditor:
         assert exc.state["total_walks"] >= 32
         assert exc.state["completed_walks"] >= 3
         assert exc.at > 0
+
+    @pytest.mark.parametrize("check", LEDGER_CHECKS)
+    def test_auditor_catches_ledger_tampering(self, graph, check):
+        svc = make_service(graph, engine=ENGINE, audit_interval_events=8)
+        svc.on_session_start = lambda fw, t0: fw.sim.at(
+            t0 + 40e-6, tamper_ledger, svc.ledger, check
+        )
+        with pytest.raises(InvariantViolation) as exc_info:
+            svc.run(burst_requests(6, gap=30e-6))
+        exc = exc_info.value
+        assert str(exc).startswith("audit at")  # caught mid-run
+        assert any(v.startswith(check) for v in exc.violations)
 
     def test_auditor_catches_transit_corruption(self, graph):
         svc = make_service(graph, engine=ENGINE, audit_interval_events=8)
