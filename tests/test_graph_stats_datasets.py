@@ -15,6 +15,9 @@ from repro.graph import (
     powerlaw_graph,
 )
 from repro.common.rng import RngRegistry
+from repro.experiments.harness import ExperimentContext
+
+from .test_graph_generators import _csr_digest
 
 
 class TestGini:
@@ -138,3 +141,22 @@ class TestDatasetRegistry:
         tt = build_graph("TT", rngs, size_factor=0.2)
         fs = build_graph("FS", rngs, size_factor=0.2)
         assert gini(tt.out_degrees()) > gini(fs.out_degrees())
+
+
+#: sha256 of (offsets, edges) of every quick-scale dataset, as
+#: ``ExperimentContext(seed=3, size_factor=0.5)`` builds it.  A change to
+#: a generator or to the CSR builder must keep every graph byte-identical.
+DATASET_GOLDEN = {
+    "TT": "b18787cc8c40de5028c8e809ca8263583b074a3d5a80f5311c835ed026a931f9",
+    "FS": "73eb3e0f43796eb59c33b3b98103f12e06b1fea6f657c621f7ea89295ec6393a",
+    "CW": "6f3c26000011b5f53239be265b7e749bd5f779f7edea3e083f8348b327d3fec1",
+    "R2B": "8724394b2267c634fbd5e1384610d7d4ef19e9f33893706010823a8e39d3e8c8",
+    "R8B": "c1df2f16f3a55548af0182f8da34a117c65e045b98001546d7c0d5c793d608f9",
+}
+
+
+class TestQuickScaleDatasets:
+    @pytest.mark.parametrize("name", sorted(DATASET_GOLDEN))
+    def test_matches_digest(self, name):
+        g = ExperimentContext(seed=3, size_factor=0.5).graph(name)
+        assert _csr_digest(g) == DATASET_GOLDEN[name]
