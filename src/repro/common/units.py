@@ -28,23 +28,6 @@ MS = 1e-3
 US = 1e-6
 NS = 1e-9
 
-
-def mhz_to_cycle(freq_mhz: float) -> float:
-    """Cycle time in seconds for a clock frequency given in MHz."""
-    if freq_mhz <= 0:
-        raise ValueError(f"frequency must be positive, got {freq_mhz}")
-    return 1.0 / (freq_mhz * 1e6)
-
-
-def bandwidth_time(nbytes: int | float, bytes_per_sec: float) -> float:
-    """Time in seconds to move ``nbytes`` at ``bytes_per_sec``."""
-    if bytes_per_sec <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bytes_per_sec}")
-    if nbytes < 0:
-        raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-    return float(nbytes) / float(bytes_per_sec)
-
-
 # --- formatting -------------------------------------------------------------
 
 

@@ -69,13 +69,14 @@ class FlashAddress:
 
 
 class _FreeLists:
-    """Per-plane free-block lists, each built on its first access.
+    """Per-plane free-block lists, each built when allocation first needs it.
 
     A pristine plane's list is ``[1, ..., blocks_per_plane - 1]`` (block
     0 is its first active block).  Building every plane's list up front
     costs about 2M ints on the paper geometry, for planes most runs
-    never write.  Indexable and assignable like the list of lists it
-    replaces; a plane's list, once built, is the same object thereafter.
+    never write.  Indexing builds a plane's list, so only the allocator
+    and GC index; readers that only need a length call :meth:`count`.
+    A plane's list, once built, is the same object thereafter.
     """
 
     __slots__ = ("_n", "_blocks", "_lists")
@@ -94,6 +95,15 @@ class _FreeLists:
 
     def __setitem__(self, flat: int, free: list[int]) -> None:
         self._lists[range(self._n)[flat]] = free
+
+    def count(self, flat: int) -> int:
+        """Free blocks on a plane, without building its list."""
+        free = self._lists.get(range(self._n)[flat])
+        return self._blocks - 1 if free is None else len(free)
+
+    def built(self) -> dict[int, list[int]]:
+        """The lists built so far, by flat plane."""
+        return self._lists
 
 
 class FTL(Stateful):
@@ -263,11 +273,11 @@ class FTL(Stateful):
             # schedule, so the allocator only collects synchronously as
             # an emergency (free list empty); otherwise it keeps the
             # original threshold-triggered foreground GC.
-            free = self._free_list[flat]
+            free = self._free_list.count(flat)
             if self.background_gc:
                 if not free:
                     self._garbage_collect(flat)
-            elif len(free) <= self.gc_threshold:
+            elif free <= self.gc_threshold:
                 self._garbage_collect(flat)
             # GC may already have advanced the cursor: when the move
             # consumed its reserved victim as the allocation of last
@@ -430,7 +440,7 @@ class FTL(Stateful):
 
     def free_blocks(self, flat: int) -> int:
         """Free blocks on a plane (the active block not counted)."""
-        return len(self._free_list[flat])
+        return self._free_list.count(flat)
 
     def gc_watermark(self) -> int:
         """Free-block count at or below which a plane wants background GC."""
@@ -444,10 +454,11 @@ class FTL(Stateful):
         """Touched planes at/below the free-block watermark, worst first."""
         if watermark is None:
             watermark = self.gc_watermark()
+        count = self._free_list.count
         low = [
-            (len(self._free_list[flat]), flat)
+            (free, flat)
             for flat in self._touched
-            if len(self._free_list[flat]) <= watermark
+            if (free := count(flat)) <= watermark
         ]
         return [flat for _, flat in sorted(low)]
 
@@ -477,7 +488,7 @@ class FTL(Stateful):
         try:
             # Move the write cursor off the bad block before relocating
             # into the plane (mirrors the _allocate_page advance path).
-            if len(self._free_list[flat]) <= self.gc_threshold:
+            if self._free_list.count(flat) <= self.gc_threshold:
                 self._garbage_collect(flat)
             # GC may already have moved the cursor by consuming its
             # reserved victim; advancing again would strand that
@@ -561,20 +572,25 @@ class FTL(Stateful):
         # Retired (grown-bad) blocks can never be erased again, so their
         # historical erase counts must not skew the wear-leveling signal:
         # max/mean cover in-service blocks only, with the retired
-        # population reported separately.
-        bad_mask = np.zeros(ec.shape, dtype=bool)
+        # population reported separately.  Sums are exact on ints, so
+        # the in-service figures come from the device's and the retired
+        # blocks', without a copy of the device.
+        retired: list[int] = []
+        plane_max = ec.max(axis=1)
         for flat, bad in enumerate(self._bad_blocks):
             if bad:
-                bad_mask[flat, list(bad)] = True
-        live = ec[~bad_mask]
-        retired = ec[bad_mask]
+                bad = list(bad)
+                retired += ec[flat, bad].tolist()
+                plane_max[flat] = np.delete(ec[flat], bad).max(initial=-1)
+        total = int(ec.sum())
+        live_count = ec.size - len(retired)
         return {
-            "total_erases": float(ec.sum()),
-            "max_erase": float(live.max()) if live.size else 0.0,
-            "mean_erase": float(live.mean()) if live.size else 0.0,
+            "total_erases": float(total),
+            "max_erase": float(plane_max.max()) if live_count else 0.0,
+            "mean_erase": (total - sum(retired)) / live_count if live_count else 0.0,
             "retired_blocks": float(self.bad_block_count),
-            "retired_total_erases": float(retired.sum()) if retired.size else 0.0,
-            "retired_max_erase": float(retired.max()) if retired.size else 0.0,
+            "retired_total_erases": float(sum(retired)),
+            "retired_max_erase": float(max(retired, default=0)),
             "gc_runs": float(self.gc_runs),
             "gc_foreground_runs": float(self.gc_foreground_runs),
             "gc_background_runs": float(self.gc_background_runs),
@@ -603,19 +619,21 @@ class FTL(Stateful):
         if not self._copies_full_state:
             return logs
         planes = {}
+        built = self._free_list.built()
         for flat in sorted(self._touched):
             inv = self._invalid[flat]
             ecp = self._erase_counts[flat]
             nz_inv = np.flatnonzero(inv)
             nz_ec = np.flatnonzero(ecp)
-            planes[int(flat)] = {
+            planes[int(flat)] = plane = {
                 "active_block": int(self._active_block[flat]),
                 "active_page": int(self._active_page[flat]),
-                "free_list": [int(b) for b in self._free_list[flat]],
                 "invalid": [[int(b), int(inv[b])] for b in nz_inv],
                 "erase": [[int(b), int(ecp[b])] for b in nz_ec],
                 "bad": sorted(int(b) for b in self._bad_blocks[flat]),
             }
+            if flat in built:  # an unbuilt list is still the pristine one
+                plane["free_list"] = [int(b) for b in built[flat]]
         return {
             **logs,
             **super().state(),
@@ -640,7 +658,8 @@ class FTL(Stateful):
             self._touched.add(flat)
             self._active_block[flat] = p["active_block"]
             self._active_page[flat] = p["active_page"]
-            self._free_list[flat] = list(p["free_list"])
+            if "free_list" in p:
+                self._free_list[flat] = list(p["free_list"])
             self._invalid[flat, :] = 0
             for blk, v in p["invalid"]:
                 self._invalid[flat, blk] = v

@@ -17,6 +17,18 @@ from ..common.errors import GraphError
 
 __all__ = ["CSRGraph"]
 
+#: Edges :meth:`CSRGraph.from_edge_list` places per step; bounds its
+#: sort and scatter temporaries.
+_PLACE_CHUNK = 1 << 14
+
+
+def _as_ids(a) -> np.ndarray:
+    """``a`` as an integer array: integer dtypes as given, others int64."""
+    a = np.asarray(a)
+    if a.dtype.kind in "iu" and np.can_cast(a.dtype, np.intp):
+        return a
+    return a.astype(np.int64)
+
 
 class CSRGraph:
     """Directed graph in CSR form.
@@ -117,28 +129,51 @@ class CSRGraph:
         num_vertices: int | None = None,
         weights: np.ndarray | None = None,
     ) -> "CSRGraph":
-        """Build a CSR graph from parallel source/destination arrays."""
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        """Build a CSR graph from parallel source/destination arrays.
+
+        Each vertex's out-edges keep their input order (a stable sort by
+        source).  Edges are placed by counting, :data:`_PLACE_CHUNK` at a
+        time, straight into the output column, so beyond the caller's
+        arrays the build holds about one int64 edge column.  Integer IDs
+        of any width are read as given; ``edges`` is always int64.
+        """
+        src = _as_ids(src)
+        dst = _as_ids(dst)
         if src.shape != dst.shape:
             raise GraphError(f"src shape {src.shape} != dst shape {dst.shape}")
-        if src.size and src.min() < 0:
-            raise GraphError("negative source vertex")
-        if num_vertices is None:
-            num_vertices = int(max(src.max(), dst.max()) + 1) if src.size else 0
-        order = np.argsort(src, kind="stable")
-        src_sorted = src[order]
-        dst_sorted = dst[order]
-        counts = np.bincount(src_sorted, minlength=num_vertices)
-        offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        w_sorted = None
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != src.shape:
                 raise GraphError("weights must align with edges")
-            w_sorted = weights[order]
-        return cls(offsets, dst_sorted, w_sorted)
+        m = src.size
+        if m and src.min() < 0:
+            raise GraphError("negative source vertex")
+        if num_vertices is None:
+            num_vertices = max(int(src.max()), int(dst.max())) + 1 if m else 0
+        elif m and (top := int(src.max())) >= num_vertices:
+            raise GraphError(f"source vertex {top} >= num_vertices {num_vertices}")
+        offsets = np.zeros(num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=num_vertices), out=offsets[1:])
+        fill = offsets[:-1].copy()  # next free slot of each vertex
+        edges = np.empty(m, dtype=np.int64)
+        w_out = None if weights is None else np.empty(m, dtype=np.float64)
+        for lo in range(0, m, _PLACE_CHUNK):
+            hi = min(lo + _PLACE_CHUNK, m)
+            order = np.argsort(src[lo:hi], kind="stable")
+            run_src = src[lo:hi][order]
+            # Each edge's rank within its run of equal sources.
+            new_run = np.empty(hi - lo, dtype=bool)
+            new_run[0] = True
+            np.not_equal(run_src[1:], run_src[:-1], out=new_run[1:])
+            starts = np.flatnonzero(new_run)
+            lengths = np.diff(starts, append=hi - lo)
+            rank = np.arange(hi - lo) - np.repeat(starts, lengths)
+            slot = fill[run_src] + rank
+            edges[slot] = dst[lo:hi][order]
+            if w_out is not None:
+                w_out[slot] = weights[lo:hi][order]
+            fill[run_src[starts]] += lengths
+        return cls(offsets, edges, w_out)
 
     def to_edge_list(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) arrays; inverse of :meth:`from_edge_list` up to order."""

@@ -61,8 +61,10 @@ def rmat(
 
     n = 1 << scale
     m = n * edge_factor
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
+    # IDs in the narrowest unsigned type that holds them (2 or 4 bytes).
+    ids = np.uint16 if scale <= 16 else np.uint32
+    src = np.zeros(m, dtype=ids)
+    dst = np.zeros(m, dtype=ids)
     # At each of `scale` bit levels, choose a quadrant per edge: all m row
     # doubles, then all m column doubles, drawn in chunks into one buffer
     # (the same stream as one draw of m).  A column bit compares against
@@ -86,12 +88,12 @@ def rmat(
             t <<= 1
             t += (go_down & (r >= c_frac)) | (~go_down & (r >= a_frac))
     if permute:
-        perm = rng.permutation(n)
+        perm = rng.permutation(n).astype(ids)
         for lo, hi in chunks:
             src[lo:hi] = perm[src[lo:hi]]
             dst[lo:hi] = perm[dst[lo:hi]]
     if dedup:
-        pair = src * np.int64(n) + dst
+        pair = src.astype(np.int64) * n + dst
         _, keep = np.unique(pair, return_index=True)
         src, dst = src[keep], dst[keep]
     return CSRGraph.from_edge_list(src, dst, num_vertices=n)

@@ -1,8 +1,11 @@
 """Tests for the FTL: mapping, allocation, GC, wear, placement."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from repro.common import FlashAddressError, FlashError, SSDConfig
+from repro.common import FlashAddressError, FlashError, FTLConfig, SSDConfig
 from repro.flash import FTL, FlashAddress
 
 
@@ -210,3 +213,101 @@ class TestLazyFreeLists:
         # Block 0 first, then the free list in order.
         assert blocks == [b for b in range(3) for _ in range(cfg.pages_per_block)]
         assert set(ftl._free_list._lists) == {0}
+
+    def test_counts_and_gc_scans_build_no_list(self):
+        # Default geometry: 1024 planes x 2048 blocks of 64 pages.
+        ftl = FTL(SSDConfig(ftl=FTLConfig(enabled=True)))
+        ftl.place_striped(512, 4)
+        assert len(ftl._touched) > 200
+        assert ftl.gc_candidates() == []
+        assert ftl.gc_candidates(watermark=ftl.cfg.blocks_per_plane)
+        pristine = ftl.cfg.blocks_per_plane - 1
+        assert {ftl.free_blocks(f) for f in ftl._touched} == {pristine}
+        assert not ftl._free_list.built()
+
+    def test_checkpoint_carries_only_built_lists(self):
+        cfg = tiny_cfg(ftl=FTLConfig(enabled=True, over_provisioning=0.0))
+        ftl = FTL(cfg)
+        for lpn in range(cfg.pages_per_block + 1):  # plane 0 fills block 0
+            ftl.write(lpn, plane_hint=0)
+        ftl.write(cfg.pages_per_block + 1, plane_hint=1)  # block 0 only
+        state = ftl.state()
+        assert state["planes"][0]["free_list"] == list(range(2, cfg.blocks_per_plane))
+        assert "free_list" not in state["planes"][1]
+        fresh = FTL(cfg)
+        fresh.restore(state)
+        assert set(fresh._free_list.built()) == {0}
+        assert fresh.free_blocks(1) == cfg.blocks_per_plane - 1
+        assert fresh.state() == state
+
+
+def _mask_wear(ftl) -> dict:
+    """The in-service and retired erase figures by a full-device mask."""
+    ec = ftl._erase_counts
+    bad_mask = np.zeros(ec.shape, dtype=bool)
+    for flat, bad in enumerate(ftl._bad_blocks):
+        if bad:
+            bad_mask[flat, list(bad)] = True
+    live, retired = ec[~bad_mask], ec[bad_mask]
+    return {
+        "total_erases": float(ec.sum()),
+        "max_erase": float(live.max()) if live.size else 0.0,
+        "mean_erase": float(live.mean()) if live.size else 0.0,
+        "retired_total_erases": float(retired.sum()) if retired.size else 0.0,
+        "retired_max_erase": float(retired.max()) if retired.size else 0.0,
+    }
+
+
+class TestWearStats:
+    def _retired_device(self, cfg, planes):
+        ftl = FTL(cfg)
+        ftl.place_striped(2 * cfg.total_chips, 3)
+        for flat in planes:
+            ftl.retire_active_block(flat)
+        ec = ftl._erase_counts
+        ec[...] = np.random.default_rng(0).integers(0, 50, size=ec.shape)
+        # The device's most-worn block is a retired one.
+        ec[planes[0], sorted(ftl._bad_blocks[planes[0]])[0]] = 1000
+        return ftl
+
+    @pytest.mark.parametrize("geometry", ["tiny", "default"])
+    def test_matches_the_mask_formula_after_retirement(self, geometry):
+        cfg = tiny_cfg() if geometry == "tiny" else SSDConfig()
+        ftl = self._retired_device(cfg, planes=[0, 0, 3, cfg.total_planes - 1])
+        assert ftl.bad_block_count == 4
+        stats = ftl.wear_stats()
+        expected = _mask_wear(ftl)
+        assert {k: stats[k] for k in expected} == expected
+        assert stats["retired_max_erase"] == 1000.0
+        assert stats["max_erase"] < 1000.0
+
+    def test_matches_the_mask_formula_without_retirement(self):
+        ftl = FTL(tiny_cfg())
+        assert {k: ftl.wear_stats()[k] for k in _mask_wear(ftl)} == _mask_wear(ftl)
+        ftl._erase_counts[2, 1] = 7
+        assert {k: ftl.wear_stats()[k] for k in _mask_wear(ftl)} == _mask_wear(ftl)
+
+    def test_every_block_of_a_plane_retired(self):
+        cfg = tiny_cfg(
+            channels=1,
+            chips_per_channel=1,
+            planes_per_die=1,
+            max_concurrent_plane_ops_per_chip=1,
+        )
+        ftl = FTL(cfg)
+        ftl._bad_blocks[0] = set(range(cfg.blocks_per_plane))
+        ftl._erase_counts[0] = [3, 1, 4, 1]
+        stats = ftl.wear_stats()
+        assert stats["max_erase"] == stats["mean_erase"] == 0.0
+        assert stats["retired_total_erases"] == 9.0
+
+    def test_allocates_no_device_copy(self):
+        ftl = self._retired_device(SSDConfig(), planes=[0, 5, 5])
+        tracemalloc.start()
+        try:
+            ftl.wear_stats()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The erase-count array alone is 16 MB; a mask copy took 20 MB.
+        assert peak < 1 << 20

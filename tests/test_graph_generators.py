@@ -10,6 +10,7 @@ from repro.common import GraphError
 from repro.graph import (
     add_random_weights,
     complete_graph,
+    dataset,
     erdos_renyi,
     path_graph,
     powerlaw_graph,
@@ -67,6 +68,16 @@ class TestRmat:
             rmat(5, 4, rng, a=0.9, b=0.9, c=0.9)
 
 
+def _traced_peak(fn, *args, **kw) -> int:
+    """Peak bytes traced while ``fn(*args, **kw)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kw)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _csr_digest(g) -> str:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(g.offsets, dtype="<i8").tobytes())
@@ -112,14 +123,11 @@ class TestRmatStream:
 
     def test_traced_peak_below_six_edge_columns(self):
         m = (1 << 16) * 30
-        tracemalloc.start()
-        try:
-            rmat(16, 30, np.random.default_rng(1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # The one-shot generator peaked at 8.3 int64 edge columns.
-        assert peak < 6 * 8 * m
+        peak = _traced_peak(rmat, 16, 30, np.random.default_rng(1))
+        # The one-shot generator peaked at 8.3 int64 edge columns and an
+        # argsort-and-gather CSR build at 5.2; uint16 IDs and counting
+        # placement take 1.7.
+        assert peak < 2.5 * 8 * m
 
 
 class TestPowerlaw:
@@ -150,6 +158,13 @@ class TestPowerlaw:
     def test_zero_edges(self, rng):
         g = powerlaw_graph(10, 0, rng)
         assert g.num_edges == 0
+
+    def test_traced_peak_at_tt_size_below_four_and_a_half_edge_columns(self):
+        tt = dataset("TT")
+        nv, ne = tt.scaled_vertices, tt.scaled_edges
+        peak = _traced_peak(powerlaw_graph, nv, ne, np.random.default_rng(1), 0.8)
+        # An argsort-and-gather CSR build peaked at 5.4 int64 edge columns.
+        assert peak < 4.5 * 8 * ne
 
 
 class TestErdosRenyi:

@@ -22,43 +22,6 @@ class TestConstants:
         assert units.NS == pytest.approx(1e-9)
 
 
-class TestMhzToCycle:
-    def test_500mhz_is_2ns(self):
-        assert units.mhz_to_cycle(500) == pytest.approx(2e-9)
-
-    def test_1ghz_is_1ns(self):
-        assert units.mhz_to_cycle(1000) == pytest.approx(1e-9)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            units.mhz_to_cycle(0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            units.mhz_to_cycle(-5)
-
-
-class TestBandwidthTime:
-    def test_simple(self):
-        assert units.bandwidth_time(1000, 1000) == pytest.approx(1.0)
-
-    def test_channel_page(self):
-        # One 4 KB page over a 333 MB/s ONFI bus: ~12.3 us.
-        t = units.bandwidth_time(4096, 333e6)
-        assert t == pytest.approx(4096 / 333e6)
-
-    def test_zero_bytes(self):
-        assert units.bandwidth_time(0, 100) == 0.0
-
-    def test_rejects_zero_bandwidth(self):
-        with pytest.raises(ValueError):
-            units.bandwidth_time(10, 0)
-
-    def test_rejects_negative_bytes(self):
-        with pytest.raises(ValueError):
-            units.bandwidth_time(-1, 100)
-
-
 class TestFormatting:
     def test_fmt_bytes(self):
         assert units.fmt_bytes(512) == "512B"
