@@ -2,6 +2,7 @@
 silent-corruption detection with parity reconstruction."""
 
 import dataclasses
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from repro.common import (
 )
 from repro.common.config import SlowFaultConfig, SSDConfig
 from repro.core import FlashWalker
+from repro.durability.cli import main as durability_main
 from repro.durability.harness import (
     gc_pressure_ssd,
     run_crash_campaign,
@@ -281,6 +283,22 @@ class TestPowerLossRecovery:
         assert fw._crashes_fired == 0
         assert fw.power_loss_times == (50.0,)
 
+    def test_torn_pages_name_every_busy_plane(self, graph):
+        """At ``torn_page_prob=1.0`` every plane still busy at the cut
+        holds a torn page, named as ``(chip, die, plane)`` in chip, die,
+        plane order.  Two planes occupied past the cut (one on die 1)
+        join the planes the workload itself keeps busy."""
+        fw = make_engine(graph, dur(torn_page_prob=1.0))
+        t_cut = 100e-6
+        fw.schedule_power_loss(t_cut)
+        fw.ssd.chip_flat(3).program_page(t_cut, 1, 2)
+        fw.ssd.chip_flat(0).program_page(t_cut, 0, 3)
+        with pytest.raises(PowerLossError) as info:
+            fw.run(WALKS, SPEC)
+        assert info.value.torn_pages == (
+            (0, 0, 0), (0, 0, 3), (3, 1, 2), (4, 0, 0)
+        )
+
     def test_recover_flags_tampered_journal(self, graph):
         """Mutation test: a dropped journal record must fail recovery."""
         base, fw = crash_and_recover(graph, dur(journal=10e-6), 0.6)
@@ -348,6 +366,29 @@ class TestStandardDftlCampaign:
         with pytest.raises(PowerLossError):
             spec["run_workload"](fw)
         assert fw.ssd.ftl.gc_moved_pages > 0
+
+
+class TestCrashLoopReportGolden:
+    """The quick crash-loop report (the CI soak's command line) replays
+    byte for byte, so its recovery accounting cannot drift: torn pages,
+    torn-page repair time, RPO and RTO of every point.  The identity
+    check the harness runs ignores that ``durability`` section.  On a
+    deliberate report change, paste the digest the failure prints."""
+
+    SHA = "2fdaec58309dbc2e8aebfb97c2fafea3e252abb843168e117ef92ce431892e29"
+
+    def test_quick_report_matches_golden(self, tmp_path, capsys):
+        out = tmp_path / "durability_report.json"
+        code = durability_main([
+            "--quick", "--seed", "3", "--crash-points", "7",
+            "--configs", "4", "--out", str(out),
+        ])
+        assert code == 0, capsys.readouterr().err
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.SHA, (
+            f"crash-loop report digest is {digest}; if the report change "
+            f"is deliberate, set SHA to it"
+        )
 
 
 # ------------------------------------------------------------- integrity
