@@ -31,7 +31,10 @@ def main() -> None:
 
     print("\n== host path vs in-storage path, 8 MB of graph data ==")
     nbytes = 8 * MB
-    t_host = ssd.host_read_bytes(0.0, nbytes)
+    # Host path: after the first page sense, pages stream through the
+    # channels and then PCIe, so the slower of the two sets the rate.
+    host_bw = min(cfg.aggregate_channel_bytes_per_sec, cfg.pcie_bytes_per_sec)
+    t_host = cfg.read_latency + nbytes / host_bw
     print(f"host path (arrays -> channels -> PCIe): {fmt_time(t_host)} "
           f"-> {fmt_bandwidth(nbytes / t_host)}")
     # In-storage: each chip reads its local share, no bus transfer at all.

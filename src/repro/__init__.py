@@ -4,9 +4,9 @@ A behavioral, event-driven reproduction of *FlashWalker: An In-Storage
 Accelerator for Graph Random Walks* (Niu et al., IPDPS 2022), plus every
 substrate it depends on: a CSR graph library with generators and a
 fixed-size block partitioner, an SSD timing model (NAND arrays, ONFI
-channels, FTL, DRAM, PCIe host interface), a random-walk algorithm
-layer, the GraphWalker and DrunkardMob baselines, and the experiment
-harness that regenerates the paper's figures and tables.
+channels, FTL, DRAM), a random-walk algorithm layer, the GraphWalker
+and DrunkardMob baselines, and the experiment harness that regenerates
+the paper's figures and tables.
 
 Quick start::
 

@@ -14,9 +14,8 @@ attributes a checkpoint carries once, in its own class body:
   own ``state()`` and restored in place through their own ``restore``.
 
 Components whose state has structure a field copy cannot express (walk
-pools, pool slabs, the FTL's sparse plane tables, RNG streams, flash
-planes kept by their chip as one tuple each) extend or replace the two
-methods by hand under the same names.
+pools, pool slabs, the FTL's sparse plane tables, RNG streams) extend or
+replace the two methods by hand under the same names.
 """
 
 from __future__ import annotations

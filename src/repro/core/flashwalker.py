@@ -1896,13 +1896,12 @@ class FlashWalker(Stateful):
             derive_seed(self._seed, f"powerloss:{index}")
         )
         prob = self.cfg.durability.torn_page_prob
+        ppd = self.cfg.ssd.planes_per_die
         torn: list[tuple[int, int, int]] = []
         for i in range(self.cfg.ssd.total_chips):
-            chip_hw = self.ssd.chip_flat(i)
-            for d_i, die in enumerate(chip_hw.dies):
-                for p_i, pl in enumerate(die.planes):
-                    if pl.busy_until > t and rng.random() < prob:
-                        torn.append((i, d_i, p_i))
+            for k, busy in enumerate(self.ssd.chip_flat(i)._plane_busy):
+                if busy > t and rng.random() < prob:
+                    torn.append((i, *divmod(k, ppd)))
         self._last_power_loss = {
             "at": t,
             "events": self.sim.events_executed,

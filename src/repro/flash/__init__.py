@@ -1,11 +1,10 @@
-"""SSD substrate: NAND timing, channels, FTL, DRAM, host interface."""
+"""SSD substrate: NAND timing, channels, FTL, DRAM."""
 
 from .channel import ONFI_COMMAND_BYTES, FlashChannel
 from .cmt import DFTL, CachedMappingTable
 from .dram import DRAM
 from .ftl import FTL, FlashAddress
-from .hostif import NVME_COMMAND_OVERHEAD, HostInterface
-from .nand import Die, FlashChip, Plane
+from .nand import FlashChip
 from .ssd import SSD
 
 __all__ = [
@@ -16,10 +15,6 @@ __all__ = [
     "DRAM",
     "FTL",
     "FlashAddress",
-    "NVME_COMMAND_OVERHEAD",
-    "HostInterface",
-    "Die",
     "FlashChip",
-    "Plane",
     "SSD",
 ]

@@ -193,9 +193,6 @@ class FlashChannel(Stateful):
     def bytes_programmed_to_planes(self) -> int:
         return sum(c.bytes_programmed for c in self.chips)
 
-    def utilization(self, elapsed: float) -> float:
-        return self.bus.utilization(elapsed)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FlashChannel(id={self.channel_id}, chips={len(self.chips)}, "

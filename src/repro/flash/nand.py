@@ -1,14 +1,14 @@
-"""NAND flash timing model: planes, dies, chips.
+"""NAND flash timing model: one chip and its planes.
 
 A **plane** is the unit of array access: one read (35 us), program
 (350 us) or erase (2 ms) at a time, with an SRAM page register (Section
-II-C).  A **die** groups planes; a **chip** groups dies and additionally
-caps how many plane operations can be in flight at once
+II-C).  A chip keeps one busy-until time per plane, die by die, and
+additionally caps how many plane operations can be in flight at once
 (``max_concurrent_plane_ops_per_chip``), which is what bounds the paper's
 55.8 GB/s aggregate read throughput.
 
 The model is analytic (no events): operations return completion times and
-update byte/op counters.  Data *transfer* off the chip is the channel's
+update op counters.  Data *transfer* off the chip is the channel's
 job (:mod:`repro.flash.channel`); chip-level accelerators read page
 registers directly and never touch the channel bus — the core of
 FlashWalker's design.
@@ -16,67 +16,13 @@ FlashWalker's design.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 from ..common.config import SSDConfig
 from ..common.errors import FaultExhaustedError, FlashAddressError, FlashError
 from ..common.state import Stateful
 from ..obs.tracer import PID_FLASH as _PID_FLASH
 from ..sim.resources import FcfsResource
 
-__all__ = ["Plane", "Die", "FlashChip"]
-
-
-class Plane:
-    """One flash plane: serial array operations + per-op counters."""
-
-    __slots__ = (
-        "plane_id",
-        "busy_until",
-        "reads",
-        "programs",
-        "erases",
-        "bytes_read",
-        "bytes_programmed",
-        "busy_time",
-    )
-    #: Checkpointed fields (all but the id), captured by the chip.
-    STATE = __slots__[1:]
-
-    def __init__(self, plane_id: int):
-        self.plane_id = plane_id
-        self.busy_until = 0.0
-        self.reads = 0
-        self.programs = 0
-        self.erases = 0
-        self.bytes_read = 0
-        self.bytes_programmed = 0
-        self.busy_time = 0.0
-
-    def occupy(self, now: float, duration: float) -> tuple[float, float]:
-        """Serialize an array op on this plane; returns (start, end)."""
-        if duration < 0:
-            raise FlashError(f"plane {self.plane_id}: negative duration")
-        start = self.busy_until if self.busy_until > now else now
-        end = start + duration
-        self.busy_until = end
-        self.busy_time += duration
-        return start, end
-
-
-_read_plane = attrgetter(*Plane.STATE)
-
-
-class Die:
-    """A die: a set of planes (multi-plane ops run concurrently)."""
-
-    __slots__ = ("die_id", "planes")
-
-    def __init__(self, die_id: int, planes_per_die: int):
-        if planes_per_die < 1:
-            raise FlashError("die needs >= 1 plane")
-        self.die_id = die_id
-        self.planes = [Plane(p) for p in range(planes_per_die)]
+__all__ = ["FlashChip"]
 
 
 class FlashChip(Stateful):
@@ -86,22 +32,15 @@ class FlashChip(Stateful):
     bounds come from :class:`~repro.common.config.SSDConfig`.
     """
 
-    STATE = (
-        "reads",
-        "programs",
-        "erases",
-        "bytes_read",
-        "bytes_programmed",
-        "_prog_cursor",
-    )
+    STATE = ("reads", "programs", "erases", "_prog_cursor", "_plane_busy")
     PARTS = ("_op_slots",)
 
     def __init__(self, chip_id: int, cfg: SSDConfig):
         self.chip_id = chip_id
         self.cfg = cfg
-        self.dies = [Die(d, cfg.planes_per_die) for d in range(cfg.dies_per_chip)]
-        #: Every plane, die by die.
-        self.planes = [pl for die in self.dies for pl in die.planes]
+        #: Busy-until time of every plane, die by die: plane ``(d, p)``
+        #: sits at index ``d * planes_per_die + p``.
+        self._plane_busy = [0.0] * cfg.planes_per_chip
         # The chip's internal op dispatcher: at most N plane ops in flight.
         self._op_slots = FcfsResource(
             f"chip{chip_id}.ops", cfg.max_concurrent_plane_ops_per_chip
@@ -109,8 +48,6 @@ class FlashChip(Stateful):
         self.reads = 0
         self.programs = 0
         self.erases = 0
-        self.bytes_read = 0
-        self.bytes_programmed = 0
         self._prog_cursor = 0
         #: Optional :class:`~repro.faults.FaultModel`; None = ideal NAND
         #: and the exact pre-fault-layer code path.
@@ -133,20 +70,17 @@ class FlashChip(Stateful):
         #: window's factor (no RNG draws — windows are fixed at attach).
         self.slow_model = None
 
-    # A chip holds many all-scalar planes: one tuple of Plane.STATE each
-    # keeps a capture cheap.
-    def state(self) -> dict:
-        return {**super().state(), "planes": [_read_plane(pl) for pl in self.planes]}
+    @property
+    def bytes_read(self) -> int:
+        return self.reads * self.cfg.page_bytes
 
-    def restore(self, state: dict) -> None:
-        super().restore(state)
-        for pl, values in zip(self.planes, state["planes"], strict=True):
-            for name, value in zip(Plane.STATE, values):
-                setattr(pl, name, value)
+    @property
+    def bytes_programmed(self) -> int:
+        return self.programs * self.cfg.page_bytes
 
     # -- addressing -----------------------------------------------------------
 
-    def plane(self, die: int, plane: int) -> Plane:
+    def _plane_index(self, die: int, plane: int) -> int:
         if not 0 <= die < self.cfg.dies_per_chip:
             raise FlashAddressError(
                 f"chip {self.chip_id}: die {die} out of range "
@@ -157,18 +91,27 @@ class FlashChip(Stateful):
                 f"chip {self.chip_id}: plane {plane} out of range "
                 f"[0, {self.cfg.planes_per_die})"
             )
-        return self.dies[die].planes[plane]
+        return die * self.cfg.planes_per_die + plane
+
+    def _occupy(self, k: int, now: float, duration: float) -> float:
+        """Serialize an array op on plane ``k``; returns its end time."""
+        if duration < 0:
+            raise FlashError(f"chip {self.chip_id}: negative duration")
+        busy = self._plane_busy
+        start = busy[k] if busy[k] > now else now
+        end = start + duration
+        busy[k] = end
+        return end
 
     # -- array operations -------------------------------------------------------
 
     def _array_op(self, now: float, die: int, plane: int, latency: float) -> float:
         """Run one plane op through the chip dispatcher + the plane."""
-        pl = self.plane(die, plane)
+        k = self._plane_index(die, plane)
         # The op occupies both a chip dispatch slot and the plane for the
         # array time; the tighter of the two constraints dominates.
         slot_end = self._op_slots.acquire_for(now, latency)
-        start = max(now, slot_end - latency, pl.busy_until)
-        _, end = pl.occupy(start, latency)
+        end = self._occupy(k, max(now, slot_end - latency), latency)
         tr = self.tracer
         if tr is not None:
             # [end - latency, end] is the exact plane-occupancy window
@@ -195,11 +138,7 @@ class FlashChip(Stateful):
         if sm is not None:
             sense += sm.read_extra(self.chip_id, now, sense)
         end = self._array_op(now, die, plane, sense)
-        pl = self.plane(die, plane)
-        pl.reads += 1
-        pl.bytes_read += self.cfg.page_bytes
         self.reads += 1
-        self.bytes_read += self.cfg.page_bytes
         first_sense_end = end
         fm = self.fault_model
         if fm is not None:
@@ -279,11 +218,7 @@ class FlashChip(Stateful):
             # caveat above does not apply).
             sense += sm.read_extra(self.chip_id, now, sense)
         end = self._array_op(now, die, plane, sense)
-        pl = self.plane(die, plane)
-        pl.reads += 1
-        pl.bytes_read += self.cfg.page_bytes
         self.reads += 1
-        self.bytes_read += self.cfg.page_bytes
         tr = self.tracer
         if tr is not None:
             tr.span("flash", _PID_FLASH, self.chip_id, "internal_read", now, end,
@@ -299,16 +234,13 @@ class FlashChip(Stateful):
         this, walk write-back traffic would serialize subgraph loads —
         a distortion of the paper's near-zero write impact, Fig. 8.)
         """
-        pl = self.plane(die, plane)
+        k = self._plane_index(die, plane)
         prog = self.cfg.program_latency
         sm = self.slow_model
         if sm is not None:
             prog += sm.program_extra(self.chip_id, now, prog)
-        _, end = pl.occupy(now, prog)
-        pl.programs += 1
-        pl.bytes_programmed += self.cfg.page_bytes
+        end = self._occupy(k, now, prog)
         self.programs += 1
-        self.bytes_programmed += self.cfg.page_bytes
         tr = self.tracer
         if tr is not None:
             tr.span("flash", _PID_FLASH, self.chip_id, "page_program", now, end,
@@ -319,7 +251,6 @@ class FlashChip(Stateful):
     def erase_block(self, now: float, die: int, plane: int) -> float:
         """Erase one block; returns end time."""
         end = self._array_op(now, die, plane, self.cfg.erase_latency)
-        self.plane(die, plane).erases += 1
         self.erases += 1
         return end
 

@@ -1,24 +1,21 @@
-"""Whole-SSD assembly: channels, chips, FTL, DRAM, host interface.
+"""Whole-SSD assembly: channels, chips, FTL, DRAM.
 
-:class:`SSD` is the substrate both engines run on.  GraphWalker uses the
-*host path* (:meth:`host_read_bytes`): array reads -> channel bus ->
-controller -> PCIe.  FlashWalker's accelerators call into chips and
-channel buses directly, bypassing the narrow links — that asymmetry *is*
-the paper's contribution, so the SSD exposes both paths explicitly.
+:class:`SSD` is the substrate FlashWalker runs on.  Its accelerators
+call into chips and channel buses directly, bypassing the narrow links
+to the host — that asymmetry *is* the paper's contribution.  The
+GraphWalker and DrunkardMob baselines do not run on this model: they
+time their disk reads from ``GraphWalkerConfig.disk_read_bytes_per_sec``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..common.config import DRAMConfig, SSDConfig
-from ..common.errors import FlashAddressError, FlashError
+from ..common.errors import FlashAddressError
 from ..common.state import Stateful
 from .channel import FlashChannel
 from .cmt import DFTL
 from .dram import DRAM
 from .ftl import FTL
-from .hostif import HostInterface
 from .nand import FlashChip
 
 __all__ = ["SSD"]
@@ -34,7 +31,6 @@ class SSD(Stateful):
         self.channels = [FlashChannel(i, self.cfg) for i in range(self.cfg.channels)]
         self.ftl = FTL(self.cfg)
         self.dram = DRAM(dram_cfg or DRAMConfig())
-        self.host = HostInterface(self.cfg)
         self.fault_model = None
         self.slow_model = None
         self.tracer = None
@@ -229,41 +225,6 @@ class SSD(Stateful):
         addr = self.ftl.write(lpn, plane_hint=plane_hint)
         ch = self.channel(addr.channel)
         return ch.write_page_from_controller(now, addr.chip, addr.die, addr.plane)
-
-    # -- host path (GraphWalker's view) ------------------------------------------
-
-    def host_read_bytes(self, now: float, nbytes: int | float) -> float:
-        """Sequential host read of ``nbytes`` striped over all channels.
-
-        Internal arrays/channels work in parallel; the host sees the
-        *slower* of the internal pipeline and the PCIe link — with Table
-        III parameters PCIe (4 GB/s) is slower than 32 channels
-        (10.7 GB/s), so large host reads run at PCIe speed, exactly the
-        bottleneck Fig. 1 blames.
-        """
-        if nbytes < 0:
-            raise FlashError(f"negative read size {nbytes}")
-        n_pages = max(1, int(np.ceil(nbytes / self.cfg.page_bytes)))
-        # Internal service time: pages striped perfectly over channels.
-        pages_per_channel = -(-n_pages // self.cfg.channels)
-        internal = self.cfg.read_latency + pages_per_channel * (
-            self.cfg.page_bytes / self.cfg.channel_bytes_per_sec
-        )
-        # Count array + bus traffic on the channels actually used.
-        remaining = n_pages
-        for ch in self.channels:
-            take = min(pages_per_channel, remaining)
-            if take <= 0:
-                break
-            for p in range(take):
-                chip = p % self.cfg.chips_per_channel
-                die = (p // self.cfg.chips_per_channel) % self.cfg.dies_per_chip
-                plane = p % self.cfg.planes_per_die
-                ch.chip(chip).read_page(now, die, plane)
-            ch.bus.transfer(now, take * self.cfg.page_bytes)
-            remaining -= take
-        ready = now + internal
-        return self.host.submit(ready, nbytes)
 
     # -- aggregate accounting ----------------------------------------------------
 

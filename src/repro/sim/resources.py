@@ -5,7 +5,7 @@ Two building blocks used throughout the SSD and accelerator models:
 * :class:`FcfsResource` — ``k`` identical servers with a FIFO queue.
   ``acquire_for(duration)`` returns the *completion time* of the request;
   utilization and queueing statistics are tracked as requests flow.
-* :class:`BandwidthLink` — a serial link (channel bus, PCIe, DRAM bus):
+* :class:`BandwidthLink` — a serial link (channel bus, DRAM bus):
   transfers occupy the link back-to-back, so a transfer issued at ``t``
   completes at ``max(t, busy_until) + bytes / rate``.
 
@@ -86,8 +86,8 @@ class FcfsResource(Stateful):
 class BandwidthLink(Stateful):
     """A serial link with fixed byte rate and optional per-transfer latency.
 
-    Models channel buses (ONFI), the PCIe link, and the DRAM bus.  All
-    byte counters are tracked for the Fig. 6/8 traffic metrics.
+    Models channel buses (ONFI) and the DRAM bus.  All byte counters
+    are tracked for the Fig. 6/8 traffic metrics.
     """
 
     __slots__ = (

@@ -1,4 +1,4 @@
-"""Tests for flash channels, host interface, DRAM, and whole-SSD paths."""
+"""Tests for flash channels, DRAM, and whole-SSD paths."""
 
 import pytest
 
@@ -92,41 +92,17 @@ class TestDRAM:
         assert d.bytes_transferred == 1 << 20
 
 
-class TestHostInterface:
-    def test_command_overhead_and_transfer(self, ssd):
-        nbytes = 1 << 20
-        t = ssd.host.submit(0.0, nbytes)
-        expected = ssd.host.command_overhead + nbytes / ssd.cfg.pcie_bytes_per_sec
-        assert t == pytest.approx(expected)
-        assert ssd.host.commands == 1
-
-
 class TestSSD:
     def test_topology(self, ssd):
         assert len(ssd.channels) == 32
         assert ssd.chip(3, 2).chip_id == 3 * 4 + 2
         assert ssd.chip_flat(127).chip_id == 127
+        ssd.chip_flat(127).read_pages_striped(0.0, 4)
+        assert ssd.bytes_read_from_planes() == 4 * ssd.cfg.page_bytes
 
     def test_chip_flat_bounds(self, ssd):
         with pytest.raises(FlashAddressError):
             ssd.chip_flat(128)
-
-    def test_host_read_counts_traffic(self, ssd):
-        ssd.host_read_bytes(0.0, 1 << 20)
-        assert ssd.bytes_read_from_planes() == 1 << 20
-        assert ssd.host.bytes_transferred == 1 << 20
-        assert sum(ch.bytes_on_bus for ch in ssd.channels) == 1 << 20
-
-    def test_host_read_pcie_bound_for_large_reads(self, ssd):
-        # 64 MB host read: PCIe (4 GB/s) is slower than 32 channels.
-        nbytes = 64 << 20
-        t = ssd.host_read_bytes(0.0, nbytes)
-        pcie_time = nbytes / ssd.cfg.pcie_bytes_per_sec
-        assert t >= pcie_time
-
-    def test_host_read_rejects_negative(self, ssd):
-        with pytest.raises(FlashError):
-            ssd.host_read_bytes(0.0, -1)
 
     def test_logical_write_then_read(self, ssd):
         ssd.write_lpn_from_controller(0.0, 42)

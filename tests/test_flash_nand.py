@@ -1,4 +1,5 @@
-"""Tests for NAND plane/die/chip timing."""
+"""Tests for NAND chip timing: per-plane serialization, the chip's op
+concurrency cap, counters, addressing and checkpoint round trips."""
 
 import pytest
 
@@ -87,12 +88,6 @@ class TestAccounting:
         assert chip.bytes_programmed == cfg.page_bytes
         assert chip.reads == 2 and chip.programs == 1
 
-    def test_plane_counters(self, chip, cfg):
-        chip.read_page(0.0, 1, 2)
-        pl = chip.plane(1, 2)
-        assert pl.reads == 1
-        assert pl.bytes_read == cfg.page_bytes
-
     def test_utilization(self, chip, cfg):
         chip.read_page(0.0, 0, 0)
         # one read over elapsed = read_latency, with 4 slots => 25%
@@ -110,4 +105,25 @@ class TestAddressValidation:
 
     def test_negative_duration_rejected(self, chip):
         with pytest.raises(FlashError):
-            chip.plane(0, 0).occupy(0.0, -1.0)
+            chip._occupy(0, 0.0, -1.0)
+
+
+class TestCheckpoint:
+    def test_state_round_trip(self, chip, cfg):
+        chip.read_page(0.0, 1, 2)
+        chip.program_page(0.0, 0, 3)
+        state = chip.state()
+        # Where the next read on plane (1, 2) ends from the captured state.
+        expected = FlashChip(0, cfg)
+        expected.restore(state)
+        want = expected.read_page(0.0, 1, 2)
+        assert want == pytest.approx(2 * cfg.read_latency)
+        for _ in range(3):
+            chip.read_page(0.0, 1, 2)
+        chip.restore(state)
+        assert chip.reads == 1 and chip.programs == 1
+        assert chip.read_page(0.0, 1, 2) == want
+        # The capture is not reached by later ops, so it restores again.
+        chip.restore(state)
+        assert chip.bytes_read == cfg.page_bytes
+        assert chip.read_page(0.0, 1, 2) == want
