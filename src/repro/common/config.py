@@ -669,9 +669,10 @@ class DurabilityConfig:
     journal_record_bytes: int = 32
 
     # -- power-loss injection ------------------------------------------------
-    #: Probability that a plane with an in-flight program at the moment
-    #: of power loss holds a *torn* (partially programmed) page.  Torn
-    #: pages are repaired from the RAIN parity group during recovery.
+    #: Probability that a plane busy at the moment of power loss (a
+    #: read, a program or an erase in flight) is counted as holding a
+    #: *torn* page.  Torn pages are repaired from the RAIN parity group
+    #: during recovery.
     torn_page_prob: float = 0.5
 
     # -- silent corruption + RAIN parity -------------------------------------

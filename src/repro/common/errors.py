@@ -90,9 +90,10 @@ class PowerLossError(SimulationError):
     Raised out of ``Simulator.run()`` by an injected power-loss event
     (``FlashWalker.schedule_power_loss``).
     Unlike the recoverable fault classes, power loss destroys volatile
-    state: in-flight walks, unflushed journal records, and any page
-    program caught mid-flight (``torn_pages``).  ``recover()`` on the
-    engine restores the latest quiescent checkpoint and replays forward.
+    state: in-flight walks, unflushed journal records, and the page of
+    any plane caught busy by the cut (``torn_pages``).  ``recover()`` on
+    the engine restores the latest quiescent checkpoint and replays
+    forward.
     """
 
     def __init__(
@@ -108,7 +109,7 @@ class PowerLossError(SimulationError):
         self.at = at
         self.events_executed = events_executed
         self.completed_walks = completed_walks
-        #: ``(flat_chip, die, plane)`` triples of programs torn by the cut.
+        #: ``(flat_chip, die, plane)`` triples of planes torn by the cut.
         self.torn_pages = tuple(torn_pages)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.common import BufferOverflowError, ReproError
 from repro.core import ForeignerStore, PartitionWalkBuffer, WalkBatch
+from repro.core.buffers import _FIRST_SLAB
 from repro.walks import WalkSet
 
 
@@ -22,6 +23,12 @@ def srcs(batch):
     """Origins of a drained batch of records, in order."""
     assert type(batch.walks) is list
     return [r[0] for r in batch.walks]
+
+
+def origins(batch):
+    """Origins of a drained batch in either form, in order."""
+    w = batch.walks
+    return [r[0] for r in w] if type(w) is list else w.src.tolist()
 
 
 def make(cap=8, dense_cap=12, n_blocks=10, first=0):
@@ -188,6 +195,45 @@ class TestPartitionWalkBuffer:
         assert int(pwb._base[5]) == base  # the drained slab is reused
         assert srcs(pwb.drain(5)[0]) == [200, 201, 202]
         assert srcs(pwb.drain(6)[0]) == [100, 101]
+
+    def test_churn_keeps_the_pool_bounded(self):
+        # Round by round, 300 walks go to one block of 32 and are
+        # drained again.  A compaction cuts each drained slab back to
+        # its first size, so the pool stays within a small multiple of
+        # the live walks plus every entry's first slab; without it,
+        # each round's grown slab is new space at the top of the pool.
+        pwb = make(cap=1000, dense_cap=1000, n_blocks=32)
+        bound = 6 * (300 + pwb.n_blocks * _FIRST_SLAB)
+        serial = 0
+        for r in range(96):
+            block = r % pwb.n_blocks
+            for _ in range(10):
+                push(pwb, block, walks(30, serial))
+                serial += 30
+            batch, nb, ns = pwb.drain(block)
+            assert (nb, ns) == (300, 0)
+            assert origins(batch) == list(range(serial - 300, serial))
+            assert pwb._head.size <= bound
+
+    @pytest.mark.parametrize("as_records", [False, True])
+    def test_later_grow_moves_an_earlier_group(self, as_records):
+        # Four first slabs fill slots 0..32 of a 64-slot pool.  Block 0
+        # grows to a 16-slot slab at 32, leaving a hole at 0.
+        pwb = make(cap=1000, dense_cap=1000, n_blocks=4)
+        push(pwb, 0, walks(12))
+        assert (pwb._base[0], pwb._head.size) == (32, 64)
+        # Block 0's group fits its slab; block 2's needs 30 slots, finds
+        # no room at the top, and compaction slides block 0's slab back.
+        # Block 3's group then grows without compacting.
+        ws = walks(41, 100)
+        pwb.push([0, 2, 3], [2, 30, 9], ws.records() if as_records else ws)
+        assert pwb._base[0] < 32
+        assert pwb._head.size == 128
+        assert pwb.counts(0) == (14, 0)
+        assert origins(pwb.drain(0)[0]) == [*range(12), 100, 101]
+        assert origins(pwb.drain(2)[0]) == list(range(102, 132))
+        assert origins(pwb.drain(3)[0]) == list(range(132, 141))
+        assert pwb.total_walks == 0
 
     def test_reused_slab_forgets_old_push_starts(self):
         pwb = make(cap=3)

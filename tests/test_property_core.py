@@ -31,6 +31,7 @@ from repro.core import (
 import repro.core.chip_accel as chip_accel_mod
 import repro.core.flashwalker as flashwalker_mod
 from repro.core.advance import SMALL_BATCH
+from repro.core.buffers import _FIRST_SLAB
 from repro.graph import CSRGraph, partition_graph, rmat
 from repro.sim import BandwidthLink, FcfsResource, Simulator
 from repro.walks import WalkSet, WalkSpec
@@ -603,12 +604,14 @@ class TestBufferProperties:
         paths, blocks and counts as arrays or lists), spills at tiny
         capacities, slab growth and reuse, and drains (records up to
         SMALL_BATCH walks, arrays above) give exactly what a
-        list-of-batches FIFO gives."""
+        list-of-batches FIFO gives, and compaction keeps the pool
+        within a fixed multiple of the most walks held."""
         is_dense = np.zeros(LAST + 1, dtype=bool)
         is_dense[[FIRST, 6]] = True
         pwb = PartitionWalkBuffer(FIRST, LAST, cap, dense_cap, is_dense)
         model = _FifoEntries(lambda b: dense_cap if is_dense[b] else cap)
         serial = 0
+        peak = 0
         for op, arg, with_pre, records in ops:
             if op == "push":
                 blocks = np.array(sorted(arg), dtype=np.int64)
@@ -657,6 +660,12 @@ class TestBufferProperties:
             assert pwb.spill_events == model.spill_events
             assert pwb.walks_spilled == model.walks_spilled
             assert pwb.occupancy_errors() == []
+            # After a compaction each other slab holds at most
+            # max(_FIRST_SLAB, 2 * its walks) slots and the new slab
+            # under twice its walks; a bigger pool is at most 8/3 of
+            # that, so the pool stays under 6x.
+            peak = max(peak, pwb.total_walks)
+            assert pwb._head.size <= 6 * (peak + pwb.n_blocks * _FIRST_SLAB)
         assert pwb.total_walks == sum(sum(model.counts(b)) for b in range(FIRST, LAST + 1))
 
 
